@@ -1,10 +1,12 @@
 """The two twisted character chain maps and their machine checks.
 
-``psi`` expands the partition forms: all decompositions of an ordered
+``psi`` sums the partition forms: all decompositions of an ordered
 tuple (a_1, ..., a_k) into singleton blocks nabla(a_i) and adjacent-pair
 blocks a_j sigma a_{j+1}; the number of summands is the Fibonacci number
-F(k+1).  ``rho`` pairs a chain with these forms, giving a homogeneous
-degree-k scalar form.
+F(k+1).  It is computed by the suffix recursion over those
+decompositions, so each block is built once and about 2k products replace
+the F(k+1) term products.  ``rho`` pairs a chain with these forms, giving
+a homogeneous degree-k scalar form.
 
 ``simplex_character`` is the heat-kernel-style map: exponentials of the
 curvature lift integrated over the standard simplex.  Because sigma has
@@ -41,52 +43,43 @@ def require_torsion_twist(declaration: str) -> None:
         )
 
 
-def block_compositions(k: int) -> List[Tuple[int, ...]]:
-    """Ordered compositions of k into parts 1 and 2 (F(k+1) of them)."""
-    if k == 0:
-        return [()]
-    if k == 1:
-        return [(1,)]
-    out = [(1,) + c for c in block_compositions(k - 1)]
-    out += [(2,) + c for c in block_compositions(k - 2)]
-    return out
-
-
 class PartitionExpansion:
-    """Partition terms of psi_k plus their assembled sum."""
+    """psi_k assembled, with the number of partition terms it sums."""
 
-    def __init__(self, k: int, terms: List[MatrixForm], total: MatrixForm):
+    def __init__(self, k: int, total: MatrixForm):
         self.k = k
-        self.terms = terms
         self.total = total
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        """F(k+1): compositions of k into parts 1 and 2."""
+        a, b = 1, 1
+        for _ in range(self.k):
+            a, b = b, a + b
+        return a
 
 
 def psi(conn: Connection, a_list: Sequence[MatrixForm]) -> PartitionExpansion:
-    """Partition-enumeration construction of psi_k(a_1, ..., a_k)."""
+    """psi_k(a_1, ..., a_k) by the suffix recursion over the partitions.
+
+    P_k = 1, P_{k-1} = nabla(a_k) and
+    P_j = nabla(a_j) P_{j+1} + (a_j sigma a_{j+1}) P_{j+2}; psi_k = P_0.
+    Every nabla(a_i) and every pair block is built once, and no product
+    with the identity P_k is formed.
+    """
     k = len(a_list)
-    probe_chart, m = conn.chart, conn.m
-    backend = conn.theta.backend
-    nodes = conn.theta.nodes
-    one = MatrixForm.identity(probe_chart, m, backend, nodes)
-    terms = []
-    total = MatrixForm.zero(probe_chart, m, backend, nodes)
-    for comp in block_compositions(k):
-        term = one
-        pos = 0
-        for c in comp:
-            if c == 1:
-                term = term * conn.nabla(a_list[pos])
-                pos += 1
-            else:
-                term = term * (a_list[pos] * conn.sigma * a_list[pos + 1])
-                pos += 2
-        terms.append(term)
-        total = total + term
-    return PartitionExpansion(k, terms, total)
+    if k == 0:
+        return PartitionExpansion(0, MatrixForm.identity(
+            conn.chart, conn.m, conn.theta.backend, conn.theta.nodes))
+    sigma = conn.sigma
+    after = conn.nabla(a_list[-1])  # P_{j+1}
+    after2 = None                   # P_{j+2}; None stands for P_k = 1
+    for j in range(k - 2, -1, -1):
+        pair = a_list[j] * sigma * a_list[j + 1]
+        if after2 is not None:
+            pair = pair * after2
+        after, after2 = conn.nabla(a_list[j]) * after + pair, after
+    return PartitionExpansion(k, after)
 
 
 def psi_recursive(conn: Connection, a_list: Sequence[MatrixForm]) -> MatrixForm:

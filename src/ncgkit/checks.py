@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -27,10 +27,8 @@ from .algebroid import (
     leibniz_defect,
 )
 from .characters import (
-    block_compositions,
     cyclic_defect,
     psi,
-    psi_recursive,
     rho,
     simplex_character,
     verify_induction_identity,
@@ -53,7 +51,6 @@ from .forms import (
     twisted_d,
     dd_representative,
 )
-from .characters import simplex_character
 from .geom import (
     Geometry,
     bott_projection,
@@ -144,24 +141,60 @@ def check_induction_identity(seed: int = 7, trials: int = 100,
     })
 
 
+def _block_compositions(k: int) -> List[Tuple[int, ...]]:
+    """Ordered compositions of k into parts 1 and 2 (F(k+1) of them)."""
+    if k == 0:
+        return [()]
+    if k == 1:
+        return [(1,)]
+    out = [(1,) + c for c in _block_compositions(k - 1)]
+    out += [(2,) + c for c in _block_compositions(k - 2)]
+    return out
+
+
+def _psi_by_enumeration(conn: Connection, a_list) -> MatrixForm:
+    """Oracle for ``psi``: the partition terms summed one by one.
+
+    Each block nabla(a_i) and a_j sigma a_{j+1} is built once per call;
+    every composition then multiplies its blocks left to right.
+    """
+    k = len(a_list)
+    backend, nodes = conn.theta.backend, conn.theta.nodes
+    if k == 0:
+        return MatrixForm.identity(conn.chart, conn.m, backend, nodes)
+    nablas = [conn.nabla(a) for a in a_list]
+    pairs = [a_list[j] * conn.sigma * a_list[j + 1] for j in range(k - 1)]
+    total = MatrixForm.zero(conn.chart, conn.m, backend, nodes)
+    for comp in _block_compositions(k):
+        term = None
+        pos = 0
+        for part in comp:
+            block = nablas[pos] if part == 1 else pairs[pos]
+            term = block if term is None else term * block
+            pos += part
+        total = total + term
+    return total
+
+
 def check_partition_counts(seed: int = 7, k_top: int = 10) -> CheckResult:
     """Fibonacci term counts and recursion vs enumeration agreement."""
     expected = [1, 1]
     while len(expected) < k_top + 1:
         expected.append(expected[-1] + expected[-2])
-    counts = [len(block_compositions(k)) for k in range(k_top + 1)]
+    counts = [len(_block_compositions(k)) for k in range(k_top + 1)]
     rng = random.Random(seed)
     chart = Chart.affine(5)
     conn = random_connection(chart, 2, rng, terms=1)
     agree = True
     for k in range(0, 6):
         als = [random_algebra_element(chart, 2, rng, terms=1) for _ in range(k)]
-        agree = agree and (psi(conn, als).total - psi_recursive(conn, als)).is_zero()
+        agree = agree and (psi(conn, als).total - _psi_by_enumeration(conn, als)).is_zero()
     small = Chart.affine(3)
     conn_s = random_connection(small, 2, rng, terms=1)
     for k in range(6, k_top + 1):
         als = [random_algebra_element(small, 2, rng, terms=1) for _ in range(k)]
-        agree = agree and (psi(conn_s, als).total - psi_recursive(conn_s, als)).is_zero()
+        agree = agree and (psi(conn_s, als).total
+                           - _psi_by_enumeration(conn_s, als)).is_zero()
     return CheckResult("partition-counts", counts == expected and agree, {
         "counts": counts, "expected": expected, "recursion_matches": agree,
     })

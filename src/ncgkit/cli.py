@@ -45,9 +45,36 @@ SCENARIO_KINDS = {
     "algebroid": "algebroid",
 }
 
-KNOWN_PARAMS = {
-    "trials", "k_max", "k_top", "refine", "resolution", "rephasings",
-    "vectors", "n_max", "times", "geometry", "projection", "dilation",
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _at_least(low: int):
+    return f"an integer >= {low}", lambda v: _is_int(v) and v >= low
+
+
+# What each scenario or command-line parameter must be.  A count below its
+# lower bound would run no trials and report a vacuous pass, or fail inside
+# a check as an internal error.
+PARAM_RULES = {
+    "trials": _at_least(1),
+    "k_max": _at_least(1),
+    "k_top": _at_least(1),
+    "refine": _at_least(0),
+    "resolution": _at_least(1),
+    "rephasings": _at_least(1),
+    "vectors": _at_least(1),
+    "n_max": _at_least(1),
+    "times": ("a list of numbers",
+              lambda v: isinstance(v, list) and all(map(_is_real, v))),
+    "geometry": ("a string", lambda v: isinstance(v, str)),
+    "projection": ("a string", lambda v: isinstance(v, str)),
+    "dilation": ("a number", _is_real),
 }
 
 DD_BUILTIN_SCENARIOS = ("pauli-triangle", "coboundary-s3")
@@ -55,6 +82,12 @@ DD_BUILTIN_SCENARIOS = ("pauli-triangle", "coboundary-s3")
 
 class SchemaViolation(ValueError):
     pass
+
+
+def validate_param(name: str, value) -> None:
+    what, ok = PARAM_RULES[name]
+    if not ok(value):
+        raise SchemaViolation(f"parameter {name} must be {what}, got {value!r}")
 
 
 def render_value(v) -> str:
@@ -136,14 +169,16 @@ def load_scenario(path: str) -> Dict[str, object]:
     if kind not in SCENARIO_KINDS:
         raise SchemaViolation(f"unknown scenario kind {kind!r}")
     seed = doc.get("seed")
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise SchemaViolation("scenario requires a nonnegative integer seed")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SchemaViolation("scenario params must be an object")
-    unknown = set(params) - KNOWN_PARAMS
+    unknown = set(params) - set(PARAM_RULES)
     if unknown:
         raise SchemaViolation(f"unknown scenario params: {sorted(unknown)}")
+    for name, value in params.items():
+        validate_param(name, value)
     return doc
 
 
@@ -160,6 +195,10 @@ def _emit(text: str, out: Optional[str], command: str) -> None:
 
 
 def _run_suite(command: str, args) -> int:
+    for name in ("trials", "k_max", "refine"):
+        value = getattr(args, name, None)
+        if value is not None:
+            validate_param(name, value)
     seed = args.seed
     params: Dict[str, object] = {}
     if args.scenario:

@@ -22,7 +22,9 @@ import numpy as np
 
 RationalLike = Union[int, Fraction]
 
-from math import gcd as _gcd
+from functools import lru_cache
+from math import gcd as _gcd, lcm as _lcm
+from struct import Struct
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -45,7 +47,7 @@ def _qqi_raw(a: int, b: int, d: int) -> "QQi":
 def _qqi(a: int, b: int, d: int) -> "QQi":
     if d < 0:
         a, b, d = -a, -b, -d
-    g = _gcd(_gcd(a if a >= 0 else -a, b if b >= 0 else -b), d)
+    g = _gcd(a, b, d)
     if g > 1:
         a //= g
         b //= g
@@ -265,15 +267,49 @@ class Chart:
         return Chart(())
 
 
+# Packed form of a PolyScalar (Monagan & Pearce, ISSAC 2009).  A monomial
+# is written as little-endian 16-bit two's-complement exponent fields and
+# read as one int with the sign bit of every field flipped, which stores e
+# as e + 2**15.  The key of a product monomial is then the sum of the two
+# keys minus that offset once per field.  Every exponent satisfies
+# |e| < _FIELD_LIMIT, and a product is formed only when the exponent bounds
+# of its factors add up to less than _FIELD_LIMIT, so every field of a sum
+# stays inside [0, 2**16) and no carry reaches the next field.
+_FIELD_LIMIT = 1 << 15
+
+
+@lru_cache(maxsize=16)
+def _packing(dim: int):
+    """(per-field offset, 16-bit field struct) of a dim-variable monomial."""
+    return int.from_bytes(b"\x00\x80" * dim, "little"), Struct(f"<{dim}h")
+
+
+def _rescaled(terms: dict, f: int) -> dict:
+    """Packed terms with every numerator times f; ``terms`` itself if f is 1."""
+    if f == 1:
+        return terms
+    return {k: [a * f, b * f] for k, (a, b) in terms.items()}
+
+
 class PolyScalar:
     """Polynomial / trigonometric-polynomial function on a chart.
 
     Monomials are exponent tuples; affine coordinates require nonnegative
     exponents, periodic ones allow any integer (Laurent) exponent.
     Coefficients are Gaussian rationals, so every identity test is exact.
+
+    ``coeffs`` maps monomials to nonzero QQi coefficients.  The ring
+    operations work on a packed form instead: a common denominator d, a
+    dict from packed monomial to the Gaussian-integer numerator
+    [re, im] = coefficient * d, and a bound on |exponent|.  Each form is
+    built from the other on first use and cached, so a coefficient is
+    normalised to a QQi only when somebody reads ``coeffs``.  Both forms
+    list the terms in the same order, and every operation keeps the term
+    order of the coefficient-wise computation: a sum that cancels drops its
+    monomial, which re-enters at the end if a later term brings it back.
     """
 
-    __slots__ = ("chart", "coeffs", "_hash")
+    __slots__ = ("chart", "_coeffs", "_packed", "_hash")
 
     def __init__(self, chart: Chart, coeffs: Optional[dict] = None):
         self.chart = chart
@@ -289,7 +325,8 @@ class PolyScalar:
                     if kind == AFFINE and e < 0:
                         raise ValueError("negative power of an affine coordinate")
                 clean[tuple(mono)] = c
-        self.coeffs = clean
+        self._coeffs = clean
+        self._packed = None
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -299,9 +336,36 @@ class PolyScalar:
         """Internal constructor: coefficients already canonical and nonzero."""
         p = cls.__new__(cls)
         p.chart = chart
-        p.coeffs = coeffs
+        p._coeffs = coeffs
+        p._packed = None
         p._hash = None
         return p
+
+    @classmethod
+    def _from_packed(cls, chart: Chart, d: int, terms: dict,
+                     bound: int) -> "PolyScalar":
+        """Internal constructor from a packed form with nonzero numerators."""
+        p = cls.__new__(cls)
+        p.chart = chart
+        p._coeffs = None
+        p._packed = (d, terms, bound)
+        p._hash = None
+        return p
+
+    @classmethod
+    def _reduced(cls, chart: Chart, d: int, terms: dict,
+                 bound: int) -> "PolyScalar":
+        """``_from_packed`` after dividing out the content of d and the
+        numerators, so that d is the lcm of the coefficient denominators."""
+        g = d
+        for re, im in terms.values():
+            g = _gcd(g, re, im)
+            if g == 1:
+                break
+        if g > 1:
+            d //= g
+            terms = {k: [re // g, im // g] for k, (re, im) in terms.items()}
+        return cls._from_packed(chart, d, terms, bound)
 
     @staticmethod
     def const(chart: Chart, c) -> "PolyScalar":
@@ -328,6 +392,56 @@ class PolyScalar:
         zbar = PolyScalar.coordinate(chart, j, -freq)
         return (z - zbar) * QQi(0, Fraction(-1, 2))
 
+    # -- the two forms ------------------------------------------------
+
+    @property
+    def coeffs(self) -> dict:
+        """Monomial -> nonzero QQi; built from the packed form on first read."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            coeffs = self._coeffs = self._unpack()
+        return coeffs
+
+    def _pack(self):
+        """Cache and return the packed form (d, terms, exponent bound)."""
+        bias, fields = _packing(self.chart.dim)
+        coeffs = self._coeffs
+        d = _lcm(*[c.d for c in coeffs.values()])
+        bound = 0
+        terms = {}
+        for mono, c in coeffs.items():
+            if mono:
+                e = max(max(mono), -min(mono))
+                if e > bound:
+                    if e >= _FIELD_LIMIT:
+                        raise OverflowError(
+                            f"exponent {e} does not fit a packed monomial field "
+                            f"(|e| < {_FIELD_LIMIT})")
+                    bound = e
+            f = d // c.d
+            key = int.from_bytes(fields.pack(*mono), "little") ^ bias
+            terms[key] = [c.a * f, c.b * f]
+        self._packed = (d, terms, bound)
+        return self._packed
+
+    def _unpack(self) -> dict:
+        """The ``coeffs`` dict of the packed form: one gcd per term."""
+        d, terms, _ = self._packed
+        bias, fields = _packing(self.chart.dim)
+        nbytes = 2 * self.chart.dim
+        unpack = fields.unpack
+        new = QQi.__new__
+        coeffs = {}
+        for k, (re, im) in terms.items():
+            q = new(QQi)
+            g = _gcd(re, im, d)
+            if g > 1:
+                q.a, q.b, q.d = re // g, im // g, d // g
+            else:
+                q.a, q.b, q.d = re, im, d
+            coeffs[unpack((k ^ bias).to_bytes(nbytes, "little"))] = q
+        return coeffs
+
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "PolyScalar"):
@@ -337,21 +451,33 @@ class PolyScalar:
     def __add__(self, other):
         if not isinstance(other, PolyScalar):
             other = PolyScalar.const(self.chart, other)
-        self._check(other)
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.a == 0 and s.b == 0:
-                out.pop(mono, None)
+        if self.chart is not other.chart:
+            self._check(other)
+        d1, terms1, bound1 = self._packed or self._pack()
+        d2, terms2, bound2 = other._packed or other._pack()
+        d = d1 if d2 == d1 else _lcm(d1, d2)
+        out = dict(terms1) if d == d1 else _rescaled(terms1, d // d1)
+        terms2 = _rescaled(terms2, d // d2)
+        get = out.get
+        for k, v in terms2.items():
+            s = get(k)
+            if s is None:
+                out[k] = v
             else:
-                out[mono] = s
-        return PolyScalar._raw(self.chart, out)
+                re = s[0] + v[0]
+                im = s[1] + v[1]
+                if re or im:
+                    out[k] = [re, im]
+                else:
+                    del out[k]
+        return PolyScalar._from_packed(self.chart, d, out, max(bound1, bound2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyScalar._raw(self.chart, {m: -c for m, c in self.coeffs.items()})
+        d, terms, bound = self._packed or self._pack()
+        return PolyScalar._from_packed(
+            self.chart, d, {k: [-a, -b] for k, (a, b) in terms.items()}, bound)
 
     def __sub__(self, other):
         if not isinstance(other, PolyScalar):
@@ -366,22 +492,43 @@ class PolyScalar:
             c = QQi.coerce(other)
             if c.is_zero():
                 return PolyScalar._raw(self.chart, {})
-            return PolyScalar._raw(
-                self.chart, {m: a * c for m, a in self.coeffs.items()}
-            )
-        self._check(other)
-        out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m)
-                p = c1 * c2
-                s = p if s is None else s + p
-                if s.a == 0 and s.b == 0:
-                    out.pop(m, None)
+            d, terms, bound = self._packed or self._pack()
+            ca, cb = c.a, c.b
+            return PolyScalar._reduced(self.chart, d * c.d, {
+                k: [a * ca - b * cb, a * cb + b * ca] for k, (a, b) in terms.items()
+            }, bound)
+        if self.chart is not other.chart:
+            self._check(other)
+        if self.is_zero() or other.is_zero():
+            return PolyScalar._raw(self.chart, {})
+        d1, terms1, bound1 = self._packed or self._pack()
+        d2, terms2, bound2 = other._packed or other._pack()
+        bound = bound1 + bound2
+        if bound >= _FIELD_LIMIT:
+            raise OverflowError(
+                f"product exponents may reach {bound}, which does not fit a "
+                f"packed monomial field (|e| < {_FIELD_LIMIT})")
+        bias = _packing(self.chart.dim)[0]
+        # Gaussian-integer numerators over the common denominator d1*d2.
+        acc: dict = {}
+        get = acc.get
+        items2 = terms2.items()
+        for k1, (a1, b1) in terms1.items():
+            k1 -= bias
+            for k2, (a2, b2) in items2:
+                k = k1 + k2
+                s = get(k)
+                if s is None:
+                    acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
                 else:
-                    out[m] = s
-        return PolyScalar._raw(self.chart, out)
+                    re = s[0] + a1 * a2 - b1 * b2
+                    im = s[1] + a1 * b2 + b1 * a2
+                    if re or im:
+                        s[0] = re
+                        s[1] = im
+                    else:
+                        del acc[k]
+        return PolyScalar._reduced(self.chart, d1 * d2, acc, bound)
 
     __rmul__ = __mul__
 
@@ -449,7 +596,9 @@ class PolyScalar:
     # -- predicates and interop ----------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        if self._coeffs is None:
+            return not self._packed[1]
+        return not self._coeffs
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in m) for m in self.coeffs)

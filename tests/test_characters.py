@@ -6,7 +6,6 @@ import pytest
 
 from ncgkit.characters import (
     NonTorsionTwist,
-    block_compositions,
     compare_class_integrals,
     cyclic_defect,
     induction_defect,
@@ -18,6 +17,8 @@ from ncgkit.characters import (
     simplex_moment,
     verify_induction_identity,
 )
+from ncgkit.checks import _block_compositions as block_compositions
+from ncgkit.checks import _psi_by_enumeration
 from ncgkit.cyclic import Chain, Projection, chern_cyclic, hochschild_b
 from ncgkit.forms import Connection, MatrixForm, exterior_d
 from ncgkit.randgen import (
@@ -87,6 +88,21 @@ def test_recursion_matches_enumeration():
     for k in range(5):
         als = [random_algebra_element(chart, 2, rng, terms=1) for _ in range(k)]
         assert (psi(conn, als).total - psi_recursive(conn, als)).is_zero()
+
+
+@pytest.mark.parametrize("chart", [Chart.affine(3), Chart.torus(2)])
+def test_suffix_recursion_matches_both_oracles(chart):
+    rng = random.Random(11)
+    conn = random_connection(chart, 2, rng, terms=1)
+    assert not conn.sigma.is_zero()
+    for k in range(9):
+        als = [random_algebra_element(chart, 2, rng, terms=1) for _ in range(k)]
+        expansion = psi(conn, als)
+        assert expansion.k == k
+        assert expansion.term_count == len(block_compositions(k))
+        assert (expansion.total - _psi_by_enumeration(conn, als)).is_zero()
+        assert (expansion.total - psi_recursive(conn, als)).is_zero()
+    assert psi(conn, []).total == MatrixForm.identity(chart, 2)
 
 
 class TestInduction:

@@ -223,3 +223,35 @@ def test_parser_has_all_subcommands():
     for cmd in ("verify-identities", "dd-class", "index", "chkr-compare",
                 "spectral", "algebroid", "list-checks"):
         assert cmd in text
+
+
+class TestRejectsBadInput:
+    """Out-of-range counts and mistyped values exit 2 before any check runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-identities", "--trials", "0"),
+        ("verify-identities", "--k-max", "0"),
+        ("spectral", "--trials", "-3"),
+        ("index", "--refine", "-1"),
+        ("index", "--geometry", "sphere2", "--projection", "bott", "--refine", "-1"),
+    ])
+    def test_out_of_range_flag_exit_2(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "cech", "seed": True},
+        {"kind": "index", "seed": 7, "params": {"refine": "1"}},
+        {"kind": "cech", "seed": 7, "params": {"rephasings": 0}},
+        {"kind": "identities", "seed": 7, "params": {"trials": 2.5}},
+        {"kind": "index", "seed": 7, "params": {"dilation": "0.5"}},
+    ])
+    def test_bad_scenario_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        command = {"cech": "dd-class", "index": "index",
+                   "identities": "verify-identities"}[doc["kind"]]
+        code, out = run_cli(capsys, command, "--scenario", str(path))
+        assert code == 2
+        assert out == ""

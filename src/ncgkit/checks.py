@@ -8,6 +8,7 @@ snapped integers, which the report layer renders deterministically.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -934,10 +935,13 @@ CHECKS: List[CheckSpec] = [
 CHECKS_BY_ID = {c.check_id: c for c in CHECKS}
 
 
-def run_check(check_id: str, **params) -> CheckResult:
-    spec = CHECKS_BY_ID[check_id]
-    import inspect
+def check_params(check_id: str) -> Tuple[str, ...]:
+    """Names of the parameters a check takes."""
+    return tuple(inspect.signature(CHECKS_BY_ID[check_id].runner).parameters)
 
-    accepted = inspect.signature(spec.runner).parameters
-    kwargs = {k: v for k, v in params.items() if k in accepted}
-    return spec.runner(**kwargs)
+
+def run_check(check_id: str, **params) -> CheckResult:
+    """Run one check with the given parameters that it takes."""
+    accepted = check_params(check_id)
+    return CHECKS_BY_ID[check_id].runner(
+        **{k: v for k, v in params.items() if k in accepted})

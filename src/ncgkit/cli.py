@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .checks import CHECKS, CheckResult, run_check
+from .checks import CHECKS, CheckResult, check_params, run_check
 from .scalars import QQi
 
 SUITE_OF_COMMAND = {
@@ -78,6 +78,9 @@ PARAM_RULES = {
 }
 
 DD_BUILTIN_SCENARIOS = ("pauli-triangle", "coboundary-s3")
+
+# What the single-geometry index run (``index --geometry/--projection``) takes.
+INDEX_FOCUS_PARAMS = ("geometry", "projection", "refine", "dilation")
 
 
 class SchemaViolation(ValueError):
@@ -194,16 +197,17 @@ def _emit(text: str, out: Optional[str], command: str) -> None:
     sys.stdout.write(text)
 
 
+def _reject_unused(command: str, unused) -> None:
+    if unused:
+        raise SchemaViolation(
+            f"{command} takes no parameter {', '.join(sorted(unused))}")
+
+
 def _run_suite(command: str, args) -> int:
-    for name in ("trials", "k_max", "refine"):
-        value = getattr(args, name, None)
-        if value is not None:
-            validate_param(name, value)
     seed = args.seed
     params: Dict[str, object] = {}
-    if args.scenario:
-        if command == "dd-class" and args.scenario in DD_BUILTIN_SCENARIOS:
-            return _run_ddclass_builtin(args)
+    builtin = command == "dd-class" and args.scenario in DD_BUILTIN_SCENARIOS
+    if args.scenario and not builtin:
         doc = load_scenario(args.scenario)
         if SCENARIO_KINDS[doc["kind"]] != command:
             raise SchemaViolation(
@@ -211,19 +215,23 @@ def _run_suite(command: str, args) -> int:
             )
         seed = doc["seed"]
         params.update(doc.get("params", {}))
-    if command == "index" and (getattr(args, "geometry", None)
-                               or getattr(args, "projection", None)
-                               or params.get("geometry")
-                               or params.get("projection")):
+    # a flag given on the command line wins over the scenario
+    for name in ("trials", "k_max", "refine", "geometry", "projection"):
+        value = getattr(args, name, None)
+        if value is not None:
+            validate_param(name, value)
+            params[name] = value
+    if builtin:
+        _reject_unused(command, params)
+        return _run_ddclass_builtin(args)
+    if command == "index" and (params.get("geometry") or params.get("projection")):
+        _reject_unused(command, set(params) - set(INDEX_FOCUS_PARAMS))
         return _run_index_focus(args, seed, params)
-    if args.trials is not None:
-        params["trials"] = args.trials
-    if getattr(args, "k_max", None) is not None:
-        params["k_max"] = args.k_max
-    if getattr(args, "refine", None) is not None:
-        params["refine"] = args.refine
+    suite = SUITE_OF_COMMAND[command]
+    _reject_unused(command, [
+        k for k in params if not any(k in check_params(c) for c in suite)])
     results = []
-    for check_id in SUITE_OF_COMMAND[command]:
+    for check_id in suite:
         results.append(run_check(check_id, seed=seed, **params))
     renderer = render_report_json if args.format == "json" else render_report_text
     _emit(renderer(command, seed, params, results), args.out, command)
@@ -278,10 +286,9 @@ def _run_index_focus(args, seed: int, params: Dict[str, object]) -> int:
         local_index,
     )
 
-    geometry = getattr(args, "geometry", None) or params.get("geometry") or "sphere2"
-    projection = (getattr(args, "projection", None)
-                  or params.get("projection") or "bott")
-    refine = getattr(args, "refine", None) or params.get("refine") or 0
+    geometry = params.get("geometry") or "sphere2"
+    projection = params.get("projection") or "bott"
+    refine = params.get("refine", 0)
     dilation = float(params.get("dilation", 0.0))
     if geometry not in ("sphere2", "torus2"):
         raise SchemaViolation(f"unknown geometry {geometry!r}")

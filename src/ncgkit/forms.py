@@ -48,6 +48,50 @@ def merge_sign(i_tuple: IdxTuple, j_tuple: IdxTuple) -> int:
     return -1 if inv % 2 else 1
 
 
+def _jet_is_zero(x: JetScalar) -> bool:
+    """Zero in value and derivative, so a product with it adds nothing."""
+    return not x.values.any() and (x.grads is None or not x.grads.any())
+
+
+def _jet_mat_mul(a, b, chart: Chart):
+    """``linalg.mat_mul`` for jet matrices, skipping products with a zero factor.
+
+    The nonzero terms are added in the same k order, so each entry equals
+    the full sum.  An entry keeps gradients only when every product in its
+    full sum had them, as the full sum would; an entry with no nonzero term
+    is a shared zero.
+    """
+    bt = list(zip(*b))
+    # entries are often one shared object (the zero of a block matrix)
+    entries = {id(x): x for mat in (a, b) for row in mat for x in row}
+    zeros = {i for i, x in entries.items() if _jet_is_zero(x)}
+    a_terms = [[k for k, x in enumerate(row) if id(x) not in zeros] for row in a]
+    b_terms = [{k for k, y in enumerate(col) if id(y) not in zeros} for col in bt]
+    a_grads = [all(x.grads is not None for x in row) for row in a]
+    b_grads = [all(y.grads is not None for y in col) for col in bt]
+    zero = np.zeros_like(a[0][0].values)
+    zero_grads = np.zeros((chart.dim,) + zero.shape, dtype=complex)
+    zero.flags.writeable = zero_grads.flags.writeable = False
+    zero_jet = (JetScalar(chart, zero, None), JetScalar(chart, zero, zero_grads))
+    out = []
+    for row, terms, row_grads in zip(a, a_terms, a_grads):
+        orow = []
+        for col, col_terms, col_grads in zip(bt, b_terms, b_grads):
+            keep_grads = row_grads and col_grads
+            acc = None
+            for k in terms:
+                if k in col_terms:
+                    p = row[k] * col[k]
+                    acc = p if acc is None else acc + p
+            if acc is None:
+                acc = zero_jet[keep_grads]
+            elif not keep_grads and acc.grads is not None:
+                acc = JetScalar(chart, acc.values, None)
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
 class MatrixForm:
     """Mixed-degree matrix-valued differential form on a chart."""
 
@@ -231,7 +275,9 @@ class MatrixForm:
                 if len(i_idx) + len(j_idx) > self.chart.dim:
                     continue
                 sign = merge_sign(i_idx, j_idx)
-                if self.m == other.m:
+                if self.m == other.m and self.backend == "jet":
+                    mat = _jet_mat_mul(a, b, self.chart)
+                elif self.m == other.m:
                     mat = linalg.mat_mul(a, b)
                 elif self.m == 1:
                     mat = linalg.mat_scale(a[0][0], b)

@@ -138,9 +138,11 @@ def test_verify_identities_smoke(capsys):
 
 
 def test_other_suites_smoke(capsys):
-    for cmd in ("chkr-compare", "spectral", "algebroid"):
-        code, out = run_cli(capsys, cmd, "--trials", "4", "--seed", "3")
-        assert code == 0, (cmd, out)
+    # character-comparison takes no trials, so chkr-compare runs without them
+    for argv in (("chkr-compare",), ("spectral", "--trials", "4"),
+                 ("algebroid", "--trials", "4")):
+        code, out = run_cli(capsys, *argv, "--seed", "3")
+        assert code == 0, (argv, out)
         assert "overall: pass" in out
 
 
@@ -169,6 +171,46 @@ def test_index_focus_flags(capsys):
     assert "integer_24x48: -2" in out
     assert "chern_integer: -1" in out
     assert "residual_trend_nonincreasing: true" in out
+
+
+def test_explicit_refine_zero_wins_over_scenario(capsys):
+    import pathlib
+
+    scenario = pathlib.Path(__file__).parent.parent / "scenarios" / "index-bott-refine.json"
+    code, out = run_cli(capsys, "index", "--scenario", str(scenario), "--refine", "0")
+    assert code == 0
+    assert "  refine: 0\n" in out
+    raw = [ln for ln in out.splitlines() if "raw_" in ln]
+    assert len(raw) == 1 and raw[0].startswith("  raw_24x48: ")
+
+
+def _integers(out):
+    return {ln.split(":")[0].strip(): int(ln.split(":")[1])
+            for ln in out.splitlines() if ln.startswith("  integer_")}
+
+
+@pytest.mark.parametrize("projection", ["bott", "bott-dilated"])
+def test_index_is_even_and_stable_under_refinement(capsys, projection):
+    seen = set()
+    for refine in range(4):
+        code, out = run_cli(capsys, "index", "--geometry", "sphere2",
+                            "--projection", projection, "--refine", str(refine))
+        assert code == 0, out
+        integers = _integers(out)
+        assert len(integers) == refine + 1
+        seen |= set(integers.values())
+    assert len(seen) == 1
+    assert seen.pop() % 2 == 0
+
+
+@pytest.mark.parametrize("geometry", ["sphere2", "torus2"])
+@pytest.mark.parametrize("projection", ["zero", "constant"])
+def test_trivial_projections_have_index_zero(capsys, geometry, projection):
+    for refine in range(4):
+        code, out = run_cli(capsys, "index", "--geometry", geometry,
+                            "--projection", projection, "--refine", str(refine))
+        assert code == 0, out
+        assert set(_integers(out).values()) == {0}
 
 
 def test_index_focus_rejects_bad_combination(capsys):
@@ -226,7 +268,8 @@ def test_parser_has_all_subcommands():
 
 
 class TestRejectsBadInput:
-    """Out-of-range counts and mistyped values exit 2 before any check runs."""
+    """Out-of-range counts, mistyped values and parameters that no check of
+    the command takes exit 2 before any check runs."""
 
     @pytest.mark.parametrize("argv", [
         ("verify-identities", "--trials", "0"),
@@ -246,12 +289,72 @@ class TestRejectsBadInput:
         {"kind": "cech", "seed": 7, "params": {"rephasings": 0}},
         {"kind": "identities", "seed": 7, "params": {"trials": 2.5}},
         {"kind": "index", "seed": 7, "params": {"dilation": "0.5"}},
+        # parameters that no check of the command takes
+        {"kind": "index", "seed": 7, "params": {"trials": 3}},
+        {"kind": "index", "seed": 7, "params": {"geometry": "sphere2", "k_max": 2}},
+        {"kind": "index", "seed": 7, "params": {"dilation": 0.5}},
+        {"kind": "cech", "seed": 7, "params": {"trials": 3}},
+        {"kind": "identities", "seed": 7, "params": {"refine": 1}},
+        {"kind": "chkr-compare", "seed": 7, "params": {"vectors": 5}},
     ])
     def test_bad_scenario_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
-        command = {"cech": "dd-class", "index": "index",
+        command = {"cech": "dd-class", "index": "index", "chkr-compare": "chkr-compare",
                    "identities": "verify-identities"}[doc["kind"]]
         code, out = run_cli(capsys, command, "--scenario", str(path))
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("index", "--trials", "3", "--refine", "0"),
+        ("index", "--geometry", "sphere2", "--projection", "bott", "--trials", "3"),
+        ("dd-class", "--trials", "3"),
+        ("dd-class", "--scenario", "pauli-triangle", "--trials", "3"),
+        ("chkr-compare", "--trials", "3"),
+    ])
+    def test_unused_flag_exit_2(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    # The request shapes of perfbench/workloads.py; the checks themselves are
+    # stubbed, since only the parameter routing is under test.
+    @pytest.mark.parametrize("argv,scenario", [
+        (("verify-identities", "--scenario", "scenarios/identities-smoke.json"), None),
+        (("verify-identities", "--k-max", "5", "--trials", "3", "--seed", "11"), None),
+        (("algebroid", "--seed", "11"), None),
+        (("algebroid", "--trials", "20", "--seed", "11"), None),
+        (("index", "--geometry", "torus2", "--projection", "zero", "--refine", "4"), None),
+        (("index", "--seed", "11"), None),
+        (("chkr-compare", "--seed", "11"), None),
+        (("index",), {"kind": "index", "seed": 11, "params": {
+            "geometry": "sphere2", "projection": "bott", "dilation": 0.25,
+            "refine": 2}}),
+        (("index", "--scenario", "scenarios/index-bott-refine.json"), None),
+        (("index", "--geometry", "sphere2", "--projection", "bott"), None),
+        (("dd-class",), {"kind": "cech", "seed": 11, "params": {"rephasings": 30}}),
+        (("dd-class", "--seed", "11"), None),
+        (("dd-class", "--scenario", "coboundary-s3", "--seed", "11"), None),
+        (("spectral", "--seed", "11"), None),
+        (("dd-class", "--scenario", "pauli-triangle"), None),
+        (("dd-class", "--scenario", "scenarios/cech-rephasings.json"), None),
+    ])
+    def test_benchmark_requests_accepted(self, tmp_path, capsys, monkeypatch,
+                                         argv, scenario):
+        import pathlib
+
+        from ncgkit import cli as cli_mod
+        from ncgkit.checks import CheckResult
+
+        monkeypatch.chdir(pathlib.Path(__file__).parent.parent)
+        monkeypatch.setattr(cli_mod, "run_check",
+                            lambda check_id, **params: CheckResult(check_id, True, {}))
+        monkeypatch.setattr(cli_mod, "_run_index_focus", lambda args, seed, params: 0)
+        monkeypatch.setattr(cli_mod, "_run_ddclass_builtin", lambda args: 0)
+        if scenario is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(scenario))
+            argv += ("--scenario", str(path))
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0

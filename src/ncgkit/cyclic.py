@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .forms import MatrixForm
-from .scalars import QQi
+from .scalars import QQI_ZERO, QQi
 
 
 class Chain:
@@ -158,56 +158,14 @@ def _form_coordinates(a: MatrixForm) -> dict:
     return out
 
 
-def _span_basis(vectors: List[dict]) -> List[dict]:
-    """Reduced basis of the span of sparse QQi vectors (exact elimination)."""
-    basis: List[dict] = []
-    pivots: List[tuple] = []
-    for v in vectors:
-        v = dict(v)
-        for b, piv in zip(basis, pivots):
-            c = v.get(piv)
-            if c is not None and not c.is_zero():
-                for k2, x in b.items():
-                    nv = v.get(k2, QQi(0)) - c * x
-                    if nv.is_zero():
-                        v.pop(k2, None)
-                    else:
-                        v[k2] = nv
-        v = {k2: x for k2, x in v.items() if not x.is_zero()}
-        if v:
-            piv = min(v)
-            inv = v[piv].inverse()
-            v = {k2: inv * x for k2, x in v.items()}
-            basis.append(v)
-            pivots.append(piv)
-    return basis
-
-
-def _coords_in_basis(v: dict, basis: List[dict]) -> List[QQi]:
-    v = dict(v)
-    coords = []
-    for b in basis:
-        piv = min(b)
-        c = v.get(piv, QQi(0))
-        coords.append(c)
-        if not c.is_zero():
-            for k2, x in b.items():
-                nv = v.get(k2, QQi(0)) - c * x
-                if nv.is_zero():
-                    v.pop(k2, None)
-                else:
-                    v[k2] = nv
-    if any(not x.is_zero() for x in v.values()):
-        raise ValueError("vector not in span of basis")
-    return coords
-
-
 def tensor_is_zero(ch: Chain) -> bool:
     """Zero test in the reduced tensor product.
 
     The free-module representation of chains does not merge tensors that
     agree only after expanding slots linearly; this test expands every
-    slot over an exact basis of the values appearing at that position.
+    slot over an exact basis of the values appearing at that position:
+    the reduced echelon rows of their coordinate vectors, in which a
+    vector's coordinates are its entries in the pivot columns.
     Interior slots (position >= 1) are expanded modulo the constant
     identity, matching the normalized complex.
     """
@@ -218,37 +176,34 @@ def tensor_is_zero(ch: Chain) -> bool:
     id_vec = _form_coordinates(
         MatrixForm.identity(probe.chart, probe.m, probe.backend, probe.nodes)
     )
-    slot_vectors = [[] for _ in range(k + 1)]
-    for _, t in ch.terms:
-        for pos, a in enumerate(t):
-            slot_vectors[pos].append(_form_coordinates(a))
-    bases = []
-    for pos, vs in enumerate(slot_vectors):
-        if pos == 0:
-            bases.append(_span_basis(vs))
-        else:
-            # identity first so its coordinate can be discarded (quotient)
-            bases.append(_span_basis([id_vec] + vs))
+    p0 = min(id_vec)  # id_vec[p0] == 1
+    coords = []
+    for pos in range(k + 1):
+        vecs = [_form_coordinates(t[pos]) for _, t in ch.terms]
+        if pos >= 1:
+            # v - v[p0] id kills exactly the identity direction (quotient)
+            for v in vecs:
+                c = v.get(p0)
+                if c is not None:
+                    for key, x in id_vec.items():
+                        v[key] = v.get(key, QQI_ZERO) - c * x
+        keys = sorted(set().union(*vecs))
+        dense = [[v.get(key, QQI_ZERO) for key in keys] for v in vecs]
+        _, pivots = linalg.qq_echelon(dense)
+        coords.append([[row[p] for p in pivots] for row in dense])
     cells: dict = {}
-    for coef, t in ch.terms:
-        coords = []
-        for pos, a in enumerate(t):
-            c_full = _coords_in_basis(_form_coordinates(a), bases[pos])
-            if pos >= 1:
-                c_full = c_full[1:]  # drop the identity direction
-            coords.append(c_full)
+    for ti, (coef, _) in enumerate(ch.terms):
         # distribute the multilinear expansion over basis cells
         stack = [((), coef)]
         for pos in range(k + 1):
-            nxt = []
-            for cell, c in stack:
-                for bi, x in enumerate(coords[pos]):
-                    if x.is_zero():
-                        continue
-                    nxt.append((cell + (bi,), c * x))
-            stack = nxt
+            stack = [
+                (cell + (bi,), c * x)
+                for cell, c in stack
+                for bi, x in enumerate(coords[pos][ti])
+                if not x.is_zero()
+            ]
         for cell, c in stack:
-            s = cells.get(cell, QQi(0)) + c
+            s = cells.get(cell, QQI_ZERO) + c
             if s.is_zero():
                 cells.pop(cell, None)
             else:

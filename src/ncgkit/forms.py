@@ -48,11 +48,6 @@ def merge_sign(i_tuple: IdxTuple, j_tuple: IdxTuple) -> int:
     return -1 if inv % 2 else 1
 
 
-def _jet_is_zero(x: JetScalar) -> bool:
-    """Zero in value and derivative, so a product with it adds nothing."""
-    return not x.values.any() and (x.grads is None or not x.grads.any())
-
-
 def _jet_mat_mul(a, b, chart: Chart):
     """``linalg.mat_mul`` for jet matrices, skipping products with a zero factor.
 
@@ -64,7 +59,7 @@ def _jet_mat_mul(a, b, chart: Chart):
     bt = list(zip(*b))
     # entries are often one shared object (the zero of a block matrix)
     entries = {id(x): x for mat in (a, b) for row in mat for x in row}
-    zeros = {i for i, x in entries.items() if _jet_is_zero(x)}
+    zeros = {i for i, x in entries.items() if x.is_zero()}
     a_terms = [[k for k, x in enumerate(row) if id(x) not in zeros] for row in a]
     b_terms = [{k for k, y in enumerate(col) if id(y) not in zeros} for col in bt]
     a_grads = [all(x.grads is not None for x in row) for row in a]

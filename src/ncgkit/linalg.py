@@ -98,32 +98,43 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 # -- QQi field routines -----------------------------------------------
 
 
-def qq_rank(a: Sequence[Sequence[QQi]]) -> int:
-    """Rank over the Gaussian rationals by fraction-exact elimination."""
-    rows = [list(r) for r in a]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
+def qq_echelon(rows: Sequence[Sequence[QQi]],
+               ncols: Optional[int] = None) -> Tuple[List[List[QQi]], List[int]]:
+    """Reduced row echelon form over the Gaussian rationals (Gauss–Jordan).
+
+    Pivots are sought only in the first ``ncols`` columns (all of them by
+    default); later columns are carried along as an augmented block.
+    Returns the reduced rows, rows below the rank being zero, and the
+    pivot column of each of the first ``len(pivots)`` rows.
+    """
+    rows = [list(r) for r in rows]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
         piv = next(
             (r for r in range(rank, len(rows)) if not rows[r][col].is_zero()),
             None,
         )
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = rows[rank][col].inverse()
-        rows[rank] = [inv * x for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        prow = rows[rank] = [inv * x for x in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and not row[col].is_zero():
+                f = row[col]
+                rows[r] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(col)
+    return rows, pivots
+
+
+def qq_rank(a: Sequence[Sequence[QQi]]) -> int:
+    """Rank over the Gaussian rationals by fraction-exact elimination."""
+    return len(qq_echelon(a)[1])
 
 
 def qq_nullity(a: Sequence[Sequence[QQi]]) -> int:
@@ -134,83 +145,43 @@ def qq_nullity(a: Sequence[Sequence[QQi]]) -> int:
 
 def qq_solve(a: Sequence[Sequence[QQi]], b: Sequence[QQi]) -> Optional[List[QQi]]:
     """One exact solution of A x = b, or None if inconsistent."""
-    rows = [list(r) + [bv] for r, bv in zip(a, b)]
+    if len(b) != len(a):
+        raise ValueError(f"{len(a)} equations but {len(b)} right-hand sides")
     ncols = len(a[0]) if a else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next(
-            (r for r in range(rank, len(rows)) if not rows[r][col].is_zero()),
-            None,
-        )
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * x for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if not rows[r][ncols].is_zero():
-            return None
+    rows, pivots = qq_echelon([list(r) + [bv] for r, bv in zip(a, b)], ncols)
+    if any(not row[ncols].is_zero() for row in rows[len(pivots):]):
+        return None
     x = [QQI_ZERO] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][ncols]
+    for row, col in zip(rows, pivots):
+        x[col] = row[ncols]
     return x
 
 
 def qq_inverse_matrix(a: Sequence[Sequence[QQi]]) -> Matrix:
     n = len(a)
-    rows = [list(r) + [QQI_ONE if i == j else QQI_ZERO for j in range(n)]
-            for i, r in enumerate(a)]
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if not rows[r][col].is_zero()), None
-        )
-        if piv is None:
-            raise ValueError("matrix is singular")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [inv * x for x in rows[col]]
-        for r in range(n):
-            if r != col and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    if any(len(r) != n for r in a):
+        raise ValueError("cannot invert a non-square matrix")
+    rows, pivots = qq_echelon(
+        [list(r) + [QQI_ONE if i == j else QQI_ZERO for j in range(n)]
+         for i, r in enumerate(a)],
+        n,
+    )
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def qq_kernel_basis(a: Sequence[Sequence[QQi]]) -> List[List[QQi]]:
     """Basis of the right kernel of A over QQi."""
-    rows = [list(r) for r in a]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next(
-            (r for r in range(rank, len(rows)) if not rows[r][col].is_zero()),
-            None,
-        )
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * x for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, pivots = qq_echelon(a)
+    ncols = len(a[0]) if a else 0
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [QQI_ZERO] * ncols
         v[fc] = QQI_ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis

@@ -722,7 +722,8 @@ class JetScalar:
         return JetScalar(self.chart, np.conj(self.values), g)
 
     def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0))
+        """Zero in value and derivative, so a product with it adds nothing."""
+        return not self.values.any() and (self.grads is None or not self.grads.any())
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from ncgkit.cyclic import (
@@ -112,6 +112,56 @@ def test_idempotent_boundary_formula():
     born = hochschild_b(ch)
     assert not born.is_zero()
     assert tensor_is_zero(cyclic_project(born))
+
+
+class TestTensorIsZeroMetamorphic:
+    """Relations the reduced tensor product must respect, on exact random
+    chains: verdicts do not depend on term order, slots are linear, and
+    the identity is quotiented out of interior slots only."""
+
+    @staticmethod
+    def elements(seed, m, count):
+        rng = random.Random(seed)
+        return rng, [random_algebra_element(T1, m, rng) for _ in range(count)]
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 2))
+    def test_verdict_ignores_term_order(self, seed, k, m):
+        rng = random.Random(seed)
+        ch = rand_chain(rng, k, m=m, chart=T1, terms=3)
+        mixed = hochschild_b(connes_B(ch)) + connes_B(hochschild_b(ch))
+        for c in (ch, hochschild_b(hochschild_b(ch)), mixed):
+            terms = list(c.terms)
+            rng.shuffle(terms)
+            assert tensor_is_zero(Chain(c.degree, terms)) == tensor_is_zero(c)
+            assert tensor_is_zero(Chain(c.degree, terms[::-1])) == tensor_is_zero(c)
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2))
+    def test_slots_are_linear(self, seed, m):
+        rng, (a, b, c, d) = self.elements(seed, m, 4)
+        lam, mu = random_qqi(rng), random_qqi(rng)
+        ab = a.scale(lam) + b.scale(mu)
+        one = QQi(1)
+        first = Chain(1, [(one, (ab, c)), (-lam, (a, c)), (-mu, (b, c))])
+        assert tensor_is_zero(first)
+        inner = Chain(2, [(one, (d, ab, c)), (-lam, (d, a, c)), (-mu, (d, b, c))])
+        assert tensor_is_zero(inner)
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2))
+    def test_identity_is_quotiented_in_interior_slots_only(self, seed, m):
+        rng, (a, b) = self.elements(seed, m, 2)
+        lam = random_qqi(rng)
+        assume(not lam.is_zero() and not a.is_scalar_multiple_of_identity())
+        shifted = b + MatrixForm.identity(T1, m).scale(lam)
+        one = QQi(1)
+        assert tensor_is_zero(Chain(1, [(one, (a, shifted)), (-one, (a, b))]))
+        assert not tensor_is_zero(Chain(1, [(one, (shifted, a)), (-one, (b, a))]))
+
+    @given(st.integers(0, 10 ** 6), st.integers(0, 3), st.integers(1, 2))
+    def test_single_elementary_tensor_is_not_zero(self, seed, k, m):
+        rng, entries = self.elements(seed, m, k + 1)
+        ch = Chain(k, [(random_qqi(rng), tuple(entries))])
+        assume(not ch.is_zero())
+        assert not tensor_is_zero(ch)
 
 
 class TestChernCharacters:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -24,7 +25,7 @@ from ncgkit.randgen import (
     random_connection,
     random_matrix_form,
 )
-from ncgkit.scalars import Chart, PolyScalar, QQi
+from ncgkit.scalars import Chart, JetScalar, PolyScalar, QQi
 
 AFF3 = Chart.affine(3)
 
@@ -91,6 +92,18 @@ def test_exterior_d_product_rule_function():
     df = exterior_d(f)
     assert df.comps[(0,)][0][0] == x1
     assert df.comps[(1,)][0][0] == x0
+
+
+def test_flat_jet_entry_is_kept():
+    """A jet entry whose values vanish but whose gradients do not is not
+    zero: the form keeps it and its differential is the gradient."""
+    chart = Chart.affine(1)
+    flat = JetScalar(chart, np.zeros(3), [[1, 2, 3]])
+    f = MatrixForm(chart, 1, {(): ((flat,),)}, "jet", 3)
+    assert not f.is_zero()
+    df = exterior_d(f)
+    assert list(df.comps) == [(0,)]
+    assert np.array_equal(df.comps[(0,)][0][0].values, [1, 2, 3])
 
 
 def test_d_squared_zero_random():

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from ncgkit import intlinalg, linalg
-from ncgkit.scalars import QQi
+from ncgkit.scalars import QQI_ZERO, QQi
 
 
 def rand_qq_matrix(rng, n, m):
@@ -39,6 +40,10 @@ def test_solve_and_kernel():
         for v in linalg.qq_kernel_basis(a):
             av = [sum((a[i][j] * v[j] for j in range(m)), QQi(0)) for i in range(n)]
             assert all(e.is_zero() for e in av)
+        # one more equation: the sum of the others with its right side off by one
+        a_bad = a + [[sum((row[j] for row in a), QQi(0)) for j in range(m)]]
+        b_bad = b + [sum(b, QQi(1))]
+        assert linalg.qq_solve(a_bad, b_bad) is None
 
 
 def test_inverse_matrix():
@@ -52,6 +57,72 @@ def test_inverse_matrix():
         inv = linalg.qq_inverse_matrix(a)
         prod = linalg.mat_mul(a, inv)
         assert linalg.mat_eq(prod, linalg.mat_eye(n, QQi(0), QQi(1)))
+        # last row replaced by the sum of the others (a zero row when n == 1)
+        singular = a[:-1] + [[sum((row[j] for row in a[:-1]), QQi(0)) for j in range(n)]]
+        with pytest.raises(ValueError, match="singular"):
+            linalg.qq_inverse_matrix(singular)
+
+
+def test_inverse_rejects_non_square():
+    a = [[QQi(1), QQi(0), QQi(5)], [QQi(0), QQi(1), QQi(7)]]
+    with pytest.raises(ValueError, match="non-square"):
+        linalg.qq_inverse_matrix(a)
+
+
+def test_solve_rejects_mismatched_right_side():
+    a = [[QQi(1), QQi(0), QQi(5)], [QQi(0), QQi(1), QQi(7)]]
+    with pytest.raises(ValueError, match="right-hand sides"):
+        linalg.qq_solve(a, [QQi(1)])
+
+
+qq_entries = st.builds(
+    lambda re, im, d: QQi(Fraction(re, d), Fraction(im, d)),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),
+)
+
+
+@st.composite
+def qq_matrices(draw):
+    """Small wide, tall or square QQi matrices, with some rows and columns
+    zeroed and the last row optionally a multiple of the first."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [[draw(qq_entries) for _ in range(m)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        c = draw(qq_entries)
+        rows[-1] = [c * x for x in rows[0]]
+    zero_rows = draw(st.sets(st.integers(0, n - 1)))
+    zero_cols = draw(st.sets(st.integers(0, m - 1)))
+    return [[QQI_ZERO if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+@given(qq_matrices(), st.integers(0, 5))
+def test_echelon_is_reduced(a, ncols):
+    m = len(a[0])
+    ncols = min(ncols, m)
+    rows, pivots = linalg.qq_echelon(a)
+    assert len(rows) == len(a) and all(len(r) == m for r in rows)
+    assert all(p < q for p, q in zip(pivots, pivots[1:]))
+    for r, p in enumerate(pivots):
+        assert rows[r][p] == QQi(1)
+        assert all(x.is_zero() for x in rows[r][:p])
+        assert all(rows[i][p].is_zero() for i in range(len(rows)) if i != r)
+    assert all(x.is_zero() for row in rows[len(pivots):] for x in row)
+    # pivoting in the first ncols columns reduces that block as on its own
+    aug_rows, aug_pivots = linalg.qq_echelon(a, ncols)
+    left_rows, left_pivots = linalg.qq_echelon([r[:ncols] for r in a])
+    assert aug_pivots == left_pivots
+    assert [r[:ncols] for r in aug_rows] == left_rows
+
+
+@given(qq_matrices())
+def test_kernel_basis_spans_the_nullity(a):
+    basis = linalg.qq_kernel_basis(a)
+    assert len(basis) == linalg.qq_nullity(a)
+    if basis:
+        assert linalg.qq_rank(basis) == len(basis)
+    for v in basis:
+        assert all(sum((x * y for x, y in zip(row, v)), QQi(0)).is_zero() for row in a)
 
 
 small_int_matrices = st.lists(

@@ -17,12 +17,19 @@ from ncgkit.randgen import random_algebra_element, random_connection, random_qqi
 from ncgkit.scalars import Chart
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--trials", type=int, default=500)
+    ap.add_argument("--trials", type=positive_int, default=500)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--k-max", type=int, default=4)
-    ap.add_argument("--dim-max", type=int, default=4)
+    ap.add_argument("--k-max", type=positive_int, default=4)
+    ap.add_argument("--dim-max", type=positive_int, default=4)
     args = ap.parse_args()
 
     rng = random.Random(args.seed)

@@ -20,10 +20,10 @@ from __future__ import annotations
 import cmath
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import intlinalg, linalg
-from .scalars import QQi
+from .scalars import QQI_ONE, QQI_ZERO, QQi
 
 Simplex = Tuple[int, ...]
 
@@ -33,7 +33,12 @@ class NotProjectiveCocycle(ValueError):
 
 
 class Nerve:
-    """Abstract simplicial complex, face-closed, oriented by vertex order."""
+    """Abstract simplicial complex, face-closed, oriented by vertex order.
+
+    A nerve is immutable, so everything that depends on it alone (sorted
+    simplices, coboundary matrices, the H^3 presentation) is computed once
+    per nerve and kept on it.
+    """
 
     def __init__(self, simplices: Sequence[Sequence[int]]):
         closed = set()
@@ -44,14 +49,35 @@ class Nerve:
             for mask in range(1, 1 << len(s)):
                 face = tuple(v for i, v in enumerate(s) if mask >> i & 1)
                 closed.add(face)
-        self.simplices = closed
-        self.vertices = sorted({v for s in closed for v in s})
+        self._simplices = frozenset(closed)
+        self._vertices = tuple(sorted({v for s in closed for v in s}))
+        self._cache: Dict[tuple, object] = {}
 
-    def k_simplices(self, k: int) -> List[Simplex]:
-        return sorted(s for s in self.simplices if len(s) == k + 1)
+    @property
+    def simplices(self) -> FrozenSet[Simplex]:
+        return self._simplices
 
-    def coboundary_matrix(self, k: int) -> List[List[int]]:
+    @property
+    def vertices(self) -> Tuple[int, ...]:
+        return self._vertices
+
+    def _cached(self, key: tuple, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def k_simplices(self, k: int) -> Tuple[Simplex, ...]:
+        return self._cached(("simplices", k), lambda: tuple(
+            sorted(s for s in self._simplices if len(s) == k + 1)))
+
+    def edge_set(self) -> FrozenSet[Simplex]:
+        return self._cached(("edges",), lambda: frozenset(self.k_simplices(1)))
+
+    def coboundary_matrix(self, k: int) -> Tuple[Tuple[int, ...], ...]:
         """Matrix of the coboundary C^k -> C^{k+1} in sorted-simplex bases."""
+        return self._cached(("coboundary", k), lambda: self._coboundary(k))
+
+    def _coboundary(self, k: int) -> Tuple[Tuple[int, ...], ...]:
         rows = self.k_simplices(k + 1)
         cols = {s: i for i, s in enumerate(self.k_simplices(k))}
         out = [[0] * len(cols) for _ in rows]
@@ -59,11 +85,14 @@ class Nerve:
             for j in range(len(s)):
                 face = s[:j] + s[j + 1:]
                 out[r][cols[face]] += (-1) ** j
-        return out
+        return tuple(map(tuple, out))
+
+    def h3_presentation(self) -> "H3Presentation":
+        return self._cached(("h3",), lambda: H3Presentation(self))
 
     def __repr__(self):
         counts = {}
-        for s in self.simplices:
+        for s in self._simplices:
             counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
         return f"Nerve<{dict(sorted(counts.items()))}>"
 
@@ -97,12 +126,15 @@ class TransitionData:
         self.rank = rank
         self.exact = exact
         self.edges = {}
+        nerve_edges = nerve.edge_set()
         for (i, j), mat in edges.items():
             if i > j:
                 i, j = j, i
                 mat = self._inverse(mat)
-            if (i, j) not in {tuple(s) for s in nerve.k_simplices(1)}:
+            if (i, j) not in nerve_edges:
                 raise ValueError(f"edge ({i},{j}) not in the nerve")
+            if (i, j) in self.edges:
+                raise ValueError(f"edge ({i},{j}) is given twice")
             self._check_unitary(mat)
             self.edges[(i, j)] = mat
         for s in nerve.k_simplices(1):
@@ -115,7 +147,7 @@ class TransitionData:
             raise ValueError("transition matrix has wrong size")
         prod = linalg.mat_mul(mat, linalg.mat_conj_transpose(mat))
         if self.exact:
-            if not linalg.mat_eq(prod, linalg.mat_eye(n, QQi(0), QQi(1))):
+            if not linalg.mat_eq(prod, linalg.mat_eye(n, QQI_ZERO, QQI_ONE)):
                 raise ValueError("transition matrix is not unitary")
         else:
             for i in range(n):
@@ -140,7 +172,7 @@ class TransitionData:
             lam = phases.get((i, j))
             if lam is None:
                 lam_inv = phases.get((j, i))
-                lam = lam_inv.inverse() if lam_inv is not None else QQi(1)
+                lam = lam_inv.inverse() if lam_inv is not None else QQI_ONE
             if not self.exact:
                 lam = complex(lam)
                 new_edges[(i, j)] = tuple(
@@ -174,9 +206,9 @@ def _scalar_of(mat, exact: bool, rank: int):
     lam = mat[0][0]
     for i in range(rank):
         for j in range(rank):
-            want = lam if i == j else (QQi(0) if exact else 0.0)
+            want = lam if i == j else (QQI_ZERO if exact else 0.0)
             if exact:
-                if not (mat[i][j] - want).is_zero():
+                if mat[i][j] != want:
                     raise NotProjectiveCocycle(
                         "transition data is not a projective cocycle"
                     )
@@ -215,7 +247,7 @@ def phase_cocycle(data: TransitionData) -> PhaseCocycle:
     worst = 0.0
     delta: Dict[Simplex, int] = {}
     for tet in nerve.k_simplices(3):
-        prod_exact = QQi(1)
+        prod_exact = QQI_ONE
         prod_num = 1 + 0j
         val = 0.0
         for j in range(4):
@@ -228,7 +260,7 @@ def phase_cocycle(data: TransitionData) -> PhaseCocycle:
                 prod_num = prod_num * (f if j % 2 == 0 else 1 / f)
             val += nu[face] if j % 2 == 0 else -nu[face]
         if data.exact:
-            if prod_exact != QQi(1):
+            if prod_exact != QQI_ONE:
                 raise NotProjectiveCocycle("mu fails the cocycle identity")
         else:
             if abs(prod_num - 1) > 1e-9:
@@ -276,38 +308,62 @@ class ClassDescriptor:
         return f"ClassDescriptor<inv={self.invariants}, coords={self.coordinates}>"
 
 
+class H3Presentation:
+    """H^3(nerve; Z) presented once per nerve for repeated class lookups.
+
+    The cocycle lattice ker d^3 has the basis columns of ``k_mat``, whose
+    Smith form ``k_snf`` solves for kernel coordinates; the Smith form of
+    the relation matrix (the coboundaries d^2 e_j in those coordinates)
+    gives the transform ``u`` and the invariant factors ``diag``.
+    """
+
+    def __init__(self, nerve: Nerve):
+        d3 = nerve.coboundary_matrix(3)
+        n3 = len(nerve.k_simplices(3))
+        kernel = intlinalg.integer_kernel_basis(d3) if d3 else [
+            [1 if i == j else 0 for i in range(n3)] for j in range(n3)
+        ]
+        r = len(kernel)
+        k_mat = [[kernel[b][i] for b in range(r)] for i in range(n3)]
+        k_snf = intlinalg.smith_normal_form(k_mat) if k_mat else None
+        d2 = nerve.coboundary_matrix(2)
+        n2 = len(nerve.k_simplices(2))
+        gens = []
+        for j in range(n2):
+            col = [d2[i][j] for i in range(n3)]
+            yj = intlinalg.solve_integer(k_mat, col, k_snf)
+            if yj is None:
+                raise ValueError("coboundary image escaped the cocycle lattice")
+            gens.append(yj)
+        m_mat = [[gens[j][i] for j in range(n2)] for i in range(r)]
+        u, s, _ = intlinalg.smith_normal_form(m_mat) if n2 else (
+            intlinalg._identity(r), [[0] * 0 for _ in range(r)], [],
+        )
+        self.rank = r
+        self.k_mat = k_mat
+        self.k_snf = k_snf
+        self.u = u
+        self.diag = intlinalg.snf_diagonal(s) if n2 else []
+
+
 def h3_class(delta_vec: Sequence[int], nerve: Nerve) -> ClassDescriptor:
     """Class of an integer 3-cocycle in H^3(nerve; Z) via Smith normal form."""
     d3 = nerve.coboundary_matrix(3)
     n3 = len(nerve.k_simplices(3))
+    for x in delta_vec:
+        if int(x) != x:
+            raise ValueError(f"3-cochain entry {x!r} is not an integer")
     delta_vec = list(map(int, delta_vec))
     if len(delta_vec) != n3:
         raise ValueError("cochain length does not match the 3-skeleton")
     for row in d3:
         if sum(a * b for a, b in zip(row, delta_vec)):
             raise ValueError("input 3-cochain is not a cocycle")
-    kernel = intlinalg.integer_kernel_basis(d3) if d3 else [
-        [1 if i == j else 0 for i in range(n3)] for j in range(n3)
-    ]
-    r = len(kernel)
-    k_mat = [[kernel[b][i] for b in range(r)] for i in range(n3)]
-    y = intlinalg.solve_integer(k_mat, delta_vec)
+    pres = nerve.h3_presentation()
+    y = intlinalg.solve_integer(pres.k_mat, delta_vec, pres.k_snf)
     if y is None:
         raise ValueError("cocycle failed to express in the kernel lattice")
-    d2 = nerve.coboundary_matrix(2)
-    n2 = len(nerve.k_simplices(2))
-    gens = []
-    for j in range(n2):
-        col = [d2[i][j] for i in range(n3)]
-        yj = intlinalg.solve_integer(k_mat, col)
-        if yj is None:
-            raise ValueError("coboundary image escaped the cocycle lattice")
-        gens.append(yj)
-    m_mat = [[gens[j][i] for j in range(n2)] for i in range(r)]
-    u, s, _ = intlinalg.smith_normal_form(m_mat) if n2 else (
-        intlinalg._identity(r), [[0] * 0 for _ in range(r)], [],
-    )
-    diag = intlinalg.snf_diagonal(s) if n2 else []
+    r, u, diag = pres.rank, pres.u, pres.diag
     z = [sum(u[i][k] * y[k] for k in range(r)) for i in range(r)]
     invariants = []
     coordinates = []

@@ -102,13 +102,17 @@ def snf_diagonal(s) -> List[int]:
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i]]
 
 
-def solve_integer(a, b) -> Optional[List[int]]:
-    """One integer solution x of A x = b, or None if none exists."""
+def solve_integer(a, b, snf=None) -> Optional[List[int]]:
+    """One integer solution x of A x = b, or None if none exists.
+
+    ``snf`` may pass ``smith_normal_form(a)`` when it is already known, so
+    that many right sides share one factorisation.
+    """
     n = len(a)
     m = len(a[0]) if n else 0
     if n == 0:
         return [0] * m
-    u, s, v = smith_normal_form(a)
+    u, s, v = snf if snf is not None else smith_normal_form(a)
     ub = [sum(u[i][k] * b[k] for k in range(n)) for i in range(n)]
     y = [0] * m
     r = min(n, m)

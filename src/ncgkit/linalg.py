@@ -7,9 +7,10 @@ restricted to QQi entries.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .scalars import QQI_ONE, QQI_ZERO, QQi
+from .scalars import QQI_ONE, QQI_ZERO, QQi, _qqi
 
 Matrix = Tuple[tuple, ...]
 
@@ -49,11 +50,53 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def _all_qqi(a: Matrix) -> bool:
+    for row in a:
+        for x in row:
+            if type(x) is not QQi:
+                return False
+    return True
+
+
+def _qqi_mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Product of QQi matrices, each entry one Gaussian-integer dot product.
+
+    Each row of ``a`` and column of ``b`` is put over its own common
+    denominator once, pairs with a zero factor are skipped, and each entry
+    is reduced by one gcd, so it equals the canonical QQi of the generic
+    loop.
+    """
+    cols = []
+    for col in zip(*b):
+        d = lcm(*[x.d for x in col])
+        cols.append((d, [(t, x.a * (d // x.d), x.b * (d // x.d))
+                         for t, x in enumerate(col) if x.a or x.b]))
+    out = []
+    for row in a:
+        da = lcm(*[x.d for x in row])
+        nums = [(x.a * (da // x.d), x.b * (da // x.d)) if x.a or x.b else None
+                for x in row]
+        orow = []
+        for db, col in cols:
+            re = im = 0
+            for t, r, s in col:
+                pq = nums[t]
+                if pq is not None:
+                    p, q = pq
+                    re += p * r - q * s
+                    im += p * s + q * r
+            orow.append(_qqi(re, im, da * db))
+        out.append(tuple(orow))
+    return tuple(out)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k = mat_shape(a)
     k2, m = mat_shape(b)
     if k != k2:
         raise ValueError(f"matrix shapes {n}x{k} and {k2}x{m} do not compose")
+    if _all_qqi(a) and _all_qqi(b):
+        return _qqi_mat_mul(a, b)
     bt = list(zip(*b))
     out = []
     for row in a:

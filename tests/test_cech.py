@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
-from ncgkit import linalg
+from ncgkit import intlinalg, linalg
 from ncgkit.cech import (
     Nerve,
     NotProjectiveCocycle,
@@ -47,6 +49,18 @@ class TestNerve:
         n = boundary_of_4_simplex()
         d2 = n.coboundary_matrix(2)
         assert len(d2) == 5 and len(d2[0]) == 10
+
+    def test_nerve_is_immutable(self):
+        n = Nerve([(0, 1, 2)])
+        assert isinstance(n.simplices, frozenset)
+        with pytest.raises(AttributeError):
+            n.simplices = {(0,)}
+        with pytest.raises(AttributeError):
+            n.vertices = [0]
+        assert n.k_simplices(1) == ((0, 1), (0, 2), (1, 2))
+        assert isinstance(n.k_simplices(1), tuple)
+        d1 = n.coboundary_matrix(1)
+        assert d1 == ((1, -1, 1),) and d1 is n.coboundary_matrix(1)
 
 
 class TestPhaseCocycle:
@@ -97,7 +111,86 @@ class TestPhaseCocycle:
         assert all(isinstance(v, int) for v in pc.delta_vector())
 
 
+def coboundary_reference(simplices, k):
+    """C^k -> C^{k+1} straight from the simplex list, without a nerve cache."""
+    rows = sorted(s for s in simplices if len(s) == k + 2)
+    cols = {s: i for i, s in enumerate(sorted(s for s in simplices if len(s) == k + 1))}
+    out = [[0] * len(cols) for _ in rows]
+    for r, s in enumerate(rows):
+        for j in range(len(s)):
+            out[r][cols[s[:j] + s[j + 1:]]] += (-1) ** j
+    return out
+
+
+def h3_class_reference(delta, simplices):
+    """The class recomputed from scratch with one Smith form per solve."""
+    d3 = coboundary_reference(simplices, 3)
+    d2 = coboundary_reference(simplices, 2)
+    n3 = len(d2)
+    n2 = len(d2[0]) if d2 else 0
+    kernel = intlinalg.integer_kernel_basis(d3) if d3 else [
+        [1 if i == j else 0 for i in range(n3)] for j in range(n3)]
+    r = len(kernel)
+    k_mat = [[kernel[b][i] for b in range(r)] for i in range(n3)]
+    y = intlinalg.solve_integer(k_mat, delta)
+    gens = [intlinalg.solve_integer(k_mat, [d2[i][j] for i in range(n3)])
+            for j in range(n2)]
+    u, s, _ = intlinalg.smith_normal_form(
+        [[gens[j][i] for j in range(n2)] for i in range(r)])
+    diag = intlinalg.snf_diagonal(s)
+    z = [sum(u[i][k] * y[k] for k in range(r)) for i in range(r)]
+    invariants, coordinates = [], []
+    for i in range(r):
+        d = diag[i] if i < len(diag) else 0
+        if d != 1:
+            invariants.append(d)
+            coordinates.append(z[i] % d if d else z[i])
+    return invariants, coordinates
+
+
+def random_cocycle(rng, nerve):
+    """A multiple of a single-face indicator plus a random integer
+    coboundary; on a nerve without 4-simplices every 3-cochain is closed."""
+    d2 = coboundary_reference(nerve.simplices, 2)
+    w = [rng.randint(-3, 3) for _ in range(len(d2[0]))]
+    base = [rng.randint(-2, 2)] + [0] * (len(d2) - 1)
+    return [b + sum(x * y for x, y in zip(row, w)) for b, row in zip(base, d2)]
+
+
 class TestIntegralClass:
+    def test_cached_presentation_matches_reference(self):
+        # interleaved nerves, one a fresh copy of another, so a presentation
+        # cached on the wrong nerve would answer for a different complex
+        rng = random.Random(6)
+        nerves = [boundary_of_4_simplex(), Nerve([(0, 1, 2, 3)]),
+                  boundary_of_4_simplex()]
+        for _ in range(4):
+            for nerve in nerves:
+                delta = random_cocycle(rng, nerve)
+                cls = h3_class(delta, nerve)
+                want = h3_class_reference(delta, sorted(nerve.simplices))
+                assert (cls.invariants, cls.coordinates) == want
+        assert h3_class([1, 0, 0, 0, 0], nerves[0]).invariants == [0]
+        assert h3_class([1], nerves[1]).is_zero
+
+    def test_class_ignores_added_coboundaries(self):
+        rng = random.Random(8)
+        nerve = boundary_of_4_simplex()
+        d2 = nerve.coboundary_matrix(2)
+        for _ in range(5):
+            delta = random_cocycle(rng, nerve)
+            w = [rng.randint(-5, 5) for _ in d2[0]]
+            shifted = [x + sum(a * b for a, b in zip(row, w))
+                       for x, row in zip(delta, d2)]
+            assert h3_class(shifted, nerve) == h3_class(delta, nerve)
+
+    def test_rejects_non_integer_entries(self):
+        nerve = boundary_of_4_simplex()
+        for bad in (0.5, Fraction(1, 2), 1e-9):
+            with pytest.raises(ValueError, match="not an integer"):
+                h3_class([bad, 0, 0, 0, 0], nerve)
+        assert h3_class([1.0, 0, 0, 0, 0], nerve) == h3_class([1, 0, 0, 0, 0], nerve)
+
     def test_sphere_nerve_free_rank_one(self):
         nerve = boundary_of_4_simplex()
         n3 = nerve.k_simplices(3)
@@ -138,6 +231,19 @@ class TestIntegralClass:
                 phase_cocycle(data.rephased(phases)).delta_vector(), nerve
             )
             assert cls == ref
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.lists(st.integers(0, len(EXACT_PHASES) - 1), min_size=10, max_size=10))
+def test_class_is_invariant_under_rephasing_and_reseeding(seed, other_seed, picks):
+    nerve = boundary_of_4_simplex()
+    data = coboundary_data(random.Random(seed), nerve)
+    ref = h3_class(phase_cocycle(data).delta_vector(), nerve)
+    phases = {e: EXACT_PHASES[i] for e, i in zip(sorted(data.edges), picks)}
+    rephased = phase_cocycle(data.rephased(phases))
+    assert h3_class(rephased.delta_vector(), nerve) == ref
+    reseeded = phase_cocycle(coboundary_data(random.Random(other_seed), nerve))
+    assert h3_class(reseeded.delta_vector(), nerve) == ref
 
 
 class TestTorsion:
@@ -182,6 +288,14 @@ def test_json_roundtrip():
     pc1 = phase_cocycle(data)
     pc2 = phase_cocycle(back)
     assert pc1.mu == pc2.mu
+
+
+def test_edge_given_in_both_orientations_is_rejected():
+    eye = linalg.mat_eye(2, QQi(0), QQi(1))
+    sx = linalg.mat_from_rows([[QQi(0), QQi(1)], [QQi(1), QQi(0)]])
+    with pytest.raises(ValueError, match="given twice"):
+        TransitionData(Nerve([(0, 1, 2)]), 2,
+                       {(0, 1): eye, (1, 0): sx, (1, 2): eye, (0, 2): eye})
 
 
 def test_unitarity_enforced():

@@ -1,9 +1,15 @@
-"""Byte-identical reports for the float-free exact-identities requests.
+"""Byte-identical reports for shipped scenarios and fixed requests.
 
 The expected SHA-256 of each report is read from the benchmark's reference
-table ``perfbench/references.json``; this test never writes it.  Both
-requests go through the PolyScalar product kernel and ``psi``, so a change
-there that alters a verdict, a count or a rational in the report fails here.
+table ``perfbench/references.json``; this test never writes it.  The
+``verify-identities`` and ``algebroid`` requests go through the PolyScalar
+product kernel and ``psi``; the ``dd-class`` requests through the Čech
+cocycle and the H^3 presentation; ``spectral`` through the exact QQi matrix
+product of the Morita lift; ``index`` through the sampled-jet path.  A change
+that alters a verdict, a count or a number in a report fails here.  The
+``index``, ``dd-class`` and ``spectral`` reports carry floats from numpy
+quadrature and eigensolvers, so their digests hold for the numpy and
+OpenBLAS they were recorded with, on x86-64.
 """
 
 import hashlib
@@ -20,6 +26,12 @@ REFERENCES = json.loads((ROOT / "perfbench" / "references.json").read_text())
 REQUESTS = [
     "verify-identities --scenario scenarios/identities-smoke.json",
     "algebroid --seed 528022",
+    "index --scenario scenarios/index-bott-refine.json",
+    "dd-class --scenario scenarios/cech-rephasings.json",
+    "dd-class --scenario pauli-triangle",
+    "dd-class --scenario coboundary-s3",
+    "index --geometry sphere2 --projection bott",
+    "spectral --seed 697131",
 ]
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from ncgkit import intlinalg, linalg
-from ncgkit.scalars import QQI_ZERO, QQi
+from ncgkit.scalars import QQI_ZERO, Chart, PolyScalar, QQi
 
 
 def rand_qq_matrix(rng, n, m):
@@ -173,3 +174,109 @@ def test_integer_kernel_basis():
     assert len(basis) == 2
     for v in basis:
         assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in a)
+
+
+@given(small_int_matrices, st.integers(0, 7))
+def test_integer_solver_with_precomputed_smith_form(rows, seed):
+    rng = random.Random(seed)
+    snf = intlinalg.smith_normal_form(rows)
+    for _ in range(3):
+        b = [rng.randint(-6, 6) for _ in rows]
+        assert intlinalg.solve_integer(rows, b, snf) == intlinalg.solve_integer(rows, b)
+
+
+# -- the fused QQi product against the generic ring loop -------------------
+
+
+def reference_product(a, b):
+    """Entry-wise sum of QQi products, one ring operation at a time."""
+    out = []
+    for row in a:
+        orow = []
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for t in range(1, len(row)):
+                acc = acc + row[t] * b[t][j]
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def is_canonical(x):
+    return x.d > 0 and gcd(x.a, x.b, x.d) == 1
+
+
+mixed_entries = st.one_of(
+    st.just(QQI_ZERO),
+    st.builds(lambda re, d: QQi(Fraction(re, d)),
+              st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 12, 13, 65])),
+    st.builds(lambda im, d: QQi(0, Fraction(im, d)),
+              st.integers(-9, 9), st.sampled_from([1, 2, 4, 5, 25])),
+    st.builds(lambda re, im, d1, d2: QQi(Fraction(re, d1), Fraction(im, d2)),
+              st.integers(-20, 20), st.integers(-20, 20),
+              st.sampled_from([1, 3, 5, 13, 65]), st.sampled_from([1, 2, 5, 169])),
+)
+
+
+@st.composite
+def qq_products(draw):
+    """A composable pair of QQi matrices, 1-6 on each side (wide, tall,
+    row times column), with some rows of the left and columns of the right
+    factor zeroed."""
+    n, k, m = (draw(st.integers(1, 6)) for _ in range(3))
+    a = [[draw(mixed_entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(mixed_entries) for _ in range(m)] for _ in range(k)]
+    zero_rows = draw(st.sets(st.integers(0, n - 1)))
+    zero_cols = draw(st.sets(st.integers(0, m - 1)))
+    a = [[QQI_ZERO if i in zero_rows else x for x in row] for i, row in enumerate(a)]
+    b = [[QQI_ZERO if j in zero_cols else x for j, x in enumerate(row)] for row in b]
+    return linalg.mat_from_rows(a), linalg.mat_from_rows(b)
+
+
+@given(qq_products())
+def test_fused_qqi_product_matches_reference(pair):
+    a, b = pair
+    got = linalg.mat_mul(a, b)
+    want = reference_product(a, b)
+    assert linalg.mat_shape(got) == linalg.mat_shape(want)
+    for grow, wrow in zip(got, want):
+        for x, y in zip(grow, wrow):
+            assert type(x) is QQi and is_canonical(x)
+            assert (x.a, x.b, x.d) == (y.a, y.b, y.d)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 1), (4, 1, 4), (1, 1, 1), (2, 6, 3)])
+def test_fused_qqi_product_edge_shapes(shape):
+    n, k, m = shape
+    rng = random.Random(sum(shape))
+    a, b = rand_qq_matrix(rng, n, k), rand_qq_matrix(rng, k, m)
+    assert linalg.mat_mul(a, b) == reference_product(a, b)
+    zero_a = [[QQI_ZERO] * k for _ in range(n)]
+    assert linalg.mat_mul(zero_a, b) == linalg.mat_zero(n, m, QQI_ZERO)
+    # a zero entry of the result is the canonical zero 0/1
+    assert all((x.a, x.b, x.d) == (0, 0, 1)
+               for row in linalg.mat_mul(zero_a, b) for x in row)
+
+
+def test_only_all_qqi_operands_take_the_fused_path(monkeypatch):
+    fused = []
+    real = linalg._qqi_mat_mul
+    monkeypatch.setattr(linalg, "_qqi_mat_mul",
+                        lambda a, b: fused.append(1) or real(a, b))
+    rng = random.Random(5)
+    a, b = rand_qq_matrix(rng, 3, 2), rand_qq_matrix(rng, 2, 3)
+    assert linalg.mat_mul(a, b) == reference_product(a, b)
+    assert fused == [1]
+    # an int anywhere in either factor keeps the generic loop
+    late_int = [row[:] for row in b]
+    late_int[-1][-1] = 3
+    first_int = [row[:] for row in a]
+    first_int[0][0] = -2
+    for x, y in ((a, late_int), (first_int, b)):
+        assert linalg.mat_mul(x, y) == reference_product(x, y)
+    chart = Chart.affine(1)
+    t = PolyScalar.coordinate(chart, 0)
+    p = [[t, PolyScalar.const(chart, QQi(1, 2))],
+         [PolyScalar.const(chart, 3), t * t]]
+    assert linalg.mat_mul(p, p) == reference_product(p, p)
+    assert fused == [1]

@@ -11,11 +11,18 @@ import argparse
 from ncgkit.geom import Geometry, bott_projection, chern_number, local_index
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--dilation", type=float, default=0.5)
-    ap.add_argument("--levels", type=int, default=5)
-    ap.add_argument("--base", type=int, default=3)
+    ap.add_argument("--levels", type=positive_int, default=5)
+    ap.add_argument("--base", type=positive_int, default=3)
     args = ap.parse_args()
 
     res = (args.base, 2 * args.base)

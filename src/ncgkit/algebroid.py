@@ -44,9 +44,16 @@ def form_scalar(a: MatrixForm) -> PolyScalar:
 
 
 class Derivation:
-    """X = sum_j c_j (d_j + ad theta_j) + ad beta acting on matrix forms."""
+    """X = sum_j c_j (d_j + ad theta_j) + ad beta acting on matrix forms.
 
-    __slots__ = ("conn", "vector", "beta", "_key")
+    By bilinearity X(a) = sum_j c_j d_j a + [gamma, a] with
+    gamma = beta + sum_j c_j theta_j, built once per derivation.  Each
+    derivation remembers its actions and brackets: the memos are keyed by
+    the id of the argument and keep the argument itself, so an id cannot be
+    reused while its entry lives.
+    """
+
+    __slots__ = ("conn", "vector", "beta", "_gamma", "_applied", "_brackets")
 
     def __init__(self, conn: Connection, vector: Sequence = (),
                  beta: MatrixForm = None):
@@ -62,41 +69,40 @@ class Derivation:
         if beta.degrees() not in ([], [0]) or beta.m != conn.m:
             raise ValueError("inner part must be a degree-0 algebra element")
         self.beta = beta
-        self._key = None
+        gamma = beta
+        for j, c in enumerate(vec):
+            if not c.is_zero():
+                theta_j = MatrixForm(conn.chart, conn.m,
+                                     {(): conn.theta.component((j,))},
+                                     conn.theta.backend, conn.theta.nodes)
+                gamma = gamma + theta_j.scale(c)
+        self._gamma = gamma
+        self._applied = {}
+        self._brackets = {}
 
     @staticmethod
     def inner(conn: Connection, beta: MatrixForm) -> "Derivation":
         return Derivation(conn, (), beta)
 
-    @staticmethod
-    def lifted_field(conn: Connection, vector: Sequence) -> "Derivation":
-        return Derivation(conn, vector, None)
-
     def key(self):
-        if self._key is None:
-            self._key = (self.vector, hash(self.beta))
-        return self._key
-
-    def _theta_component(self, j: int) -> MatrixForm:
-        mat = self.conn.theta.component((j,))
-        return MatrixForm(self.conn.chart, self.conn.m, {(): mat},
-                          self.conn.theta.backend, self.conn.theta.nodes)
+        """Exact identity of the derivation (``MatrixForm`` equality is exact)."""
+        return (self.vector, self.beta)
 
     def apply(self, a: MatrixForm) -> MatrixForm:
         """Leibniz action on a degree-0 algebra element."""
+        hit = self._applied.get(id(a))
+        if hit is not None:
+            return hit[1]
         if a.degrees() not in ([], [0]):
             raise ValueError("derivations act on degree-0 elements")
-        chart = self.conn.chart
-        out = MatrixForm.zero(chart, self.conn.m, a.backend, a.nodes)
+        out = self._gamma * a - a * self._gamma
+        mat = a.component(())
         for j, c in enumerate(self.vector):
-            if c.is_zero():
-                continue
-            mat = a.component(())
-            d_mat = tuple(tuple(x.diff(j) for x in row) for row in mat)
-            dj = MatrixForm(chart, a.m, {(): d_mat}, a.backend, a.nodes)
-            th = self._theta_component(j)
-            out = out + (dj + th * a - a * th).scale(c)
-        out = out + self.beta * a - a * self.beta
+            if not c.is_zero():
+                d_mat = tuple(tuple(x.diff(j) for x in row) for row in mat)
+                dj = MatrixForm(a.chart, a.m, {(): d_mat}, a.backend, a.nodes)
+                out = out + dj.scale(c)
+        self._applied[id(a)] = (a, out)
         return out
 
     def anchor(self, f: PolyScalar) -> PolyScalar:
@@ -108,13 +114,17 @@ class Derivation:
         return out
 
     def bracket(self, other: "Derivation") -> "Derivation":
-        """[X, Y]: inner since constant anchors commute; includes curvature."""
+        """[X, Y]: inner since constant anchors commute; includes curvature.
+
+        The inner part is X_vec(beta') - Y_vec(beta) + [beta, beta'] plus
+        omega(c, c'), read here as X(beta') - Y(beta) - [beta, beta'].
+        """
+        hit = self._brackets.get(id(other))
+        if hit is not None:
+            return hit[1]
         conn = self.conn
-        gamma = MatrixForm.zero(conn.chart, conn.m)
-        x_vec = Derivation(conn, self.vector, None)
-        y_vec = Derivation(conn, other.vector, None)
-        gamma = gamma + x_vec.apply(other.beta) - y_vec.apply(self.beta)
-        gamma = gamma + self.beta * other.beta - other.beta * self.beta
+        xb, yb = self.beta, other.beta
+        gamma = self.apply(yb) - other.apply(xb) - (xb * yb - yb * xb)
         # curvature term omega(c, c')
         for (i, j), mat in conn.omega.comps.items():
             coef = self.vector[i] * other.vector[j] - self.vector[j] * other.vector[i]
@@ -123,7 +133,9 @@ class Derivation:
             omega_ij = MatrixForm(conn.chart, conn.m, {(): mat},
                                   conn.theta.backend, conn.theta.nodes)
             gamma = gamma + omega_ij.scale(coef)
-        return Derivation(conn, (), gamma)
+        out = Derivation(conn, (), gamma)
+        self._brackets[id(other)] = (other, out)
+        return out
 
 
 def leibniz_defect(x: Derivation, a: MatrixForm, b: MatrixForm) -> MatrixForm:

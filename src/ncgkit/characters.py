@@ -44,11 +44,17 @@ def require_torsion_twist(declaration: str) -> None:
 
 
 class PartitionExpansion:
-    """psi_k assembled, with the number of partition terms it sums."""
+    """psi_k assembled, with the number of partition terms it sums.
 
-    def __init__(self, k: int, total: MatrixForm):
+    ``tail`` is psi_{k-1} of all arguments but the first, which the suffix
+    recursion builds on the way (the identity at k = 1, None at k = 0).
+    """
+
+    def __init__(self, k: int, total: MatrixForm,
+                 tail: Optional[MatrixForm] = None):
         self.k = k
         self.total = total
+        self.tail = tail
 
     @property
     def term_count(self) -> int:
@@ -63,14 +69,13 @@ def psi(conn: Connection, a_list: Sequence[MatrixForm]) -> PartitionExpansion:
     """psi_k(a_1, ..., a_k) by the suffix recursion over the partitions.
 
     P_k = 1, P_{k-1} = nabla(a_k) and
-    P_j = nabla(a_j) P_{j+1} + (a_j sigma a_{j+1}) P_{j+2}; psi_k = P_0.
-    Every nabla(a_i) and every pair block is built once, and no product
-    with the identity P_k is formed.
+    P_j = nabla(a_j) P_{j+1} + (a_j sigma a_{j+1}) P_{j+2}; psi_k = P_0,
+    and P_1 is kept as the tail.  Every nabla(a_i) and every pair block is
+    built once, and no product with the identity P_k is formed.
     """
     k = len(a_list)
     if k == 0:
-        return PartitionExpansion(0, MatrixForm.identity(
-            conn.chart, conn.m, conn.theta.backend, conn.theta.nodes))
+        return PartitionExpansion(0, conn.identity())
     sigma = conn.sigma
     after = conn.nabla(a_list[-1])  # P_{j+1}
     after2 = None                   # P_{j+2}; None stands for P_k = 1
@@ -79,17 +84,15 @@ def psi(conn: Connection, a_list: Sequence[MatrixForm]) -> PartitionExpansion:
         if after2 is not None:
             pair = pair * after2
         after, after2 = conn.nabla(a_list[j]) * after + pair, after
-    return PartitionExpansion(k, after)
+    return PartitionExpansion(k, after,
+                              conn.identity() if after2 is None else after2)
 
 
 def psi_recursive(conn: Connection, a_list: Sequence[MatrixForm]) -> MatrixForm:
     """Recursion psi_k = (nabla a_1) psi_{k-1} + a_1 sigma a_2 psi_{k-2}."""
     k = len(a_list)
-    one = MatrixForm.identity(
-        conn.chart, conn.m, conn.theta.backend, conn.theta.nodes
-    )
     if k == 0:
-        return one
+        return conn.identity()
     if k == 1:
         return conn.nabla(a_list[0])
     head1 = conn.nabla(a_list[0]) * psi_recursive(conn, a_list[1:])
@@ -118,19 +121,18 @@ def induction_defect(conn: Connection,
     (-1)^(k-1) a_0 psi_k(a_1..a_k) + psi_k(a_0..a_{k-1}) a_k
         - nabla(a_0 psi_{k-1}(a_1..a_{k-1}) a_k)
     must vanish identically; the convention psi_{-1} = 0 settles k = 0.
+    psi_{k-1}(a_1..a_{k-1}) is the tail of psi_k(a_0..a_{k-1}).
     """
     k = len(a_list) - 1
     if k < 0:
         raise ValueError("need at least a_0")
     a0, ak = a_list[0], a_list[-1]
     sign = -1 if (k - 1) % 2 else 1
-    lhs = (a0 * psi(conn, a_list[1:]).total).scale(sign)
-    lhs = lhs + psi(conn, a_list[:-1]).total * ak
+    head = psi(conn, a_list[:-1])
+    lhs = (a0 * psi(conn, a_list[1:]).total).scale(sign) + head.total * ak
     if k == 0:
-        rhs = MatrixForm.zero(conn.chart, conn.m, conn.theta.backend, conn.theta.nodes)
-    else:
-        rhs = conn.nabla(a0 * psi(conn, a_list[1:-1]).total * ak)
-    return lhs - rhs
+        return lhs
+    return lhs - conn.nabla(a0 * head.tail * ak)
 
 
 def verify_induction_identity(conn: Connection,
@@ -198,7 +200,7 @@ def simplex_character(conn: Connection, ch: Chain) -> MatrixForm:
             continue
         nablas = [conn.nabla(a) for a in t[1:]]
         budget = (chart.dim - k) // 2
-        sigma_pows = [MatrixForm.identity(chart, conn.m, conn.theta.backend, conn.theta.nodes)]
+        sigma_pows = [conn.identity()]
         for _ in range(budget):
             sigma_pows.append(sigma_pows[-1] * sigma)
         for powers in _moment_tuples(k + 1, budget):

@@ -157,15 +157,16 @@ def _psi_by_enumeration(conn: Connection, a_list) -> MatrixForm:
     """Oracle for ``psi``: the partition terms summed one by one.
 
     Each block nabla(a_i) and a_j sigma a_{j+1} is built once per call;
-    every composition then multiplies its blocks left to right.
+    every composition then multiplies its blocks left to right, and the sum
+    starts from the first term, so only ``*``, ``+``, ``nabla``, ``sigma``
+    and ``identity`` of the connection are used.
     """
     k = len(a_list)
-    backend, nodes = conn.theta.backend, conn.theta.nodes
     if k == 0:
-        return MatrixForm.identity(conn.chart, conn.m, backend, nodes)
+        return conn.identity()
     nablas = [conn.nabla(a) for a in a_list]
     pairs = [a_list[j] * conn.sigma * a_list[j + 1] for j in range(k - 1)]
-    total = MatrixForm.zero(conn.chart, conn.m, backend, nodes)
+    total = None
     for comp in _block_compositions(k):
         term = None
         pos = 0
@@ -173,12 +174,77 @@ def _psi_by_enumeration(conn: Connection, a_list) -> MatrixForm:
             block = nablas[pos] if part == 1 else pairs[pos]
             term = block if term is None else term * block
             pos += part
-        total = total + term
+        total = term if total is None else total + term
     return total
 
 
+class _FreeElement:
+    """Element of the free noncommutative algebra: word -> integer coefficient.
+
+    A word is a tuple of letters; ``*`` concatenates words and a sum drops
+    the words whose coefficients cancel.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[Tuple[str, ...], int]):
+        self.terms = terms
+
+    @staticmethod
+    def letter(name: str) -> "_FreeElement":
+        return _FreeElement({(name,): 1})
+
+    def __add__(self, other: "_FreeElement") -> "_FreeElement":
+        out = dict(self.terms)
+        for word, c in other.terms.items():
+            c += out.get(word, 0)
+            if c:
+                out[word] = c
+            else:
+                del out[word]
+        return _FreeElement(out)
+
+    def __sub__(self, other: "_FreeElement") -> "_FreeElement":
+        return self + _FreeElement({w: -c for w, c in other.terms.items()})
+
+    def __mul__(self, other: "_FreeElement") -> "_FreeElement":
+        out: Dict[Tuple[str, ...], int] = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+        return _FreeElement({w: c for w, c in out.items() if c})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class _FormalConnection:
+    """Formal connection on the free algebra: each nabla(a) is one letter.
+
+    ``nabla`` of the letter ``a`` is the letter ``da`` and sigma is the
+    letter ``sigma``, so psi_k of k distinct letters is the sum of its
+    F(k+1) partition words, each with coefficient 1.
+    """
+
+    sigma = _FreeElement.letter("sigma")
+
+    @staticmethod
+    def nabla(a: _FreeElement) -> _FreeElement:
+        ((name,),) = a.terms
+        return _FreeElement.letter("d" + name)
+
+    @staticmethod
+    def identity() -> _FreeElement:
+        return _FreeElement({(): 1})
+
+
 def check_partition_counts(seed: int = 7, k_top: int = 10) -> CheckResult:
-    """Fibonacci term counts and recursion vs enumeration agreement."""
+    """Fibonacci term counts and recursion vs enumeration agreement.
+
+    Up to k = 5 on a 5-dim chart; above it degree truncation would empty
+    both sides, so k >= 6 runs on the free algebra, where psi_k must be
+    F(k+1) distinct words with coefficient 1.
+    """
     expected = [1, 1]
     while len(expected) < k_top + 1:
         expected.append(expected[-1] + expected[-2])
@@ -190,12 +256,12 @@ def check_partition_counts(seed: int = 7, k_top: int = 10) -> CheckResult:
     for k in range(0, 6):
         als = [random_algebra_element(chart, 2, rng, terms=1) for _ in range(k)]
         agree = agree and (psi(conn, als).total - _psi_by_enumeration(conn, als)).is_zero()
-    small = Chart.affine(3)
-    conn_s = random_connection(small, 2, rng, terms=1)
+    free = _FormalConnection()
     for k in range(6, k_top + 1):
-        als = [random_algebra_element(small, 2, rng, terms=1) for _ in range(k)]
-        agree = agree and (psi(conn_s, als).total
-                           - _psi_by_enumeration(conn_s, als)).is_zero()
+        als = [_FreeElement.letter(f"a{i}") for i in range(k)]
+        total = psi(free, als).total
+        agree = (agree and (total - _psi_by_enumeration(free, als)).is_zero()
+                 and sorted(total.terms.values()) == [1] * expected[k])
     return CheckResult("partition-counts", counts == expected and agree, {
         "counts": counts, "expected": expected, "recursion_matches": agree,
     })

@@ -150,9 +150,6 @@ class CliffordElement:
     def degrees(self) -> List[int]:
         return sorted({len(b) for b in self.coeffs})
 
-    def is_even(self) -> bool:
-        return all(len(b) % 2 == 0 for b in self.coeffs)
-
     def __repr__(self):
         if not self.coeffs:
             return "Cl<0>"

@@ -188,9 +188,6 @@ class MatrixForm:
         comps = {i: m for i, m in self.comps.items() if len(i) == k}
         return MatrixForm(self.chart, self.m, comps, self.backend, self.nodes)
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def is_zero(self) -> bool:
         return not self.comps
 
@@ -469,9 +466,7 @@ class Connection:
         self.omega = exterior_d(theta) + theta * theta
         if sigma is None:
             residue = self.omega.trace().scale(Fraction(1, self.m))
-            sigma = self.omega - residue * MatrixForm.identity(
-                theta.chart, theta.m, theta.backend, theta.nodes
-            )
+            sigma = self.omega - residue * self.identity()
         self.sigma = sigma
 
     @staticmethod
@@ -492,8 +487,10 @@ class Connection:
         conn.sigma = sigma
         return conn
 
-    def scalar_residue(self) -> MatrixForm:
-        return self.omega.trace().scale(Fraction(1, self.m))
+    def identity(self) -> MatrixForm:
+        """The unit of the algebra the connection acts on."""
+        return MatrixForm.identity(self.chart, self.m, self.theta.backend,
+                                   self.theta.nodes)
 
     def nabla(self, a: MatrixForm) -> MatrixForm:
         """Graded covariant derivative da + theta^a - (-1)^|a| a^theta."""

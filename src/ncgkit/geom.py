@@ -158,11 +158,6 @@ class Geometry:
 
     # -- curvature and Clifford data ---------------------------------------
 
-    def frame_area_form(self) -> MatrixForm:
-        """e^1 ^ e^2 as a scalar coordinate form (density in d theta d phi)."""
-        vals = JetScalar(self.chart, self.frame_density.astype(complex), None)
-        return MatrixForm(self.chart, 1, {(0, 1): ((vals,),)}, "jet", self.n_nodes)
-
     def left_curvature_matrix(self) -> np.ndarray:
         """Constant fiber matrix of the left Clifford curvature action.
 

@@ -49,6 +49,7 @@ class SpectralTriple:
             exact = not isinstance(d_matrix, np.ndarray)
         self.exact = exact
         self.model = model
+        self._eigenvalues = None
         if check:
             self._check_contracts()
 
@@ -104,15 +105,15 @@ class SpectralTriple:
             raise ValueError(f"grading contract failed: {report}")
         return report
 
-    def commutator_norm(self, name: str) -> float:
-        a = _to_numpy(self.algebra[name])
-        d = _to_numpy(self.d)
-        return float(np.linalg.norm(d @ a - a @ d, 2))
-
     # -- eigendata ---------------------------------------------------------
 
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum of D on the effective space (compressed modes only)."""
+        """Spectrum of D on the effective space (compressed modes only).
+
+        Computed once per triple and returned read-only.
+        """
+        if self._eigenvalues is not None:
+            return self._eigenvalues
         d = _to_numpy(self.d)
         vals = np.linalg.eigvalsh(d)
         if self.subspace is not None:
@@ -124,7 +125,10 @@ class SpectralTriple:
             keep = np.ones(len(vals), dtype=bool)
             keep[zeros] = False
             vals = vals[keep]
-        return np.sort(vals)
+        vals = np.sort(vals)
+        vals.flags.writeable = False
+        self._eigenvalues = vals
+        return vals
 
     def resolvent_weights(self) -> Tuple[np.ndarray, np.ndarray]:
         """Distinct mu_i = (lambda^2+1)^{-1} (decreasing) and multiplicities."""

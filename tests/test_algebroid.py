@@ -1,6 +1,8 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from ncgkit.algebroid import (
     AlternatingForm,
@@ -35,6 +37,98 @@ def make_deriv(conn, rng):
         [random_qqi(rng) for _ in range(conn.chart.dim)],
         random_algebra_element(conn.chart, conn.m, rng),
     )
+
+
+def reference_apply(x, a):
+    """Per-coordinate Leibniz action: sum_j c_j (d_j a + [theta_j, a]) + [beta, a]."""
+    conn = x.conn
+    out = MatrixForm.zero(conn.chart, conn.m, a.backend, a.nodes)
+    for j, c in enumerate(x.vector):
+        if c.is_zero():
+            continue
+        mat = a.component(())
+        d_mat = tuple(tuple(e.diff(j) for e in row) for row in mat)
+        dj = MatrixForm(conn.chart, a.m, {(): d_mat}, a.backend, a.nodes)
+        th = MatrixForm(conn.chart, conn.m, {(): conn.theta.component((j,))})
+        out = out + (dj + th * a - a * th).scale(c)
+    return out + x.beta * a - a * x.beta
+
+
+def reference_bracket_inner(x, y):
+    """Inner part of [X, Y]: X_vec(beta') - Y_vec(beta) + [beta, beta'] + omega(c, c')."""
+    conn = x.conn
+    x_vec, y_vec = Derivation(conn, x.vector), Derivation(conn, y.vector)
+    gamma = (reference_apply(x_vec, y.beta) - reference_apply(y_vec, x.beta)
+             + x.beta * y.beta - y.beta * x.beta)
+    for (i, j), mat in conn.omega.comps.items():
+        coef = x.vector[i] * y.vector[j] - x.vector[j] * y.vector[i]
+        gamma = gamma + MatrixForm(conn.chart, conn.m, {(): mat}).scale(coef)
+    return gamma
+
+
+@st.composite
+def derivation_cases(draw):
+    """A connection, two derivations and an element on a 2-chart.
+
+    Vector parts are random or zero (inner only), inner parts random or zero.
+    """
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    chart = Chart.affine(2) if draw(st.booleans()) else Chart.torus(2)
+    m = draw(st.integers(1, 3))
+    conn = random_connection(chart, m, rng, terms=1)
+
+    def deriv():
+        vector = ([random_qqi(rng) for _ in range(2)]
+                  if draw(st.booleans()) else ())
+        beta = (random_algebra_element(chart, m, rng, terms=1)
+                if draw(st.booleans()) else None)
+        return Derivation(conn, vector, beta)
+
+    return conn, deriv(), deriv(), random_algebra_element(chart, m, rng, terms=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(derivation_cases())
+def test_apply_matches_per_coordinate_reference(case):
+    _, x, y, a = case
+    assert x.apply(a) == reference_apply(x, a)
+    assert y.apply(a) == reference_apply(y, a)
+    assert x.bracket(y).beta == reference_bracket_inner(x, y)
+
+
+@settings(max_examples=15, deadline=None)
+@given(derivation_cases())
+def test_action_memo_per_derivation_and_element(case):
+    conn, x, y, a = case
+    first = x.apply(a)
+    assert x.apply(a) is first
+    # an equal element that is a distinct object
+    twin = MatrixForm(a.chart, a.m, dict(a.comps))
+    assert twin is not a and x.apply(twin) == reference_apply(x, twin)
+    # a second derivation on the same element gets its own action
+    z = Derivation(conn, [QQi(1), QQi(0)], random_algebra_element(
+        conn.chart, conn.m, random.Random(0), terms=1))
+    assert y.apply(a) == reference_apply(y, a)
+    assert z.apply(a) == reference_apply(z, a)
+    assert x.bracket(y) is x.bracket(y)
+    assert x.bracket(z).beta == reference_bracket_inner(x, z)
+
+
+def test_cochain_cache_tells_colliding_inner_parts_apart(monkeypatch):
+    # two derivations with equal vector parts whose inner parts collide
+    # under hash must still get their own cochain values
+    rng = random.Random(18)
+    conn = random_connection(AFF2, 2, rng)
+    vector = [random_qqi(rng) for _ in range(2)]
+    x1 = Derivation(conn, vector, random_algebra_element(AFF2, 2, rng))
+    x2 = Derivation(conn, vector, random_algebra_element(AFF2, 2, rng))
+    a = random_algebra_element(AFF2, 2, rng)
+    b = random_algebra_element(AFF2, 2, rng)
+    monkeypatch.setattr(MatrixForm, "__hash__", lambda self: 0)
+    om = AlternatingForm.alternating_from_seeds([(a, b)])
+    v1, v2 = om(x1), om(x2)
+    assert not (v1 - v2).is_zero()
+    assert (v2 - form_scalar((a * reference_apply(x2, b)).trace())).is_zero()
 
 
 def test_perm_sign():

@@ -18,13 +18,14 @@ from ncgkit.characters import (
     verify_induction_identity,
 )
 from ncgkit.checks import _block_compositions as block_compositions
-from ncgkit.checks import _psi_by_enumeration
+from ncgkit.checks import _FormalConnection, _FreeElement, _psi_by_enumeration
 from ncgkit.cyclic import Chain, Projection, chern_cyclic, hochschild_b
 from ncgkit.forms import Connection, MatrixForm, exterior_d
 from ncgkit.randgen import (
     random_algebra_element,
     random_connection,
     random_exact_projection,
+    random_matrix_form,
     random_poly,
 )
 from ncgkit.scalars import Chart, PolyScalar, QQi
@@ -103,6 +104,67 @@ def test_suffix_recursion_matches_both_oracles(chart):
         assert (expansion.total - _psi_by_enumeration(conn, als)).is_zero()
         assert (expansion.total - psi_recursive(conn, als)).is_zero()
     assert psi(conn, []).total == MatrixForm.identity(chart, 2)
+
+
+@pytest.mark.parametrize("chart", [Chart.affine(3), Chart.torus(2)])
+def test_tail_is_psi_of_all_but_the_first(chart):
+    rng = random.Random(12)
+    conn = random_connection(chart, 2, rng, terms=1)
+    assert psi(conn, []).tail is None
+    for k in range(1, 6):
+        als = [random_algebra_element(chart, 2, rng, terms=1) for _ in range(k)]
+        assert psi(conn, als).tail == psi(conn, als[1:]).total
+
+
+def free_letters(k):
+    return [_FreeElement.letter(f"a{i}") for i in range(k)]
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_free_algebra_psi_is_every_partition_word_once(k):
+    total = psi(_FormalConnection(), free_letters(k)).total
+    assert sorted(total.terms.values()) == [1] * len(block_compositions(k))
+    assert (total - _psi_by_enumeration(_FormalConnection(), free_letters(k))).is_zero()
+
+
+def test_free_algebra_words_are_the_partitions():
+    # psi_3(a0, a1, a2): three words, one per composition of 3 into 1s and 2s
+    total = psi(_FormalConnection(), free_letters(3)).total
+    assert total.terms == {
+        ("da0", "da1", "da2"): 1,
+        ("da0", "a1", "sigma", "a2"): 1,
+        ("a0", "sigma", "a1", "da2"): 1,
+    }
+    x, y = _FreeElement.letter("x"), _FreeElement.letter("y")
+    assert (x * y - y * x).terms == {("x", "y"): 1, ("y", "x"): -1}
+    assert (x * y + x * y - x * y - x * y).is_zero()
+
+
+def reference_induction_defect(conn, a_list):
+    """The induction defect with its three psi evaluations written out."""
+    k = len(a_list) - 1
+    a0, ak = a_list[0], a_list[-1]
+    sign = -1 if (k - 1) % 2 else 1
+    lhs = (a0 * psi(conn, a_list[1:]).total).scale(sign)
+    lhs = lhs + psi(conn, a_list[:-1]).total * ak
+    if k == 0:
+        return lhs
+    return lhs - conn.nabla(a0 * psi(conn, a_list[1:-1]).total * ak)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_induction_defect_matches_three_psi_formula(k):
+    rng = random.Random(30 + k)
+    chart = Chart.affine(max(k, 1))
+    conn = random_connection(chart, 2, rng, terms=1)
+    # a noncentral 2-form added to sigma breaks the identity, so for k >= 2
+    # the defect is nonzero and the comparison can fail
+    conn.sigma = conn.sigma + random_matrix_form(chart, 2, rng, 2, terms=1)
+    als = [random_algebra_element(chart, 2, rng, poly_deg=0, terms=1)
+           for _ in range(k + 1)]
+    defect = induction_defect(conn, als)
+    assert defect == reference_induction_defect(conn, als)
+    assert defect.is_zero() == (k < 2)
 
 
 class TestInduction:

@@ -31,3 +31,10 @@ def test_identity_fuzz_rejects_counts_below_one(flag, value):
     proc = run_script("scripts/identity_fuzz.py", flag, value)
     assert proc.returncode == 2
     assert "must be at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [("--base", "0"), ("--levels", "-1")])
+def test_index_refinement_study_rejects_counts_below_one(argv):
+    proc = run_script("scripts/index_refinement_study.py", *argv)
+    assert proc.returncode == 2
+    assert "must be at least 1" in proc.stderr

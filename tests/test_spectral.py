@@ -80,6 +80,28 @@ class TestSobolev:
             sobolev_norm(mu, v, 1.0, 0.0)
 
 
+def test_spectrum_is_computed_once_and_read_only(monkeypatch):
+    triple = circle_dirac(20)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append(1) or eigvalsh(m))
+    lam = triple.eigenvalues()
+    triple.resolvent_weights()
+    spectral_dimension_probe(triple, 1.0)
+    spectral_dimension_probe(triple, 0.4)
+    assert len(calls) == 1
+    assert triple.eigenvalues() is lam
+    assert np.array_equal(lam, np.arange(-20.0, 21.0))
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+    # a compressed triple drops the inflated kernel from its one spectrum
+    p = finite_triple_exact([[1, 0], [0, 0]]).d
+    compressed = SpectralTriple(p, subspace=p, exact=True)
+    assert compressed.eigenvalues().tolist() == [1.0]
+    assert len(calls) == 2
+
+
 class TestSummability:
     def test_finite_always_summable(self):
         t = finite_triple_exact([[0, 5], [5, 0]])

@@ -232,18 +232,47 @@ def derivation_character(ch: Chain, xs: Sequence[Derivation]) -> PolyScalar:
             raise ValueError("cannot infer chart from an empty chain with no arguments")
         return PolyScalar.const(probe_chart, 0)
     chart = ch.terms[0][1][0].chart
+    perms = [(perm, perm_sign(perm)) for perm in itertools.permutations(range(k))]
     total = PolyScalar.const(chart, 0)
     for coef, t in ch.terms:
         acc = PolyScalar.const(chart, 0)
-        for perm in itertools.permutations(range(k)):
-            sgn = perm_sign(perm)
-            prod = t[0]
-            for pos in range(k):
-                prod = prod * xs[perm[pos]].apply(t[pos + 1])
-            val = form_scalar(prod.trace())
+        # prefix[p] = b_0 X_p[0](b_1) ... X_p[-1](b_len(p)), shared by the
+        # permutations that start with p
+        prefix = {(): t[0]}
+        for perm, sgn in perms:
+            if not k:
+                val = form_scalar(t[0].trace())
+            else:
+                for pos in range(k - 1):
+                    if perm[:pos + 1] not in prefix:
+                        prefix[perm[:pos + 1]] = (
+                            prefix[perm[:pos]] * xs[perm[pos]].apply(t[pos + 1]))
+                val = _trace_of_product(prefix[perm[:-1]],
+                                        xs[perm[-1]].apply(t[k]))
             acc = acc + (val if sgn > 0 else -val)
         total = total + acc * (coef * Fraction(1, _factorial(k)))
     return total
+
+
+def _trace_of_product(a: MatrixForm, b: MatrixForm) -> PolyScalar:
+    """tr(a b) of degree-0 forms from the diagonal of the product only.
+
+    Each diagonal entry is summed in the order of ``linalg.mat_mul`` and the
+    entries in the order of ``linalg.mat_trace``, so the value (and the key
+    order of its coefficients) equals ``form_scalar((a * b).trace())``.
+    """
+    zero = PolyScalar.const(a.chart, 0)
+    ma, mb = a.comps.get(()), b.comps.get(())
+    if ma is None or mb is None:
+        return zero
+    out = None
+    for i, row in enumerate(ma):
+        acc = None
+        for x, col in zip(row, mb):
+            p = x * col[i]
+            acc = p if acc is None else acc + p
+        out = acc if out is None else out + acc
+    return zero if out.is_zero() else out
 
 
 def chain_cochain(ch: Chain) -> AlternatingForm:

@@ -20,10 +20,11 @@ from __future__ import annotations
 import cmath
 import json
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import intlinalg, linalg
-from .scalars import QQI_ONE, QQI_ZERO, QQi
+from .scalars import QQI_ONE, QQI_ZERO, QQi, _qqi
 
 Simplex = Tuple[int, ...]
 
@@ -118,14 +119,18 @@ class TransitionData:
 
     Exact backend: entries are Gaussian rationals and unitarity holds
     exactly; numeric backend: complex entries, unitarity to 1e-10.
+
+    Transition data are immutable: ``edges`` is a read-only mapping of
+    tuple matrices, so an edge verified at construction stays verified,
+    and data derived from verified edges (``rephased``) can rely on it.
     """
 
     def __init__(self, nerve: Nerve, rank: int,
                  edges: Dict[Tuple[int, int], tuple], exact: bool = True):
-        self.nerve = nerve
-        self.rank = rank
-        self.exact = exact
-        self.edges = {}
+        self._nerve = nerve
+        self._rank = rank
+        self._exact = exact
+        checked = {}
         nerve_edges = nerve.edge_set()
         for (i, j), mat in edges.items():
             if i > j:
@@ -133,13 +138,47 @@ class TransitionData:
                 mat = self._inverse(mat)
             if (i, j) not in nerve_edges:
                 raise ValueError(f"edge ({i},{j}) not in the nerve")
-            if (i, j) in self.edges:
+            if (i, j) in checked:
                 raise ValueError(f"edge ({i},{j}) is given twice")
+            mat = linalg.mat_from_rows(mat)
             self._check_unitary(mat)
-            self.edges[(i, j)] = mat
+            checked[(i, j)] = mat
         for s in nerve.k_simplices(1):
-            if tuple(s) not in self.edges:
+            if tuple(s) not in checked:
                 raise ValueError(f"missing transition data on edge {s}")
+        self._edges = MappingProxyType(checked)
+
+    @classmethod
+    def _from_verified(cls, parent: "TransitionData",
+                       edges: Dict[Tuple[int, int], tuple]) -> "TransitionData":
+        """Exact data whose edges the caller derived from ``parent``'s.
+
+        Each edge must equal a unit-modulus scalar times the parent's
+        (exactly verified, immutable) edge on the same key, so
+        (lam U)(lam U)* = |lam|^2 U U* = I holds without a second product.
+        """
+        out = cls.__new__(cls)
+        out._nerve = parent._nerve
+        out._rank = parent._rank
+        out._exact = True
+        out._edges = MappingProxyType(edges)
+        return out
+
+    @property
+    def nerve(self) -> Nerve:
+        return self._nerve
+
+    @property
+    def rank(self) -> int:
+        return self._rank
+
+    @property
+    def exact(self) -> bool:
+        return self._exact
+
+    @property
+    def edges(self) -> Mapping[Tuple[int, int], tuple]:
+        return self._edges
 
     def _check_unitary(self, mat):
         n = self.rank
@@ -162,13 +201,13 @@ class TransitionData:
     def g(self, i: int, j: int):
         """Lift on the ordered edge (i, j); reversal inverts."""
         if i < j:
-            return self.edges[(i, j)]
-        return self._inverse(self.edges[(j, i)])
+            return self._edges[(i, j)]
+        return self._inverse(self._edges[(j, i)])
 
     def rephased(self, phases: Dict[Tuple[int, int], QQi]) -> "TransitionData":
         """Multiply each edge lift by a unit-modulus scalar."""
         new_edges = {}
-        for (i, j), mat in self.edges.items():
+        for (i, j), mat in self._edges.items():
             lam = phases.get((i, j))
             if lam is None:
                 lam_inv = phases.get((j, i))
@@ -182,7 +221,9 @@ class TransitionData:
                 if lam.abs2() != 1:
                     raise ValueError("rephasing must have unit modulus")
                 new_edges[(i, j)] = linalg.mat_scale(lam, mat)
-        return TransitionData(self.nerve, self.rank, new_edges, self.exact)
+        if self.exact:
+            return TransitionData._from_verified(self, new_edges)
+        return TransitionData(self.nerve, self.rank, new_edges, False)
 
 
 class PhaseCocycle:
@@ -201,23 +242,44 @@ class PhaseCocycle:
         return [self.delta[s] for s in self.nerve.k_simplices(3)]
 
 
-def _scalar_of(mat, exact: bool, rank: int):
-    """Extract lambda when mat = lambda * Id, else raise."""
+def _scalar_of(mat, rank: int) -> complex:
+    """Extract lambda when mat = lambda * Id to 1e-9, else raise."""
     lam = mat[0][0]
     for i in range(rank):
         for j in range(rank):
-            want = lam if i == j else (QQI_ZERO if exact else 0.0)
-            if exact:
-                if mat[i][j] != want:
-                    raise NotProjectiveCocycle(
-                        "transition data is not a projective cocycle"
-                    )
-            else:
-                if abs(complex(mat[i][j]) - complex(want)) > 1e-9:
-                    raise NotProjectiveCocycle(
-                        "transition data is not a projective cocycle"
-                    )
+            want = lam if i == j else 0.0
+            if abs(complex(mat[i][j]) - complex(want)) > 1e-9:
+                raise NotProjectiveCocycle(
+                    "transition data is not a projective cocycle"
+                )
     return lam
+
+
+def _exact_ratio(p, g) -> QQi:
+    """lambda with p = lambda * g exactly, for QQi matrices and g != 0.
+
+    lambda is read at the first nonzero entry of g; every other entry is
+    compared by cross-multiplying Gaussian integers, so no QQi is built
+    per entry.
+    """
+    r, c = next((r, c) for r, row in enumerate(g)
+                for c, x in enumerate(row) if x.a or x.b)
+    pv, gv = p[r][c], g[r][c]
+    pa, pb, pd = pv.a, pv.b, pv.d
+    ga, gb, gd = gv.a, gv.b, gv.d
+    for prow, grow in zip(p, g):
+        for x, y in zip(prow, grow):
+            # x = (pv / gv) y  <=>  x gv = pv y, with denominators cleared
+            lhs_d = pd * y.d
+            rhs_d = x.d * gd
+            if ((x.a * ga - x.b * gb) * lhs_d != (pa * y.a - pb * y.b) * rhs_d
+                    or (x.a * gb + x.b * ga) * lhs_d != (pa * y.b + pb * y.a) * rhs_d):
+                raise NotProjectiveCocycle(
+                    "transition data is not a projective cocycle"
+                )
+    # pv / gv = (pa + i pb) gd (ga - i gb) / (pd |ga + i gb|^2), reduced once
+    return _qqi((pa * ga + pb * gb) * gd, (pb * ga - pa * gb) * gd,
+                pd * (ga * ga + gb * gb))
 
 
 def phase_cocycle(data: TransitionData) -> PhaseCocycle:
@@ -226,16 +288,26 @@ def phase_cocycle(data: TransitionData) -> PhaseCocycle:
     mu lives on sorted triangles; its multiplicative coboundary is
     verified to be 1; nu uses the principal branch in [0,1); the integer
     certification of delta reports the worst rounding residual.
+
+    Exact data take one product per triangle i < j < k: g(i,k) is exactly
+    unitary (checked at construction), so g(i,j) g(j,k) g(k,i) = lambda I
+    holds exactly when g(i,j) g(j,k) = lambda g(i,k).
     """
     nerve = data.nerve
+    edges = data.edges
     mu: Dict[Simplex, QQi] = {}
     nu: Dict[Simplex, float] = {}
     for tri in nerve.k_simplices(2):
         i, j, k = tri
-        prod = linalg.mat_mul(data.g(i, j), linalg.mat_mul(data.g(j, k), data.g(k, i)))
-        lam = _scalar_of(prod, data.exact, data.rank)
-        if data.exact and lam.abs2() != 1:
-            raise NotProjectiveCocycle("triple-product scalar is not unit modulus")
+        if data.exact:
+            lam = _exact_ratio(linalg.mat_mul(edges[(i, j)], edges[(j, k)]),
+                               edges[(i, k)])
+            if lam.abs2() != 1:
+                raise NotProjectiveCocycle("triple-product scalar is not unit modulus")
+        else:
+            prod = linalg.mat_mul(data.g(i, j),
+                                  linalg.mat_mul(data.g(j, k), data.g(k, i)))
+            lam = _scalar_of(prod, data.rank)
         mu[tri] = lam
         angle = cmath.phase(complex(lam)) / (2 * cmath.pi)
         if angle < 0:
@@ -384,6 +456,16 @@ def torsion_witness(cocycle: PhaseCocycle, n: int) -> Optional[List[int]]:
     if not d2:
         return [0] * len(nerve.k_simplices(2)) if not any(target) else None
     return intlinalg.solve_integer(d2, target)
+
+
+def is_torsion_witness(cocycle: PhaseCocycle, w: Optional[List[int]],
+                       n: int) -> bool:
+    """Whether w is a 2-cochain with coboundary(w) = n * delta exactly."""
+    if w is None:
+        return False
+    d2 = cocycle.nerve.coboundary_matrix(2)
+    image = [sum(r * x for r, x in zip(row, w)) for row in d2]
+    return image == [n * v for v in cocycle.delta_vector()]
 
 
 def _det_exact(mat) -> QQi:

@@ -442,12 +442,7 @@ def check_cech_suite(seed: int = 7, rephasings: int = 50) -> CheckResult:
     cls = cech.h3_class(pc_s.delta_vector(), nerve)
     details["class_invariants"] = cls.invariants
     details["class_coordinates"] = cls.coordinates
-    witness = cech.torsion_witness(pc_s, 2)
-    witness_ok = witness is not None
-    if witness_ok:
-        d2 = nerve.coboundary_matrix(2)
-        image = [sum(r * w for r, w in zip(row, witness)) for row in d2]
-        witness_ok = image == [2 * v for v in pc_s.delta_vector()]
+    witness_ok = cech.is_torsion_witness(pc_s, cech.torsion_witness(pc_s, 2), 2)
     details["torsion_witness"] = witness_ok
     # invariance of the class under unit rephasings of the lifts
     invariant = True

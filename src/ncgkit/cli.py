@@ -77,7 +77,17 @@ PARAM_RULES = {
     "dilation": ("a number", _is_real),
 }
 
-DD_BUILTIN_SCENARIOS = ("pauli-triangle", "coboundary-s3")
+# The expected answers of the built-in dd-class scenarios; the verdict of
+# a built-in run is that every listed fact has its expected value.
+DD_BUILTIN_EXPECTED = {
+    # the spin lifts: mu(0,1,2) = i, and the unit-determinant lift is
+    # exact with mu_n^2 = 1
+    "pauli-triangle": {"mu_first": QQi(0, 1), "normalized_exact": True,
+                       "normalized_mu_squared": QQi(1)},
+    # lifts h_i h_j^* times unit phases: the class is zero for every seed,
+    # and a witness w with d w = rank * delta exists
+    "coboundary-s3": {"class_zero": True, "torsion_witness": True},
+}
 
 # What the single-geometry index run (``index --geometry/--projection``) takes.
 INDEX_FOCUS_PARAMS = ("geometry", "projection", "refine", "dilation")
@@ -206,7 +216,7 @@ def _reject_unused(command: str, unused) -> None:
 def _run_suite(command: str, args) -> int:
     seed = args.seed
     params: Dict[str, object] = {}
-    builtin = command == "dd-class" and args.scenario in DD_BUILTIN_SCENARIOS
+    builtin = command == "dd-class" and args.scenario in DD_BUILTIN_EXPECTED
     if args.scenario and not builtin:
         doc = load_scenario(args.scenario)
         if SCENARIO_KINDS[doc["kind"]] != command:
@@ -253,26 +263,32 @@ def _run_ddclass_builtin(args) -> int:
         rng = _random.Random(args.seed)
         data = _coboundary_type_data(rng, cech.boundary_of_4_simplex())
     pc = cech.phase_cocycle(data)
+    first = data.nerve.k_simplices(2)[0]
     for tri in data.nerve.k_simplices(2)[:4]:
         details[f"mu[{','.join(map(str, tri))}]"] = pc.mu[tri]
     details["delta"] = pc.delta_vector()
     details["delta_residual"] = pc.residual
+    facts: Dict[str, object] = {"mu_first": pc.mu[first]}
     if data.nerve.k_simplices(3):
         cls = cech.h3_class(pc.delta_vector(), data.nerve)
         details["class_invariants"] = cls.invariants
         details["class_coordinates"] = cls.coordinates
         witness = cech.torsion_witness(pc, data.rank)
         details["torsion_witness_found"] = witness is not None
+        facts["class_zero"] = cls.is_zero
+        facts["torsion_witness"] = cech.is_torsion_witness(pc, witness, data.rank)
     normalized = cech.normalize_determinant(data)
     pc_n = cech.phase_cocycle(normalized)
     details["determinant_normalized_exact"] = normalized.exact
-    first = data.nerve.k_simplices(2)[0]
     details["mu_normalized_first"] = pc_n.mu[first]
-    result = CheckResult(f"dd-class:{name}", True, details)
+    facts["normalized_exact"] = normalized.exact
+    facts["normalized_mu_squared"] = pc_n.mu[first] ** 2
+    passed = all(facts.get(k) == v for k, v in DD_BUILTIN_EXPECTED[name].items())
+    result = CheckResult(f"dd-class:{name}", passed, details)
     renderer = render_report_json if args.format == "json" else render_report_text
     _emit(renderer("dd-class", args.seed, {"scenario": name}, [result]),
           args.out, "dd-class")
-    return 0
+    return 0 if passed else 1
 
 
 def _run_index_focus(args, seed: int, params: Dict[str, object]) -> int:

@@ -244,7 +244,13 @@ def bott_projection_closures(dilation: float = 0.0):
     a = float(dilation)
     root = np.sqrt(1.0 - a * a) if abs(a) < 1 else 1.0
 
+    # parts of the last grid: the 16 closure calls of one projection build
+    # share one evaluation; the slot keeps t and p, so their ids stay valid
+    last = [None, None, None]
+
     def parts(t, p):
+        if last[0] is t and last[1] is p:
+            return last[2]
         u = np.cos(t)
         s = np.sin(t)
         den = 1.0 + a * u
@@ -252,7 +258,8 @@ def bott_projection_closures(dilation: float = 0.0):
         s2 = root * s / den
         du2 = -s * (1.0 - a * a) / den ** 2
         ds2 = root * (u + a) / den ** 2
-        return u2, s2, du2, ds2
+        last[:] = (t, p, (u2, s2, du2, ds2))
+        return last[2]
 
     def n3(t, p):
         return parts(t, p)[0]

@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from ncgkit.algebroid import (
     AlternatingForm,
@@ -112,6 +115,60 @@ def test_action_memo_per_derivation_and_element(case):
     assert z.apply(a) == reference_apply(z, a)
     assert x.bracket(y) is x.bracket(y)
     assert x.bracket(z).beta == reference_bracket_inner(x, z)
+
+
+def derivation_character_reference(ch, xs):
+    """(1/k!) sum_sigma sgn(sigma) tr(b_0 X_sigma(1)(b_1) ... X_sigma(k)(b_k)),
+    each product formed in full and then traced."""
+    k = ch.degree
+    chart = ch.terms[0][1][0].chart
+    total = PolyScalar.const(chart, 0)
+    for coef, t in ch.terms:
+        acc = PolyScalar.const(chart, 0)
+        for perm in itertools.permutations(range(k)):
+            prod = t[0]
+            for pos in range(k):
+                prod = prod * xs[perm[pos]].apply(t[pos + 1])
+            val = form_scalar(prod.trace())
+            acc = acc + (val if perm_sign(perm) > 0 else -val)
+        total = total + acc * (coef * Fraction(1, math.factorial(k)))
+    return total
+
+
+@st.composite
+def character_cases(draw):
+    """A chain of degree 0..3 with one or several terms on m x m elements,
+    and k derivations: random, inner only, or zero (a zero action makes
+    the product vanish)."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    k = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 3))
+    chart = Chart.affine(2) if draw(st.booleans()) else Chart.torus(2)
+    conn = random_connection(chart, m, rng, terms=1)
+    n_terms = draw(st.integers(1, 3))
+    terms = [(random_qqi(rng), tuple(
+        random_algebra_element(chart, m, rng, terms=1) for _ in range(k + 1)))
+        for _ in range(n_terms)]
+    kinds = draw(st.lists(st.sampled_from(("full", "inner", "zero")),
+                          min_size=k, max_size=k))
+    xs = tuple(
+        make_deriv(conn, rng) if kind == "full"
+        else Derivation.inner(conn, random_algebra_element(chart, m, rng, terms=1))
+        if kind == "inner" else Derivation(conn)
+        for kind in kinds)
+    return Chain(k, terms), xs
+
+
+@settings(max_examples=30, deadline=None)
+@given(character_cases())
+def test_derivation_character_matches_full_product_reference(case):
+    ch, xs = case
+    assume(ch.terms)
+    out = derivation_character(ch, xs)
+    want = derivation_character_reference(ch, xs)
+    assert out == want
+    # same coefficients in the same key order, which float readers see
+    assert list(out.coeffs.items()) == list(want.coeffs.items())
 
 
 def test_cochain_cache_tells_colliding_inner_parts_apart(monkeypatch):

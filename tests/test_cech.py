@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from ncgkit import intlinalg, linalg
@@ -23,6 +23,8 @@ from ncgkit.cech import (
 from ncgkit.randgen import EXACT_PHASES, random_exact_unitary
 from ncgkit.scalars import QQi
 
+SZ = linalg.mat_from_rows([[QQi(1), QQi(0)], [QQi(0), QQi(-1)]])
+
 
 def coboundary_data(rng, nerve, rank=2, phases=True):
     hs = {v: random_exact_unitary(rank, rng) for v in nerve.vertices}
@@ -34,6 +36,21 @@ def coboundary_data(rng, nerve, rank=2, phases=True):
         )
         edges[(i, j)] = mat
     return TransitionData(nerve, rank, edges, True)
+
+
+def phase_mu_reference(data):
+    """mu from the full triple product g(i,j) (g(j,k) g(k,i)) = lambda I."""
+    mu = {}
+    for tri in data.nerve.k_simplices(2):
+        i, j, k = tri
+        prod = linalg.mat_mul(data.g(i, j),
+                              linalg.mat_mul(data.g(j, k), data.g(k, i)))
+        lam = prod[0][0]
+        eye = linalg.mat_eye(data.rank, QQi(0), QQi(1))
+        if not linalg.mat_eq(prod, linalg.mat_scale(lam, eye)):
+            raise NotProjectiveCocycle("transition data is not a projective cocycle")
+        mu[tri] = lam
+    return mu
 
 
 class TestNerve:
@@ -90,6 +107,21 @@ class TestPhaseCocycle:
         data = TransitionData(nerve, 2, {(0, 1): rot, (1, 2): eye, (0, 2): eye})
         with pytest.raises(NotProjectiveCocycle, match="projective cocycle"):
             phase_cocycle(data)
+
+    def test_broken_edge_rejected_although_the_pivot_agrees(self):
+        # g(0,1) g(1,2) = diag(1, -1) agrees with 1 * g(0,2) at the first
+        # nonzero entry of g(0,2) only, and the ratio there has modulus one
+        nerve = Nerve([(0, 1, 2)])
+        eye = linalg.mat_eye(2, QQi(0), QQi(1))
+        data = TransitionData(nerve, 2, {(0, 1): SZ, (1, 2): eye, (0, 2): eye})
+        with pytest.raises(NotProjectiveCocycle, match="projective cocycle"):
+            phase_cocycle(data)
+        # the same defect planted in one edge of cocycle data on the 3-sphere
+        good = coboundary_data(random.Random(5), boundary_of_4_simplex())
+        edges = dict(good.edges)
+        edges[(0, 1)] = linalg.mat_mul(edges[(0, 1)], SZ)
+        with pytest.raises(NotProjectiveCocycle, match="projective cocycle"):
+            phase_cocycle(TransitionData(good.nerve, 2, edges))
 
     def test_rephasing_changes_mu_by_coboundary(self):
         rng = random.Random(0)
@@ -278,6 +310,82 @@ class TestTorsion:
         norm = normalize_determinant(pauli_triangle())
         for mat in norm.edges.values():
             assert _det_exact(mat) == QQi(1)
+
+
+@st.composite
+def exact_transition_cases(draw):
+    """Exact unitary data on a triangle or the 3-sphere nerve: a projective
+    cocycle (coboundary type or the Pauli triangle), optionally with one edge
+    broken or replaced by a random unitary, plus unit phases per edge."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        data = pauli_triangle()
+    else:
+        nerve = boundary_of_4_simplex() if draw(st.booleans()) else Nerve([(0, 1, 2)])
+        data = coboundary_data(rng, nerve, rank=draw(st.integers(1, 3)))
+    defect = draw(st.sampled_from((None, "sz", "random")))
+    if defect is not None and data.rank == 2:
+        edges = dict(data.edges)
+        e = rng.choice(sorted(edges))
+        edges[e] = (linalg.mat_mul(edges[e], SZ) if defect == "sz"
+                    else random_exact_unitary(2, rng))
+        data = TransitionData(data.nerve, data.rank, edges)
+    picks = draw(st.lists(st.integers(0, len(EXACT_PHASES) - 1),
+                          min_size=10, max_size=10))
+    phases = {e: EXACT_PHASES[i] for e, i in zip(sorted(data.edges), picks)}
+    return data, phases
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_transition_cases())
+def test_one_product_mu_matches_triple_product_reference(case):
+    data, phases = case
+    for d in (data, data.rephased(phases)):
+        # rephased edges are built without a second unitarity product
+        eye = linalg.mat_eye(d.rank, QQi(0), QQi(1))
+        for mat in d.edges.values():
+            assert linalg.mat_mul(mat, linalg.mat_conj_transpose(mat)) == eye
+        try:
+            want = phase_mu_reference(d)
+        except NotProjectiveCocycle:
+            with pytest.raises(NotProjectiveCocycle, match="projective cocycle"):
+                phase_cocycle(d)
+            continue
+        got = phase_cocycle(d).mu
+        assert got == want
+        # the canonical triple, so every rendered mu is the same
+        assert [(x.a, x.b, x.d) for x in got.values()] == [
+            (x.a, x.b, x.d) for x in want.values()]
+
+
+def test_rephasing_needs_unit_modulus():
+    data = pauli_triangle()
+    for lam in (QQi(2), QQi(Fraction(3, 5), Fraction(3, 5)), QQi(0, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="unit modulus"):
+            data.rephased({(0, 1): lam})
+        with pytest.raises(ValueError, match="unit modulus"):
+            data.rephased({(1, 0): lam})
+
+
+def test_transition_data_is_immutable():
+    eye = [[QQi(1), QQi(0)], [QQi(0), QQi(1)]]
+    data = TransitionData(Nerve([(0, 1, 2)]), 2,
+                          {(0, 1): eye, (1, 2): SZ, (0, 2): SZ})
+    assert data.edges[(0, 1)] == linalg.mat_from_rows(eye)
+    assert all(isinstance(m, tuple) and all(isinstance(r, tuple) for r in m)
+               for m in data.edges.values())
+    with pytest.raises(AttributeError):
+        data.edges = {}
+    with pytest.raises(TypeError):
+        data.edges[(0, 1)] = SZ
+    for name, value in (("nerve", Nerve([(0, 1)])), ("rank", 3), ("exact", False)):
+        with pytest.raises(AttributeError):
+            setattr(data, name, value)
+    # changing the input dict afterwards does not reach the verified data
+    given_edges = {(0, 1): SZ, (1, 2): SZ, (0, 2): eye}
+    data = TransitionData(Nerve([(0, 1, 2)]), 2, given_edges)
+    given_edges[(0, 1)] = linalg.mat_scale(QQi(2), SZ)
+    assert data.edges[(0, 1)] == SZ
 
 
 def test_json_roundtrip():

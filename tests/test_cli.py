@@ -233,6 +233,37 @@ def test_ddclass_builtin_sphere_nerve(capsys):
     assert "torsion_witness_found: true" in out
 
 
+def _minus_last_edge(data):
+    from ncgkit import cech, linalg
+
+    edges = dict(data.edges)
+    edges[(0, 2)] = linalg.mat_neg(edges[(0, 2)])
+    return cech.TransitionData(data.nerve, 2, edges)
+
+
+@pytest.mark.parametrize("scenario,target,plant", [
+    # g(0,2) = -sz: mu(0,1,2) becomes -i
+    ("pauli-triangle", "pauli_triangle",
+     lambda real: lambda: _minus_last_edge(real())),
+    # a non-zero class for coboundary data
+    ("coboundary-s3", "h3_class",
+     lambda real: lambda delta, nerve: real([1, 0, 0, 0, 0], nerve)),
+    # a cochain whose coboundary is not rank * delta
+    ("coboundary-s3", "torsion_witness",
+     lambda real: lambda pc, n: [0] * len(pc.nerve.k_simplices(2))),
+])
+def test_ddclass_builtin_fails_on_a_planted_wrong_answer(capsys, monkeypatch,
+                                                         scenario, target, plant):
+    from ncgkit import cech
+
+    code, out = run_cli(capsys, "dd-class", "--scenario", scenario)
+    assert code == 0 and "status: pass" in out
+    monkeypatch.setattr(cech, target, plant(getattr(cech, target)))
+    code, out = run_cli(capsys, "dd-class", "--scenario", scenario)
+    assert code == 1
+    assert "status: fail" in out and "overall: fail" in out
+
+
 def test_failing_check_exits_one(capsys, monkeypatch):
     from ncgkit import cli as cli_mod
     from ncgkit.checks import CheckResult

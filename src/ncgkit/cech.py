@@ -205,13 +205,22 @@ class TransitionData:
         return self._inverse(self._edges[(j, i)])
 
     def rephased(self, phases: Dict[Tuple[int, int], QQi]) -> "TransitionData":
-        """Multiply each edge lift by a unit-modulus scalar."""
+        """Multiply each edge lift by a unit-modulus scalar.
+
+        A phase keyed (j, i) acts on the edge (i, j) by its inverse; a key
+        that is not an edge, or an edge keyed in both orientations, raises.
+        """
+        given = {}
+        for (i, j), lam in phases.items():
+            edge = (i, j) if i < j else (j, i)
+            if edge not in self._edges:
+                raise ValueError(f"edge ({i},{j}) not in the nerve")
+            if edge in given:
+                raise ValueError(f"edge ({i},{j}) is given twice")
+            given[edge] = lam if i < j else lam.inverse()
         new_edges = {}
         for (i, j), mat in self._edges.items():
-            lam = phases.get((i, j))
-            if lam is None:
-                lam_inv = phases.get((j, i))
-                lam = lam_inv.inverse() if lam_inv is not None else QQI_ONE
+            lam = given.get((i, j), QQI_ONE)
             if not self.exact:
                 lam = complex(lam)
                 new_edges[(i, j)] = tuple(

@@ -149,16 +149,18 @@ def cyclic_defect(conn: Connection,
 
     (-1)^(k-1) rho_k(a_0..a_k) + rho_k(a_k, a_0..a_{k-1})
         - d tr(a_0 psi_{k-1}(a_1..a_{k-1}) a_k)
+
+    The rotated term is tr(a_k psi_k(a_0..a_{k-1})), and
+    psi_{k-1}(a_1..a_{k-1}) is the tail of that expansion.
     """
     k = len(a_list) - 1
     ch = Chain(k, [(QQi(1), tuple(a_list))])
-    rot = Chain(k, [(QQi(1), (a_list[-1],) + tuple(a_list[:-1]))])
     sign = -1 if (k - 1) % 2 else 1
-    lhs = rho(conn, ch).scale(sign) + rho(conn, rot)
+    head = psi(conn, a_list[:-1])
+    lhs = rho(conn, ch).scale(sign) + (a_list[-1] * head.total).trace()
     if k == 0:
         return lhs
-    inner = (a_list[0] * psi(conn, a_list[1:-1]).total * a_list[-1]).trace()
-    return lhs - exterior_d(inner)
+    return lhs - exterior_d((a_list[0] * head.tail * a_list[-1]).trace())
 
 
 # -- simplex-integrated exponential character ---------------------------

@@ -29,7 +29,6 @@ from .scalars import (
     JetScalar,
     PolyScalar,
     QQi,
-    scalar_const,
 )
 
 IdxTuple = Tuple[int, ...]
@@ -57,17 +56,12 @@ def _jet_mat_mul(a, b, chart: Chart):
     is a shared zero.
     """
     bt = list(zip(*b))
-    # entries are often one shared object (the zero of a block matrix)
-    entries = {id(x): x for mat in (a, b) for row in mat for x in row}
-    zeros = {i for i, x in entries.items() if x.is_zero()}
-    a_terms = [[k for k, x in enumerate(row) if id(x) not in zeros] for row in a]
-    b_terms = [{k for k, y in enumerate(col) if id(y) not in zeros} for col in bt]
+    a_terms = [[k for k, x in enumerate(row) if not x.is_zero()] for row in a]
+    b_terms = [{k for k, y in enumerate(col) if not y.is_zero()} for col in bt]
     a_grads = [all(x.grads is not None for x in row) for row in a]
     b_grads = [all(y.grads is not None for y in col) for col in bt]
-    zero = np.zeros_like(a[0][0].values)
-    zero_grads = np.zeros((chart.dim,) + zero.shape, dtype=complex)
-    zero.flags.writeable = zero_grads.flags.writeable = False
-    zero_jet = (JetScalar(chart, zero, None), JetScalar(chart, zero, zero_grads))
+    n = len(a[0][0].values)
+    zero_jet = (JetScalar.zero(chart, n, grads=False), JetScalar.zero(chart, n))
     out = []
     for row, terms, row_grads in zip(a, a_terms, a_grads):
         orow = []
@@ -85,6 +79,13 @@ def _jet_mat_mul(a, b, chart: Chart):
             orow.append(acc)
         out.append(tuple(orow))
     return tuple(out)
+
+
+def _zero_entry(chart: Chart, backend: str, nodes: Optional[int]):
+    """The zero entry of a form; on jets one flagged zero to share."""
+    if backend == "exact":
+        return PolyScalar.const(chart, 0)
+    return JetScalar.zero(chart, nodes)
 
 
 class MatrixForm:
@@ -142,8 +143,10 @@ class MatrixForm:
         else:
             if nodes is None:
                 raise ValueError("numeric backend needs the node count")
+            zero = JetScalar.zero(chart, nodes)
             rows = tuple(
-                tuple(JetScalar.const(chart, complex(x), nodes) for x in row)
+                tuple(zero if x == 0 else JetScalar.const(chart, complex(x), nodes)
+                      for x in row)
                 for row in mat
             )
         return MatrixForm(chart, m, {(): rows}, backend, nodes)
@@ -154,7 +157,7 @@ class MatrixForm:
         chart = s.chart
         backend = "exact" if isinstance(s, PolyScalar) else "jet"
         nodes = None if backend == "exact" else len(s.values)
-        zero = scalar_const(chart, 0, s)
+        zero = _zero_entry(chart, backend, nodes)
         mat = tuple(
             tuple(s if i == j else zero for j in range(m)) for i in range(m)
         )
@@ -171,9 +174,7 @@ class MatrixForm:
     # -- structure ------------------------------------------------------
 
     def _zero_scalar(self):
-        if self.backend == "exact":
-            return PolyScalar.const(self.chart, 0)
-        return JetScalar.const(self.chart, 0.0, self.nodes)
+        return _zero_entry(self.chart, self.backend, self.nodes)
 
     def _check(self, other: "MatrixForm"):
         if self.chart != other.chart or self.backend != other.backend:
@@ -411,13 +412,12 @@ class MatrixForm:
                 return False
         for i in range(self.m):
             for j in range(self.m):
-                want = diag if i == j else self._zero_scalar()
+                off = mat[i][j] - diag if i == j else mat[i][j]
                 if self.backend == "exact":
-                    if not (mat[i][j] - want).is_zero():
+                    if not off.is_zero():
                         return False
-                else:
-                    if (mat[i][j] - want).max_abs() > 1e-12:
-                        return False
+                elif off.max_abs() > 1e-12:
+                    return False
         return True
 
     def __repr__(self):

@@ -173,8 +173,10 @@ class Geometry:
         fiber = self.left_curvature_matrix()
         big = np.kron(np.eye(blocks), fiber)
         dens = self.frame_density.astype(complex)
+        # the fiber matrix is a signed permutation: most entries share one zero
+        zero = JetScalar.zero(self.chart, self.n_nodes, grads=False)
         rows = tuple(
-            tuple(JetScalar(self.chart, big[i, j] * dens, None)
+            tuple(JetScalar(self.chart, big[i, j] * dens, None) if big[i, j] else zero
                   for j in range(4 * blocks))
             for i in range(4 * blocks)
         )

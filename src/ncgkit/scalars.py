@@ -14,6 +14,7 @@ Three scalar backends are used throughout the toolkit:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -653,24 +654,42 @@ class JetScalar:
     None when no derivative data was supplied (after one differentiation,
     for instance).  Products propagate derivatives by the Leibniz rule;
     nothing is ever differentiated numerically.
+
+    Both arrays are read-only, so the answer of ``is_zero`` is computed once
+    and kept.  A zero is structural: ``JetScalar.zero`` makes one that is
+    flagged from the start, builders share one such zero across every zero
+    entry of a matrix, and negating or scaling a zero returns it unchanged.
     """
 
-    __slots__ = ("chart", "values", "grads")
+    __slots__ = ("chart", "values", "grads", "_zero")
 
     def __init__(self, chart: Chart, values, grads=None):
         self.chart = chart
         self.values = np.asarray(values, dtype=complex)
+        self.values.flags.writeable = False
         if grads is not None:
             grads = np.asarray(grads, dtype=complex)
             if grads.shape != (chart.dim,) + self.values.shape:
                 raise ValueError("gradient shape mismatch")
+            grads.flags.writeable = False
         self.grads = grads
+        self._zero = None
 
     @staticmethod
     def const(chart: Chart, c, n_nodes: int) -> "JetScalar":
         v = np.full(n_nodes, complex(c), dtype=complex)
         g = np.zeros((chart.dim, n_nodes), dtype=complex)
         return JetScalar(chart, v, g)
+
+    @staticmethod
+    def zero(chart: Chart, n_nodes: int, grads: bool = True) -> "JetScalar":
+        """The constant 0, known to be zero; with zero gradients unless
+        ``grads`` is false."""
+        v = np.zeros(n_nodes, dtype=complex)
+        g = np.zeros((chart.dim, n_nodes), dtype=complex) if grads else None
+        out = JetScalar(chart, v, g)
+        out._zero = True
+        return out
 
     def _check(self, other: "JetScalar"):
         if self.chart != other.chart or self.values.shape != other.values.shape:
@@ -688,8 +707,12 @@ class JetScalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.is_zero():
+            return self
         g = None if self.grads is None else -self.grads
-        return JetScalar(self.chart, -self.values, g)
+        out = JetScalar(self.chart, -self.values, g)
+        out._zero = False
+        return out
 
     def __sub__(self, other):
         if not isinstance(other, JetScalar):
@@ -702,6 +725,9 @@ class JetScalar:
     def __mul__(self, other):
         if not isinstance(other, JetScalar):
             c = complex(other)
+            # a NaN or inf factor must still reach the samples
+            if cmath.isfinite(c) and self.is_zero():
+                return self
             g = None if self.grads is None else self.grads * c
             return JetScalar(self.chart, self.values * c, g)
         self._check(other)
@@ -723,19 +749,13 @@ class JetScalar:
 
     def is_zero(self) -> bool:
         """Zero in value and derivative, so a product with it adds nothing."""
-        return not self.values.any() and (self.grads is None or not self.grads.any())
+        if self._zero is None:
+            self._zero = not self.values.any() and (
+                self.grads is None or not self.grads.any())
+        return self._zero
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     def __repr__(self):
         return f"JetScalar<n={self.values.size}, max={self.max_abs():.3e}>"
-
-
-def scalar_const(chart: Chart, c, like):
-    """Constant scalar matching the backend of ``like``."""
-    if isinstance(like, PolyScalar):
-        return PolyScalar.const(chart, c)
-    if isinstance(like, JetScalar):
-        return JetScalar.const(chart, complex(c), len(like.values))
-    raise TypeError(f"unknown scalar backend {type(like).__name__}")

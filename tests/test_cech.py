@@ -367,6 +367,20 @@ def test_rephasing_needs_unit_modulus():
             data.rephased({(1, 0): lam})
 
 
+def test_rephasing_rejects_keys_that_are_not_one_edge():
+    data = pauli_triangle()
+    with pytest.raises(ValueError, match="not in the nerve"):
+        data.rephased({(7, 9): QQi(0, 1), (0, 1): QQi(0, 1), (1, 0): QQi(-1)})
+    for key in ((7, 9), (9, 7), (1, 1)):
+        with pytest.raises(ValueError, match="not in the nerve"):
+            data.rephased({key: QQi(0, 1)})
+    with pytest.raises(ValueError, match="given twice"):
+        data.rephased({(0, 1): QQi(0, 1), (1, 0): QQi(-1)})
+    # a phase keyed against the orientation acts by its inverse
+    assert (data.rephased({(1, 0): QQi(0, 1)}).edges
+            == data.rephased({(0, 1): QQi(0, -1)}).edges)
+
+
 def test_transition_data_is_immutable():
     eye = [[QQi(1), QQi(0)], [QQi(0), QQi(1)]]
     data = TransitionData(Nerve([(0, 1, 2)]), 2,

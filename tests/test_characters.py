@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from ncgkit.characters import (
     NonTorsionTwist,
@@ -165,6 +167,36 @@ def test_induction_defect_matches_three_psi_formula(k):
     defect = induction_defect(conn, als)
     assert defect == reference_induction_defect(conn, als)
     assert defect.is_zero() == (k < 2)
+
+
+def reference_cyclic_defect(conn, a_list):
+    """The cyclic defect with its three psi evaluations written out."""
+    k = len(a_list) - 1
+    ch = Chain(k, [(QQi(1), tuple(a_list))])
+    rot = Chain(k, [(QQi(1), (a_list[-1],) + tuple(a_list[:-1]))])
+    sign = -1 if (k - 1) % 2 else 1
+    lhs = rho(conn, ch).scale(sign) + rho(conn, rot)
+    if k == 0:
+        return lhs
+    inner = (a_list[0] * psi(conn, a_list[1:-1]).total * a_list[-1]).trace()
+    return lhs - exterior_d(inner)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_cyclic_defect_matches_three_psi_formula(k, seed):
+    rng = random.Random(seed)
+    chart = Chart.affine(max(k, 1))
+    conn = random_connection(chart, 2, rng, terms=1)
+    # a noncentral 2-form added to sigma breaks the identity, so the
+    # comparison also covers nonzero defects
+    conn.sigma = conn.sigma + random_matrix_form(chart, 2, rng, 2, terms=1)
+    als = [random_algebra_element(chart, 2, rng, poly_deg=0, terms=1)
+           for _ in range(k + 1)]
+    defect = cyclic_defect(conn, als)
+    assert defect == reference_cyclic_defect(conn, als)
+    if k < 2:  # no pair block, so sigma does not enter
+        assert defect.is_zero()
 
 
 class TestInduction:

@@ -34,6 +34,17 @@ REQUESTS = [
     "spectral --seed 697131",
 ]
 
+# the geometry x projection pairs of the benchmark's jet grid; refine 0..2
+# locks the float bytes, sign of zero included, of the sampled-jet path
+INDEX_FOCUS = (
+    ("sphere2", "bott"), ("sphere2", "bott-dilated"), ("sphere2", "constant"),
+    ("sphere2", "zero"), ("torus2", "constant"), ("torus2", "zero"),
+)
+REQUESTS += [
+    f"index --geometry {g} --projection {p} --refine {r}"
+    for r in range(3) for g, p in INDEX_FOCUS
+]
+
 
 @pytest.mark.parametrize("request_key", REQUESTS)
 def test_report_matches_reference(request_key, capsys, monkeypatch):

@@ -135,6 +135,189 @@ def test_jet_forms_do_not_enter_mat_mul(monkeypatch):
     assert (p * p - p).max_abs() < 1e-12
 
 
+# -- structural zeros: one flagged shared zero against distinct dense zeros --
+
+SPEC_KINDS = ("dense", "no-grads", "zero", "zero-no-grads", "flat")
+
+
+def _fresh_is_zero(x):
+    return not x.values.any() and (x.grads is None or not x.grads.any())
+
+
+def _build(chart, n, kinds, seed, shared):
+    """One jet matrix from a spec; with ``shared`` every zero entry is one
+    of two flagged zeros, otherwise each is its own dense zero array."""
+    rng = np.random.default_rng(seed)
+    zeros = {"zero": JetScalar.zero(chart, NODES),
+             "zero-no-grads": JetScalar.zero(chart, NODES, grads=False)}
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            kind = kinds[i * n + j]
+            entry = _entry(kind, chart, rng, None)
+            row.append(zeros[kind] if shared and kind in zeros else entry)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@st.composite
+def form_pairs(draw):
+    """The same two jet forms (degrees 0 and 1) built with shared and with
+    dense zeros: ((fa, fb) shared, (fa, fb) dense)."""
+    chart = draw(st.sampled_from((Chart.affine(1), Chart.affine(2), Chart.torus(2))))
+    n = draw(st.integers(1, 4))
+    specs = [(draw(st.lists(st.sampled_from(SPEC_KINDS), min_size=n * n,
+                            max_size=n * n)), draw(st.integers(0, 2**32 - 1)))
+             for _ in range(4)]
+
+    def forms_of(shared):
+        a0, a1, b0, b1 = (_build(chart, n, kinds, seed, shared) for kinds, seed in specs)
+        return (MatrixForm(chart, n, {(): a0, (0,): a1}, "jet", NODES),
+                MatrixForm(chart, n, {(): b0, (chart.dim - 1,): b1}, "jet", NODES))
+
+    return forms_of(True), forms_of(False)
+
+
+def _entries(form):
+    return [x for mat in form.comps.values() for row in mat for x in row]
+
+
+def assert_same_form(got, want):
+    assert set(got.comps) == set(want.comps)
+    for idx in want.comps:
+        assert_same_matrix(got.comps[idx], want.comps[idx])
+    for x in _entries(got):
+        assert not x.values.flags.writeable
+        assert x.grads is None or not x.grads.flags.writeable
+        assert x.is_zero() == _fresh_is_zero(x)
+
+
+def assert_entrywise(got, operands, op):
+    """``got`` against numpy applied entry by entry to (values, grads)."""
+    n = operands[0].m
+    for idx in set().union(*(f.comps for f in operands)):
+        args = []
+        for f in operands:
+            mat = f.comps.get(idx)
+            if mat is None:  # a dropped component: zero with zero gradients
+                z = (np.zeros(NODES), np.zeros((f.chart.dim, NODES)))
+                args.append([[z] * n for _ in range(n)])
+            else:
+                args.append([[(x.values, x.grads) for x in row] for row in mat])
+        mat = got.comps.get(idx)
+        for i in range(n):
+            for j in range(n):
+                values, grads = op(*(a[i][j] for a in args))
+                if mat is None:
+                    assert not values.any() and (grads is None or not grads.any())
+                    continue
+                x = mat[i][j]
+                assert np.array_equal(x.values, values)
+                assert (x.grads is None) == (grads is None)
+                if grads is not None:
+                    assert np.array_equal(x.grads, grads)
+
+
+def _neg(a):
+    return -a[0], None if a[1] is None else -a[1]
+
+
+def _add(a, b):
+    both = a[1] is not None and b[1] is not None
+    return a[0] + b[0], a[1] + b[1] if both else None
+
+
+@given(form_pairs())
+def test_shared_zero_product_matches_dense(pairs):
+    (fa, fb), (da, db) = pairs
+    assert_same_form(fa * fb, da * db)
+    assert_same_form(fb * fa, db * da)
+
+
+@given(form_pairs())
+def test_shared_zero_negation_matches_dense(pairs):
+    (fa, _), (da, _) = pairs
+    assert_same_form(-fa, -da)
+    assert_entrywise(-fa, [fa], _neg)
+
+
+@given(form_pairs(), st.complex_numbers(allow_nan=False, allow_infinity=False,
+                                        max_magnitude=1e6))
+def test_shared_zero_scale_matches_dense(pairs, c):
+    (fa, _), (da, _) = pairs
+    assert_same_form(fa.scale(c), da.scale(c))
+    # samples times c, in that order: numpy's complex product of a scalar
+    # and an array need not be bitwise symmetric
+    assert_entrywise(fa.scale(c), [fa],
+                     lambda a: (a[0] * c, None if a[1] is None else a[1] * c))
+
+
+@given(form_pairs())
+def test_shared_zero_sum_matches_dense(pairs):
+    (fa, fb), (da, db) = pairs
+    assert_same_form(fa + fb, da + db)
+    assert_entrywise(fa + fb, [fa, fb], _add)
+
+
+@given(form_pairs())
+def test_shared_zero_exp_form_matches_dense(pairs):
+    (fa, fb), (da, db) = pairs
+    assert_same_form(forms.exp_form(fa), forms.exp_form(da))
+    assert_same_form(forms.exp_form(fb.degree_part(1)),
+                     forms.exp_form(db.degree_part(1)))
+
+
+@given(form_pairs())
+def test_cached_zero_test_equals_fresh_scan(pairs):
+    for form in (*pairs[0], *pairs[1]):
+        for x in _entries(form):
+            assert x.is_zero() == _fresh_is_zero(x)
+            assert x.is_zero() == _fresh_is_zero(x)  # and again from the cache
+
+
+def test_flat_entry_is_not_a_cached_zero():
+    chart = Chart.affine(1)
+    flat = JetScalar(chart, np.zeros(2), [[0.0, 1.0]])
+    assert not flat.is_zero() and not (-flat).is_zero()
+    assert np.array_equal((-flat).grads, [[0.0, -1.0]])
+
+
+def test_jet_arrays_are_read_only():
+    chart = Chart.affine(2)
+    x = JetScalar(chart, np.ones(3), np.ones((2, 3)))
+    for y in (x, -x, x * 2.0, x + x, x * x, x.diff(0), JetScalar.zero(chart, 3),
+              JetScalar.const(chart, 1.5, 3)):
+        with pytest.raises(ValueError):
+            y.values[0] = 7.0
+        if y.grads is not None:
+            with pytest.raises(ValueError):
+                y.grads[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("c", [complex("nan"), complex("inf"), complex(0, float("-inf"))])
+def test_non_finite_scale_of_a_zero_reaches_the_samples(c):
+    chart = Chart.affine(2)
+    zero = JetScalar.zero(chart, 3)
+    form = MatrixForm.identity(chart, 2, "jet", 3)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan((zero * c).values).all()
+        assert np.isnan((c * zero).grads).all()
+        off_diagonal = form.scale(c).comps[()][0][1]
+    assert np.isnan(off_diagonal.values).all()
+
+
+def test_builders_share_one_zero_per_matrix():
+    geom = Geometry.sphere2(4, 8)
+    for form in (MatrixForm.identity(geom.chart, 3, "jet", geom.n_nodes),
+                 geom.clifford_curvature_form(2),
+                 MatrixForm.from_scalar(geom.jet_const(2.0), 3),
+                 forms.exp_form(bott_projection(geom)).amplify(2)):
+        (mat,) = form.comps.values()
+        zeros = {id(x) for row in mat for x in row if x.is_zero()}
+        assert len(zeros) == 1
+
+
 CASES = {
     "sphere2-bott": (lambda: Geometry.sphere2(24, 48), lambda g: bott_projection(g)),
     "sphere2-bott-dilated": (lambda: Geometry.sphere2(24, 48),

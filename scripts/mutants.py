@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Mutation smoke run: each named source mutant must be killed by its tests.
+
+    python3 scripts/mutants.py                 # every mutant
+    python3 scripts/mutants.py no-rebuild ...  # the named ones
+    python3 scripts/mutants.py --list
+
+A mutant is a list of exact source replacements.  For each one the script
+copies ``src/``, ``tests/``, ``scenarios/`` and ``perfbench/`` into a
+temporary directory, applies the replacements there (each must match the
+source exactly once) and runs the mutant's tests with pytest.  The mutant is
+killed when those tests fail.  The checkout itself is never written.
+
+Exit status: 0 every mutant was killed, 1 a mutant survived, no longer
+applies to the source or stopped its tests from running, 2 an unknown
+mutant name.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scenarios", "perfbench")
+
+# name -> (what the mutant breaks, [(file, old, new)], tests that must fail)
+MUTANTS = {
+    "no-final-gcd": (
+        "the fused QQi matrix product leaves its entries unreduced",
+        [("src/ncgkit/linalg.py", "orow.append(_qqi(re, im, da * db))",
+          "orow.append(_qqi_raw(re, im, da * db))"),
+         ("src/ncgkit/linalg.py", "QQI_ZERO, QQi, _qqi\n",
+          "QQI_ZERO, QQi, _qqi, _qqi_raw\n")],
+        ["tests/test_linalg.py"],
+    ),
+    "values-only-zero-test": (
+        "a jet counts as zero when its values vanish, gradients or not",
+        [("src/ncgkit/scalars.py",
+          "self._zero = not self.values.any() and (\n"
+          "                self.grads is None or not self.grads.any())",
+          "self._zero = not self.values.any()")],
+        ["tests/test_jet_product.py", "tests/test_forms.py"],
+    ),
+    "module-level-nerve-cache": (
+        "every nerve shares one cache of simplices and presentations",
+        [("src/ncgkit/cech.py", "        self._cache: Dict[tuple, object] = {}\n",
+          "        self._cache = _SHARED_CACHE\n"),
+         ("src/ncgkit/cech.py", "\nclass Nerve:\n",
+          "\n_SHARED_CACHE: Dict[tuple, object] = {}\n\n\nclass Nerve:\n")],
+        ["tests/test_cech.py"],
+    ),
+    "no-pop-on-cancel": (
+        "a polynomial product keeps a monomial whose sum cancels, as a zero",
+        [("src/ncgkit/scalars.py",
+          "                        if zeros is None:\n"
+          "                            del acc[k]\n",
+          "                        if zeros is None:\n"
+          "                            pass\n")],
+        ["tests/test_poly_kernel.py"],
+    ),
+    "no-interior-quotient": (
+        "interior slots of a cyclic chain are not taken modulo the identity",
+        [("src/ncgkit/cyclic.py", "        if pos >= 1:\n", "        if False:\n")],
+        ["tests/test_cyclic.py"],
+    ),
+    "no-rebuild": (
+        "a form-product entry drops a monomial whose running sum reaches "
+        "zero and is never rebuilt, so a cancelled monomial moves to the end",
+        [("src/ncgkit/scalars.py",
+          "_products_into(entry, pairs, bias, negate, zeros)",
+          "_products_into(entry, pairs, bias, negate)")],
+        ["tests/test_form_product_kernel.py"],
+    ),
+    "no-order-fix": (
+        "a form-product group where a monomial new to the entry cancels and "
+        "comes back is not summed again on its own, so the monomial keeps "
+        "its first place",
+        [("src/ncgkit/scalars.py", "    if any(k in new for k in zeros):\n",
+          "    if False:\n")],
+        ["tests/test_form_product_kernel.py"],
+    ),
+    "group-sign-dropped": (
+        "the second component pair of each component of a form product "
+        "adds with sign +1",
+        [("src/ncgkit/forms.py", "(merge_sign(i_idx, j_idx) < 0, pa[i_idx]",
+          "(merge_sign(i_idx, j_idx) < 0 and len(groups[k]) != 1, pa[i_idx]")],
+        ["tests/test_form_product_kernel.py"],
+    ),
+}
+
+
+def apply(tree: Path, replacements) -> str:
+    """Apply the replacements under ``tree``; an error message or ''."""
+    for rel, old, new in replacements:
+        path = tree / rel
+        text = path.read_text()
+        count = text.count(old)
+        if count != 1:
+            return f"{rel}: the replaced text occurs {count} times, not once"
+        path.write_text(text.replace(old, new))
+    return ""
+
+
+def run_mutant(name: str) -> bool:
+    what, replacements, tests = MUTANTS[name]
+    with tempfile.TemporaryDirectory(prefix="ncgkit-mutant-") as tmp:
+        tree = Path(tmp)
+        for part in COPIED:
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        error = apply(tree, replacements)
+        if error:
+            print(f"{name}: does not apply ({error})")
+            return False
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *tests], cwd=tree, env=env, capture_output=True, text=True)
+    summary = (proc.stdout.strip().splitlines() or ["(no output)"])[-1]
+    # pytest exits 1 when tests failed; any other failure (collection, usage)
+    # means the mutant broke more than it meant to
+    verdict = {0: "SURVIVED", 1: "killed"}.get(proc.returncode, "BROKEN")
+    print(f"{name}: {verdict} -- {what} -- {summary}")
+    return proc.returncode == 1
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("names", nargs="*", metavar="NAME",
+                    help="mutants to run (default: all)")
+    ap.add_argument("--list", action="store_true", help="list the mutants")
+    args = ap.parse_args()
+    unknown = [n for n in args.names if n not in MUTANTS]
+    if unknown:
+        ap.error(f"unknown mutant {', '.join(unknown)}; "
+                 f"known: {', '.join(MUTANTS)}")
+    if args.list:
+        for name, (what, _, tests) in MUTANTS.items():
+            print(f"{name}: {what} [{' '.join(tests)}]")
+        return 0
+    results = [run_mutant(name) for name in args.names or MUTANTS]
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,7 +22,7 @@ from typing import Callable, List, Sequence, Tuple
 
 from .cyclic import Chain
 from .forms import Connection, MatrixForm
-from .scalars import PolyScalar, QQi
+from .scalars import PolyScalar, QQi, sum_of_products
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -257,21 +257,19 @@ def derivation_character(ch: Chain, xs: Sequence[Derivation]) -> PolyScalar:
 def _trace_of_product(a: MatrixForm, b: MatrixForm) -> PolyScalar:
     """tr(a b) of degree-0 forms from the diagonal of the product only.
 
-    Each diagonal entry is summed in the order of ``linalg.mat_mul`` and the
-    entries in the order of ``linalg.mat_trace``, so the value (and the key
-    order of its coefficients) equals ``form_scalar((a * b).trace())``.
+    One ``scalars.sum_of_products`` with one group per diagonal entry, in
+    the order of ``linalg.mat_trace``, so the value (and the key order of
+    its coefficients) equals ``form_scalar((a * b).trace())``.
     """
     zero = PolyScalar.const(a.chart, 0)
-    ma, mb = a.comps.get(()), b.comps.get(())
-    if ma is None or mb is None:
+    if () not in a.comps or () not in b.comps:
         return zero
-    out = None
-    for i, row in enumerate(ma):
-        acc = None
-        for x, col in zip(row, mb):
-            p = x * col[i]
-            acc = p if acc is None else acc + p
-        out = acc if out is None else out + acc
+    da, pa = a._numerators()
+    db, pb = b._numerators()
+    pa, pb, span = pa[()], pb[()], range(a.m)
+    out = sum_of_products(a.chart, da * db, [
+        (False, [(pa[i][t], pb[t][i]) for t in span if pa[i][t] and pb[t][i]])
+        for i in span])
     return zero if out.is_zero() else out
 
 

@@ -135,11 +135,41 @@ def check_induction_identity(seed: int = 7, trials: int = 100,
         ok, _ = verify_induction_identity(conn, als)
         deep.append(ok)
         done += 1
-    passed = failures == 0 and all(deep)
-    return CheckResult("induction-identity", passed, {
+    # a control that must read nonzero: psi's nabla(a_1) block doubled
+    a0, a1 = _control_elements(conn, 2)
+    caught = not verify_induction_identity(_PlantedDefect(conn, a1), [a0, a1])[0]
+    details = {
         "trials": done, "failures": failures,
         "deep_k4": deep[0], "deep_k5": deep[1],
-    })
+    }
+    if not caught:
+        details["planted_defect_seen"] = False
+    return CheckResult("induction-identity", failures == 0 and all(deep) and caught,
+                       details)
+
+
+class _PlantedDefect:
+    """A connection whose nabla doubles one element: every block
+    nabla(target) of psi is scaled by 2, so an identity built on it has a
+    known nonzero defect.  Run through a check's own verifier, it is the
+    control that shows the verifier can say "nonzero"."""
+
+    def __init__(self, conn: Connection, target: MatrixForm):
+        self.conn = conn
+        self.target = target
+        self.sigma = conn.sigma
+        self.identity = conn.identity
+
+    def nabla(self, a: MatrixForm) -> MatrixForm:
+        out = self.conn.nabla(a)
+        return out.scale(2) if a is self.target else out
+
+
+def _control_elements(conn: Connection, count: int) -> List[MatrixForm]:
+    """x_0 Id, x_1 Id, ...: nabla(x_j Id) = dx_j Id whatever theta is, so a
+    doubled block of these adds a defect that cannot vanish."""
+    return [MatrixForm.from_scalar(PolyScalar.coordinate(conn.chart, j), conn.m)
+            for j in range(count)]
 
 
 def _block_compositions(k: int) -> List[Tuple[int, ...]]:
@@ -262,9 +292,16 @@ def check_partition_counts(seed: int = 7, k_top: int = 10) -> CheckResult:
         total = psi(free, als).total
         agree = (agree and (total - _psi_by_enumeration(free, als)).is_zero()
                  and sorted(total.terms.values()) == [1] * expected[k])
-    return CheckResult("partition-counts", counts == expected and agree, {
-        "counts": counts, "expected": expected, "recursion_matches": agree,
-    })
+    # a control that must read nonzero: psi with its nabla(a_1) block
+    # doubled differs from the enumeration by dx_0 dx_1 Id
+    ctrl = _control_elements(conn, 2)
+    caught = not (psi(_PlantedDefect(conn, ctrl[0]), ctrl).total
+                  - _psi_by_enumeration(conn, ctrl)).is_zero()
+    details = {"counts": counts, "expected": expected, "recursion_matches": agree}
+    if not caught:
+        details["planted_defect_seen"] = False
+    return CheckResult("partition-counts", counts == expected and agree and caught,
+                       details)
 
 
 def check_chain_character(seed: int = 7, trials: int = 50) -> CheckResult:

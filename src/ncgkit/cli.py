@@ -215,6 +215,8 @@ def _reject_unused(command: str, unused) -> None:
 
 def _run_suite(command: str, args) -> int:
     seed = args.seed
+    if seed < 0:
+        raise SchemaViolation(f"--seed must be a nonnegative integer, got {seed}")
     params: Dict[str, object] = {}
     builtin = command == "dd-class" and args.scenario in DD_BUILTIN_EXPECTED
     if args.scenario and not builtin:

@@ -29,6 +29,8 @@ from .scalars import (
     JetScalar,
     PolyScalar,
     QQi,
+    packed_matrices,
+    sum_of_products,
 )
 
 IdxTuple = Tuple[int, ...]
@@ -81,6 +83,43 @@ def _jet_mat_mul(a, b, chart: Chart):
     return tuple(out)
 
 
+def _component_pairs(a, b):
+    """(I, A_I, J, B_J) for the component pairs of a graded product, in
+    product order: I and J disjoint and |I| + |J| within the chart."""
+    dim = a.chart.dim
+    for i_idx, x in a.comps.items():
+        i_set = set(i_idx)
+        for j_idx, y in b.comps.items():
+            if not i_set & set(j_idx) and len(i_idx) + len(j_idx) <= dim:
+                yield i_idx, x, j_idx, y
+
+
+def _exact_product(a, b) -> Dict[IdxTuple, tuple]:
+    """Components of the graded product of exact forms of one size m.
+
+    Entry (r, c) of component K is sum over I u J = K of
+    sign(I, J) sum_t A_I[r][t] B_J[t][c]: one ``scalars.sum_of_products``
+    with one group per component pair, in product order, so it equals
+    the fold of ``linalg.mat_mul``, ``mat_neg`` and ``mat_add``.
+    """
+    da, pa = a._numerators()
+    db, pb = b._numerators()
+    groups: Dict[IdxTuple, list] = {}
+    for i_idx, _, j_idx, _ in _component_pairs(a, b):
+        k = tuple(sorted(i_idx + j_idx))
+        groups.setdefault(k, []).append(
+            (merge_sign(i_idx, j_idx) < 0, pa[i_idx], pb[j_idx]))
+    chart, d, span = a.chart, da * db, range(a.m)
+    return {
+        k: tuple(tuple(
+            sum_of_products(chart, d, [
+                (negate, [(x[r][t], y[t][c]) for t in span if x[r][t] and y[t][c]])
+                for negate, x, y in pairs])
+            for c in span) for r in span)
+        for k, pairs in groups.items()
+    }
+
+
 def _zero_entry(chart: Chart, backend: str, nodes: Optional[int]):
     """The zero entry of a form; on jets one flagged zero to share."""
     if backend == "exact":
@@ -91,7 +130,7 @@ def _zero_entry(chart: Chart, backend: str, nodes: Optional[int]):
 class MatrixForm:
     """Mixed-degree matrix-valued differential form on a chart."""
 
-    __slots__ = ("chart", "m", "backend", "nodes", "comps", "_hash")
+    __slots__ = ("chart", "m", "backend", "nodes", "comps", "_hash", "_packed")
 
     def __init__(self, chart: Chart, m: int, comps: Dict[IdxTuple, tuple],
                  backend: str = "exact", nodes: Optional[int] = None):
@@ -112,6 +151,7 @@ class MatrixForm:
                 clean[idx] = mat
         self.comps = clean
         self._hash = None
+        self._packed = None
 
     # -- constructors ---------------------------------------------------
 
@@ -175,6 +215,15 @@ class MatrixForm:
 
     def _zero_scalar(self):
         return _zero_entry(self.chart, self.backend, self.nodes)
+
+    def _numerators(self):
+        """(d, {I: numerator matrix of A_I}) of an exact form, every entry
+        over the one denominator d (``scalars.packed_matrices``); kept, as
+        a form is not changed after it is built."""
+        if self._packed is None:
+            d, mats = packed_matrices(self.comps.values())
+            self._packed = (d, dict(zip(self.comps, mats)))
+        return self._packed
 
     def _check(self, other: "MatrixForm"):
         if self.chart != other.chart or self.backend != other.backend:
@@ -259,30 +308,25 @@ class MatrixForm:
         if self.m != other.m and 1 not in (self.m, other.m):
             raise ShapeMismatch(f"matrix sizes differ: {self.m} vs {other.m}")
         m_out = max(self.m, other.m)
+        if self.m == other.m and self.backend == "exact":
+            return MatrixForm(self.chart, m_out, _exact_product(self, other),
+                              self.backend, self.nodes)
         out: Dict[IdxTuple, tuple] = {}
-        for i_idx, a in self.comps.items():
-            i_set = set(i_idx)
-            for j_idx, b in other.comps.items():
-                if i_set & set(j_idx):
-                    continue
-                if len(i_idx) + len(j_idx) > self.chart.dim:
-                    continue
-                sign = merge_sign(i_idx, j_idx)
-                if self.m == other.m and self.backend == "jet":
-                    mat = _jet_mat_mul(a, b, self.chart)
-                elif self.m == other.m:
-                    mat = linalg.mat_mul(a, b)
-                elif self.m == 1:
-                    mat = linalg.mat_scale(a[0][0], b)
-                else:
-                    mat = linalg.mat_scale(b[0][0], a)
-                if sign < 0:
-                    mat = linalg.mat_neg(mat)
-                k = tuple(sorted(i_idx + j_idx))
-                if k in out:
-                    out[k] = linalg.mat_add(out[k], mat)
-                else:
-                    out[k] = mat
+        for i_idx, a, j_idx, b in _component_pairs(self, other):
+            sign = merge_sign(i_idx, j_idx)
+            if self.m == other.m:
+                mat = _jet_mat_mul(a, b, self.chart)
+            elif self.m == 1:
+                mat = linalg.mat_scale(a[0][0], b)
+            else:
+                mat = linalg.mat_scale(b[0][0], a)
+            if sign < 0:
+                mat = linalg.mat_neg(mat)
+            k = tuple(sorted(i_idx + j_idx))
+            if k in out:
+                out[k] = linalg.mat_add(out[k], mat)
+            else:
+                out[k] = mat
         return MatrixForm(self.chart, m_out, out, self.backend, self.nodes)
 
     def __rmul__(self, other):

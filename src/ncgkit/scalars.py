@@ -24,6 +24,7 @@ import numpy as np
 RationalLike = Union[int, Fraction]
 
 from functools import lru_cache
+from itertools import islice
 from math import gcd as _gcd, lcm as _lcm
 from struct import Struct
 
@@ -292,6 +293,150 @@ def _rescaled(terms: dict, f: int) -> dict:
     return {k: [a * f, b * f] for k, (a, b) in terms.items()}
 
 
+def _product_bound(bound1: int, bound2: int) -> int:
+    """The exponent bound of a product, which must fit a packed field."""
+    bound = bound1 + bound2
+    if bound >= _FIELD_LIMIT:
+        raise OverflowError(
+            f"product exponents may reach {bound}, which does not fit a "
+            f"packed monomial field (|e| < {_FIELD_LIMIT})")
+    return bound
+
+
+def _products_into(acc: dict, pairs, bias: int, negate: bool = False,
+                   zeros: Optional[list] = None) -> None:
+    """acc += (or -= when ``negate``) the products x*y of packed
+    (terms, bound) pairs, one monomial product at a time.
+
+    A new monomial is appended as a fresh [re, im] list and an existing one
+    is updated in place.  A running sum that reaches zero is dropped, which
+    is the order rule of one product (the monomial re-enters at the end if a
+    later product brings it back); when ``zeros`` is a list the zero stays
+    in place instead and its monomial is appended to ``zeros``.
+    """
+    get = acc.get
+    for (terms1, _), (terms2, _) in pairs:
+        items2 = terms2.items()
+        for k1, (a1, b1) in terms1.items():
+            k1 -= bias
+            if negate:
+                a1 = -a1
+                b1 = -b1
+            for k2, (a2, b2) in items2:
+                k = k1 + k2
+                s = get(k)
+                if s is None:
+                    acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                else:
+                    re = s[0] + a1 * a2 - b1 * b2
+                    im = s[1] + a1 * b2 + b1 * a2
+                    s[0] = re
+                    s[1] = im
+                    if not (re or im):
+                        if zeros is None:
+                            del acc[k]
+                        else:
+                            zeros.append(k)
+
+
+def _add_into(acc: dict, terms: dict) -> None:
+    """acc += terms with the order rule of a sum: a monomial already in
+    ``acc`` keeps its place, a new one is appended and one that cancels is
+    dropped.  ``terms`` must be fresh: its lists move into ``acc``."""
+    get = acc.get
+    for k, v in terms.items():
+        s = get(k)
+        if s is None:
+            acc[k] = v
+        else:
+            re = s[0] + v[0]
+            im = s[1] + v[1]
+            if re or im:
+                s[0] = re
+                s[1] = im
+            else:
+                del acc[k]
+
+
+def _group_into(entry: dict, pairs, bias: int, negate: bool) -> None:
+    """entry += ±(sum_t x_t*y_t), ordered as the fold ``entry + group``.
+
+    The products are summed straight into ``entry``, zeros kept in place.
+    That is the fold's order unless the running sum of a monomial new to
+    ``entry`` reaches zero: a monomial that was already there keeps its
+    place in the fold whatever the group does inside, so only its final
+    value counts.  (A new monomial whose running sum never reaches zero
+    sits where its first product put it in every sum and product the
+    group is folded from.)  In the one bad case the group is summed again
+    on its own, product by product if need be, and the monomials new to
+    ``entry`` are put in that order.  Monomials left at zero are dropped.
+    """
+    start = len(entry)
+    zeros: list = []
+    _products_into(entry, pairs, bias, negate, zeros)
+    if not zeros:
+        return
+    new = dict(islice(entry.items(), start, None))
+    if any(k in new for k in zeros):
+        group: dict = {}
+        again: list = []
+        _products_into(group, pairs, bias, negate, again)
+        if again:
+            group = {}
+            for pair in pairs:
+                product: dict = {}
+                _products_into(product, (pair,), bias, negate)
+                _add_into(group, product)
+        for k in new:
+            del entry[k]
+        for k in group:
+            if k in new:
+                entry[k] = new[k]
+    for k in zeros:
+        v = entry.get(k)
+        if v is not None and not (v[0] or v[1]):
+            del entry[k]
+
+
+def packed_matrices(mats):
+    """PolyScalar matrices as numerator matrices over one common denominator.
+
+    Returns (d, matrices) where entry [r][t] of each matrix is
+    (numerator terms over d, exponent bound), or None for a zero entry.
+    This is the factor format of ``sum_of_products``.
+    """
+    forms = [[[x._packed or x._pack() for x in row] for row in mat]
+             for mat in mats]
+    d = _lcm(*[e for mat in forms for row in mat for e, terms, _ in row if terms])
+    return d, [[[(_rescaled(terms, d // e), bound) if terms else None
+                  for e, terms, bound in row] for row in mat] for mat in forms]
+
+
+def sum_of_products(chart: Chart, d: int, groups) -> "PolyScalar":
+    """sum_g ±(sum_t x_gt*y_gt) as one PolyScalar, from ``packed_matrices``
+    factors whose denominators multiply to d.
+
+    ``groups`` yields (negate, pairs), pairs being the (x, y) factor pairs
+    of one group with both factors nonzero.  The result equals the fold of
+    the ring operations ``acc = acc + (±(x_0*y_0 + x_1*y_1 + ...))`` in
+    value, exponent bound and the key order of ``coeffs``.  All products
+    are summed in one dict (see ``_group_into``), no PolyScalar is built
+    per product, and the content is divided out once at the end.
+    """
+    bias = _packing(chart.dim)[0]
+    entry: dict = {}
+    bound = 0
+    for negate, pairs in groups:
+        for (_, b1), (_, b2) in pairs:
+            b = _product_bound(b1, b2)
+            if b > bound:
+                bound = b
+        _group_into(entry, pairs, bias, negate)
+    if not entry:
+        return PolyScalar._from_packed(chart, 1, {}, bound)
+    return PolyScalar._reduced(chart, d, entry, bound)
+
+
 class PolyScalar:
     """Polynomial / trigonometric-polynomial function on a chart.
 
@@ -357,7 +502,8 @@ class PolyScalar:
     def _reduced(cls, chart: Chart, d: int, terms: dict,
                  bound: int) -> "PolyScalar":
         """``_from_packed`` after dividing out the content of d and the
-        numerators, so that d is the lcm of the coefficient denominators."""
+        numerators, so that d is the lcm of the coefficient denominators.
+        ``terms`` must be fresh: its numerators are divided in place."""
         g = d
         for re, im in terms.values():
             g = _gcd(g, re, im)
@@ -365,7 +511,9 @@ class PolyScalar:
                 break
         if g > 1:
             d //= g
-            terms = {k: [re // g, im // g] for k, (re, im) in terms.items()}
+            for v in terms.values():
+                v[0] //= g
+                v[1] //= g
         return cls._from_packed(chart, d, terms, bound)
 
     @staticmethod
@@ -504,31 +652,11 @@ class PolyScalar:
             return PolyScalar._raw(self.chart, {})
         d1, terms1, bound1 = self._packed or self._pack()
         d2, terms2, bound2 = other._packed or other._pack()
-        bound = bound1 + bound2
-        if bound >= _FIELD_LIMIT:
-            raise OverflowError(
-                f"product exponents may reach {bound}, which does not fit a "
-                f"packed monomial field (|e| < {_FIELD_LIMIT})")
-        bias = _packing(self.chart.dim)[0]
+        bound = _product_bound(bound1, bound2)
         # Gaussian-integer numerators over the common denominator d1*d2.
         acc: dict = {}
-        get = acc.get
-        items2 = terms2.items()
-        for k1, (a1, b1) in terms1.items():
-            k1 -= bias
-            for k2, (a2, b2) in items2:
-                k = k1 + k2
-                s = get(k)
-                if s is None:
-                    acc[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                else:
-                    re = s[0] + a1 * a2 - b1 * b2
-                    im = s[1] + a1 * b2 + b1 * a2
-                    if re or im:
-                        s[0] = re
-                        s[1] = im
-                    else:
-                        del acc[k]
+        _products_into(acc, (((terms1, bound1), (terms2, bound2)),),
+                       _packing(self.chart.dim)[0])
         return PolyScalar._reduced(self.chart, d1 * d2, acc, bound)
 
     __rmul__ = __mul__

@@ -281,6 +281,18 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     assert "overall: fail" in out
 
 
+def test_verify_identities_fails_when_every_form_reads_zero(capsys, monkeypatch):
+    """A zero test that always says zero makes every identity pass; the
+    planted-defect controls of the exact checks must then fail the run."""
+    from ncgkit.forms import MatrixForm
+
+    monkeypatch.setattr(MatrixForm, "is_zero", lambda self: True)
+    code, out = run_cli(capsys, "verify-identities", "--trials", "1")
+    assert code == 1
+    assert out.count("planted_defect_seen: false") == 2
+    assert "overall: fail" in out
+
+
 def test_render_value_rationals():
     from fractions import Fraction
 
@@ -308,6 +320,17 @@ class TestRejectsBadInput:
         ("spectral", "--trials", "-3"),
         ("index", "--refine", "-1"),
         ("index", "--geometry", "sphere2", "--projection", "bott", "--refine", "-1"),
+        # a negative seed, on every subcommand that takes one
+        ("verify-identities", "--seed", "-1"),
+        ("dd-class", "--seed", "-3"),
+        ("dd-class", "--scenario", "pauli-triangle", "--seed", "-3"),
+        ("index", "--seed", "-1"),
+        ("index", "--geometry", "sphere2", "--projection", "bott", "--seed", "-1"),
+        ("chkr-compare", "--seed", "-1"),
+        ("spectral", "--seed", "-2", "--trials", "1"),
+        ("algebroid", "--seed", "-1"),
+        ("verify-identities", "--scenario", "scenarios/identities-smoke.json",
+         "--seed", "-1"),
     ])
     def test_out_of_range_flag_exit_2(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
@@ -316,6 +339,8 @@ class TestRejectsBadInput:
 
     @pytest.mark.parametrize("doc", [
         {"kind": "cech", "seed": True},
+        {"kind": "cech", "seed": -1},
+        {"kind": "spectral", "seed": -2, "params": {"trials": 1}},
         {"kind": "index", "seed": 7, "params": {"refine": "1"}},
         {"kind": "cech", "seed": 7, "params": {"rephasings": 0}},
         {"kind": "identities", "seed": 7, "params": {"trials": 2.5}},
@@ -332,7 +357,7 @@ class TestRejectsBadInput:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         command = {"cech": "dd-class", "index": "index", "chkr-compare": "chkr-compare",
-                   "identities": "verify-identities"}[doc["kind"]]
+                   "identities": "verify-identities", "spectral": "spectral"}[doc["kind"]]
         code, out = run_cli(capsys, command, "--scenario", str(path))
         assert code == 2
         assert out == ""

@@ -5,7 +5,8 @@ table ``perfbench/references.json``; this test never writes it.  The
 ``verify-identities`` and ``algebroid`` requests go through the PolyScalar
 product kernel and ``psi``; the ``dd-class`` requests through the Čech
 cocycle and the H^3 presentation; ``spectral`` through the exact QQi matrix
-product of the Morita lift; ``index`` through the sampled-jet path.  A change
+product of the Morita lift; ``index`` through the sampled-jet path; ``chkr-compare`` sums polynomial
+terms on a grid in the key order of ``coeffs``, so it locks that order.  A change
 that alters a verdict, a count or a number in a report fails here.  The
 ``index``, ``dd-class`` and ``spectral`` reports carry floats from numpy
 quadrature and eigensolvers, so their digests hold for the numpy and
@@ -32,6 +33,8 @@ REQUESTS = [
     "dd-class --scenario coboundary-s3",
     "index --geometry sphere2 --projection bott",
     "spectral --seed 697131",
+    # grid sums over coeffs in key order reach the printed floats here
+    "chkr-compare --seed 527780",
 ]
 
 # the geometry x projection pairs of the benchmark's jet grid; refine 0..2

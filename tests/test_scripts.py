@@ -38,3 +38,9 @@ def test_index_refinement_study_rejects_counts_below_one(argv):
     proc = run_script("scripts/index_refinement_study.py", *argv)
     assert proc.returncode == 2
     assert "must be at least 1" in proc.stderr
+
+
+def test_mutants_rejects_an_unknown_name():
+    proc = run_script("scripts/mutants.py", "no-such-mutant")
+    assert proc.returncode == 2
+    assert "unknown mutant no-such-mutant" in proc.stderr

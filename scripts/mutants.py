@@ -86,9 +86,36 @@ MUTANTS = {
     "group-sign-dropped": (
         "the second component pair of each component of a form product "
         "adds with sign +1",
-        [("src/ncgkit/forms.py", "(merge_sign(i_idx, j_idx) < 0, pa[i_idx]",
-          "(merge_sign(i_idx, j_idx) < 0 and len(groups[k]) != 1, pa[i_idx]")],
+        [("src/ncgkit/forms.py", "(merge_sign(i_idx, j_idx) < 0, x, y)",
+          "(merge_sign(i_idx, j_idx) < 0 and len(groups[k]) != 1, x, y)")],
         ["tests/test_form_product_kernel.py"],
+    ),
+    "no-form-content": (
+        "a form built from packed numerators keeps their content, so its "
+        "denominator is not the lcm of its coefficient denominators",
+        [("src/ncgkit/forms.py", "        g = content(d, entries)\n        if g > 1:\n",
+          "        g = content(d, entries)\n        if False:\n")],
+        ["tests/test_form_linear_kernel.py"],
+    ),
+    "periodic-diff-sign": (
+        "the packed derivative along a periodic coordinate multiplies by -i*e",
+        [("src/ncgkit/scalars.py", "out[k] = [-b * e, a * e]", "out[k] = [b * e, -a * e]")],
+        ["tests/test_form_linear_kernel.py"],
+    ),
+    "keep-cancelled-monomial": (
+        "a packed linear combination keeps a monomial whose sum cancels, "
+        "as a zero",
+        [("src/ncgkit/scalars.py",
+          "                else:\n                    del acc[k]\n    return acc\n",
+          "                else:\n                    acc[k] = [re, im]\n    return acc\n")],
+        ["tests/test_form_linear_kernel.py"],
+    ),
+    "zero-entry-bound-dropped": (
+        "a packed linear combination forgets the exponent bound of a zero "
+        "entry it sums",
+        [("src/ncgkit/forms.py", "                    elif zeros:\n",
+          "                    elif False:\n")],
+        ["tests/test_form_linear_kernel.py"],
     ),
 }
 

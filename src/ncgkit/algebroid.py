@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
 from .cyclic import Chain
-from .forms import Connection, MatrixForm
+from .forms import Connection, MatrixForm, add_partials
 from .scalars import PolyScalar, QQi, sum_of_products
 
 
@@ -95,13 +95,7 @@ class Derivation:
             return hit[1]
         if a.degrees() not in ([], [0]):
             raise ValueError("derivations act on degree-0 elements")
-        out = self._gamma * a - a * self._gamma
-        mat = a.component(())
-        for j, c in enumerate(self.vector):
-            if not c.is_zero():
-                d_mat = tuple(tuple(x.diff(j) for x in row) for row in mat)
-                dj = MatrixForm(a.chart, a.m, {(): d_mat}, a.backend, a.nodes)
-                out = out + dj.scale(c)
+        out = add_partials(self._gamma * a - a * self._gamma, a, self.vector)
         self._applied[id(a)] = (a, out)
         return out
 
@@ -267,10 +261,10 @@ def _trace_of_product(a: MatrixForm, b: MatrixForm) -> PolyScalar:
     da, pa = a._numerators()
     db, pb = b._numerators()
     pa, pb, span = pa[()], pb[()], range(a.m)
-    out = sum_of_products(a.chart, da * db, [
+    terms, bound = sum_of_products(a.chart, [
         (False, [(pa[i][t], pb[t][i]) for t in span if pa[i][t] and pb[t][i]])
         for i in span])
-    return zero if out.is_zero() else out
+    return PolyScalar._reduced(a.chart, da * db, terms, bound) if terms else zero
 
 
 def chain_cochain(ch: Chain) -> AlternatingForm:

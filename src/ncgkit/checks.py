@@ -383,18 +383,29 @@ def check_bianchi_trace(seed: int = 7, trials: int = 100) -> CheckResult:
         bianchi_ok = bianchi_ok and conn.nabla(conn.omega).is_zero()
         bianchi_ok = bianchi_ok and conn.nabla(conn.sigma).is_zero()
         a = random_algebra_element(chart, m, rng, poly_deg=deg)
-        trace_ok = trace_ok and (
-            conn.nabla(a).trace() - exterior_d(a.trace())
-        ).is_zero()
+        trace_ok = trace_ok and _trace_exchange_defect(conn, a).is_zero()
         square_ok = square_ok and (
             conn.nabla(conn.nabla(a)) - (conn.sigma * a - a * conn.sigma)
         ).is_zero()
         if not (bianchi_ok and trace_ok and square_ok):
             break
-    return CheckResult("bianchi-trace", bianchi_ok and trace_ok and square_ok, {
+    # a control that must read nonzero: with nabla(x_0 Id) doubled the
+    # trace exchange is off by m dx_0
+    (target,) = _control_elements(conn, 1)
+    caught = not _trace_exchange_defect(_PlantedDefect(conn, target), target).is_zero()
+    details = {
         "trials": trials, "lift_flat": bianchi_ok,
         "trace_exchange": trace_ok, "square_is_lift_action": square_ok,
-    })
+    }
+    if not caught:
+        details["planted_defect_seen"] = False
+    return CheckResult("bianchi-trace",
+                       bianchi_ok and trace_ok and square_ok and caught, details)
+
+
+def _trace_exchange_defect(conn, a: MatrixForm) -> MatrixForm:
+    """tr(nabla a) - d tr(a), zero for a connection."""
+    return conn.nabla(a).trace() - exterior_d(a.trace())
 
 
 def check_twisted_complex(seed: int = 7, trials: int = 100) -> CheckResult:
@@ -410,15 +421,25 @@ def check_twisted_complex(seed: int = 7, trials: int = 100) -> CheckResult:
         w = random_matrix_form(chart, 1, rng, trial % 2, poly_deg=1)
         square_ok = square_ok and twisted_d(c, twisted_d(c, w)).is_zero()
         beta = random_matrix_form(chart, 1, rng, 2, poly_deg=1)
-        c2 = c - exterior_d(beta)
-        lhs = twisted_d(c2, exp_beta_intertwiner(beta, w))
-        rhs = exp_beta_intertwiner(beta, twisted_d(c, w))
-        shift_ok = shift_ok and (lhs - rhs).is_zero()
+        shift_ok = shift_ok and _shift_defect(c, c - exterior_d(beta), beta, w).is_zero()
         if not (square_ok and shift_ok):
             break
-    return CheckResult("twisted-complex", square_ok and shift_ok, {
-        "trials": trials, "square_zero": square_ok, "intertwiner": shift_ok,
-    })
+    # a control that must read nonzero: the shift by beta = x_0 dx_1 dx_2
+    # of w = 1 with c2 = c instead of c - d beta is off by d beta
+    beta = MatrixForm.from_scalar(PolyScalar.coordinate(chart, 0), 1, (1, 2))
+    one = MatrixForm.identity(chart, 1)
+    caught = not _shift_defect(c, c, beta, one).is_zero()
+    details = {"trials": trials, "square_zero": square_ok, "intertwiner": shift_ok}
+    if not caught:
+        details["planted_defect_seen"] = False
+    return CheckResult("twisted-complex", square_ok and shift_ok and caught, details)
+
+
+def _shift_defect(c: MatrixForm, c2: MatrixForm, beta: MatrixForm,
+                  w: MatrixForm) -> MatrixForm:
+    """d_c2(w exp beta) - (d_c w) exp beta, zero when c = c2 + d beta."""
+    return (twisted_d(c2, exp_beta_intertwiner(beta, w))
+            - exp_beta_intertwiner(beta, twisted_d(c, w)))
 
 
 def check_lift_representative(seed: int = 7, trials: int = 25) -> CheckResult:

@@ -16,7 +16,7 @@ d o tr.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm as _lcm
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,12 +28,17 @@ from .scalars import (
     Chart,
     JetScalar,
     PolyScalar,
+    QQI_ONE,
     QQi,
+    content,
+    linear_sum,
+    packed_diff,
     packed_matrices,
     sum_of_products,
 )
 
 IdxTuple = Tuple[int, ...]
+QQI_MINUS_ONE = QQi(-1)
 
 
 class ShapeMismatch(ValueError):
@@ -83,41 +88,190 @@ def _jet_mat_mul(a, b, chart: Chart):
     return tuple(out)
 
 
-def _component_pairs(a, b):
-    """(I, A_I, J, B_J) for the component pairs of a graded product, in
-    product order: I and J disjoint and |I| + |J| within the chart."""
-    dim = a.chart.dim
-    for i_idx, x in a.comps.items():
+def _component_pairs(ca: dict, cb: dict, dim: int):
+    """(I, A_I, J, B_J) for the component pairs of a graded product of forms
+    with components ca and cb, in product order: I and J disjoint and
+    |I| + |J| within the chart."""
+    for i_idx, x in ca.items():
         i_set = set(i_idx)
-        for j_idx, y in b.comps.items():
+        for j_idx, y in cb.items():
             if not i_set & set(j_idx) and len(i_idx) + len(j_idx) <= dim:
                 yield i_idx, x, j_idx, y
 
 
-def _exact_product(a, b) -> Dict[IdxTuple, tuple]:
-    """Components of the graded product of exact forms of one size m.
+def _canonical(d: int, nums: dict, fresh: bool = False):
+    """(d, nums) for ``packed_matrices`` matrices nums over d, with the
+    content of all their numerators divided out, so that d is the lcm of the
+    coefficient denominators and equal forms have equal numerators: in place
+    when the numerator lists are ``fresh``, else into new ones."""
+    if d > 1:
+        entries = [x[0] for mat in nums.values() for row in mat for x in row
+                   if x is not None]
+        g = content(d, entries)
+        if g > 1:
+            d //= g
+            if fresh:
+                for terms in entries:
+                    for v in terms.values():
+                        v[0] //= g
+                        v[1] //= g
+            else:
+                nums = {k: tuple(tuple(
+                    None if x is None else
+                    ({key: [a // g, b // g] for key, (a, b) in x[0].items()}, x[1])
+                    for x in row) for row in mat) for k, mat in nums.items()}
+    return d, nums
 
-    Entry (r, c) of component K is sum over I u J = K of
-    sign(I, J) sum_t A_I[r][t] B_J[t][c]: one ``scalars.sum_of_products``
-    with one group per component pair, in product order, so it equals
-    the fold of ``linalg.mat_mul``, ``mat_neg`` and ``mat_add``.
+
+def _packed_form(chart: Chart, m: int, d: int, sums,
+                 fresh: bool = False) -> "MatrixForm":
+    """The exact form with the nonzero packed components sums[K] = (matrix,
+    zeros): a ``packed_matrices`` matrix with numerators over d, and the
+    bounds of its zero entries, {(r, c): bound} for those not 0.
+
+    The matrices, put in ``_canonical`` form, are kept as the form's
+    ``_numerators()``; the PolyScalar entries are built from them when
+    ``comps`` is first read.
+    """
+    nums = {k: mat for k, (mat, _) in sums.items()}
+    zeros = {k: z for k, (_, z) in sums.items() if z}
+    return MatrixForm._built(chart, m, None, "exact", None,
+                             _canonical(d, nums, fresh), zeros)
+
+
+def _exact_product(a, b) -> "MatrixForm":
+    """Graded product of exact forms, one of them 1 x 1 or both of size m.
+
+    Entry (r, c) of component K is sum over I u J = K of sign(I, J) times
+    sum_t A_I[r][t] B_J[t][c], or the scalar factor times the other entry:
+    one ``scalars.sum_of_products`` with one group per component pair, in
+    product order, so it equals the fold of ``linalg.mat_mul`` (or
+    ``mat_scale`` by the scalar, which stands left), ``mat_neg`` and
+    ``mat_add``.
     """
     da, pa = a._numerators()
     db, pb = b._numerators()
+    chart, m = a.chart, max(a.m, b.m)
+    if a.m == b.m:
+        if m > 1:
+            pb = {j: tuple(zip(*y)) for j, y in pb.items()}  # columns of B_J
+
+        def pairs(x, y, r, c):
+            return [(u, v) for u, v in zip(x[r], y[c]) if u and v]
+    elif a.m == 1:
+        def pairs(x, y, r, c):
+            return [(x[0][0], y[r][c])] if x[0][0] and y[r][c] else []
+    else:
+        def pairs(x, y, r, c):
+            return [(y[0][0], x[r][c])] if y[0][0] and x[r][c] else []
     groups: Dict[IdxTuple, list] = {}
-    for i_idx, _, j_idx, _ in _component_pairs(a, b):
+    for i_idx, x, j_idx, y in _component_pairs(pa, pb, chart.dim):
         k = tuple(sorted(i_idx + j_idx))
-        groups.setdefault(k, []).append(
-            (merge_sign(i_idx, j_idx) < 0, pa[i_idx], pb[j_idx]))
-    chart, d, span = a.chart, da * db, range(a.m)
-    return {
-        k: tuple(tuple(
-            sum_of_products(chart, d, [
-                (negate, [(x[r][t], y[t][c]) for t in span if x[r][t] and y[t][c]])
-                for negate, x, y in pairs])
-            for c in span) for r in span)
-        for k, pairs in groups.items()
-    }
+        groups.setdefault(k, []).append((merge_sign(i_idx, j_idx) < 0, x, y))
+    span = range(m)
+    sums = {}
+    for k, groups_k in groups.items():
+        mat, zeros = [], {}
+        for r in span:
+            row = []
+            for c in span:
+                terms, bound = sum_of_products(chart, [
+                    (negate, ps) for negate, x, y in groups_k if (ps := pairs(x, y, r, c))])
+                if terms:
+                    row.append((terms, bound))
+                else:
+                    row.append(None)
+                    if bound:
+                        zeros[r, c] = bound
+            mat.append(tuple(row))
+        if any(map(any, mat)):
+            sums[k] = (tuple(mat), zeros)
+    return _packed_form(chart, m, da * db, sums, fresh=True)
+
+
+def _parts(a: "MatrixForm", c: QQi = QQI_ONE):
+    """c * a as parts of ``_linear``: one per component."""
+    d, nums = a._numerators()
+    zeros = a._zeros
+    return [(k, c, d, mat, zeros.get(k)) for k, mat in nums.items()]
+
+
+def _linear(chart: Chart, m: int, parts) -> "MatrixForm":
+    """Sum of parts (K, c, d, matrix, zeros): c times a ``packed_matrices``
+    matrix over d, placed at component K, in the order given; zeros holds
+    the bounds of its zero entries that are not 0, or is None.
+
+    Each entry is folded part by part with the order rule of
+    ``PolyScalar.__add__`` (``scalars.linear_sum``), components appear in
+    the order of their first part, and an entry's bound is the largest
+    bound of the entries summed into it.
+    """
+    d = _lcm(*[c.d * dp for _, c, dp, _, _ in parts])
+    groups: Dict[IdxTuple, list] = {}
+    for k, c, dp, mat, zeros in parts:
+        f = d // (c.d * dp)
+        groups.setdefault(k, []).append((mat, zeros, c.a * f, c.b * f))
+    span = range(m)
+    sums = {}
+    for k, items in groups.items():
+        if len(items) == 1:
+            # one part: its entries scaled by a nonzero p + qi, so its zero
+            # entries and their bounds stay as they are
+            mat, zeros, p, q = items[0]
+            if any(map(any, mat)):
+                if p != 1 or q:
+                    mat = tuple(tuple(x and (linear_sum([(x[0], p, q)]), x[1]) for x in row)
+                                for row in mat)
+                sums[k] = (mat, zeros)
+            continue
+        out, out_zeros = [], {}
+        for r in span:
+            row = []
+            for c in span:
+                terms, bound = [], 0
+                for mat, zeros, p, q in items:
+                    x = mat[r][c]
+                    if x is not None:
+                        terms.append((x[0], p, q))
+                        b = x[1]
+                    elif zeros:
+                        b = zeros.get((r, c), 0)
+                    else:
+                        continue
+                    if b > bound:
+                        bound = b
+                if terms:
+                    terms = linear_sum(terms)
+                if terms:
+                    row.append((terms, bound))
+                else:
+                    row.append(None)
+                    if bound:
+                        out_zeros[r, c] = bound
+            out.append(tuple(row))
+        if any(map(any, out)):
+            sums[k] = (tuple(out), out_zeros)
+    return _packed_form(chart, m, d, sums)
+
+
+def _terms_of(mat):
+    """The numerator terms of a packed matrix, None for a zero entry."""
+    return [[x and x[0] for x in row] for row in mat]
+
+
+def _diff_numerators(chart: Chart, mat, j: int):
+    """The packed matrix of d/dx_j of a packed matrix, over its denominator."""
+    out = []
+    for row in mat:
+        orow = []
+        for x in row:
+            if x is not None:
+                x = packed_diff(chart, x[0], j)
+                if not x[0]:
+                    x = None
+            orow.append(x)
+        out.append(tuple(orow))
+    return tuple(out)
 
 
 def _zero_entry(chart: Chart, backend: str, nodes: Optional[int]):
@@ -130,7 +284,8 @@ def _zero_entry(chart: Chart, backend: str, nodes: Optional[int]):
 class MatrixForm:
     """Mixed-degree matrix-valued differential form on a chart."""
 
-    __slots__ = ("chart", "m", "backend", "nodes", "comps", "_hash", "_packed")
+    __slots__ = ("chart", "m", "backend", "nodes", "_comps", "_hash",
+                 "_packed", "_zeros")
 
     def __init__(self, chart: Chart, m: int, comps: Dict[IdxTuple, tuple],
                  backend: str = "exact", nodes: Optional[int] = None):
@@ -149,9 +304,52 @@ class MatrixForm:
                 raise ShapeMismatch("component matrix has wrong shape")
             if not linalg.mat_is_zero(mat):
                 clean[idx] = mat
-        self.comps = clean
+        self._comps = clean
         self._hash = None
         self._packed = None
+        self._zeros = None
+
+    @classmethod
+    def _built(cls, chart: Chart, m: int, comps: Optional[Dict[IdxTuple, tuple]],
+               backend: str, nodes: Optional[int], packed=None,
+               zeros=None) -> "MatrixForm":
+        """Internal constructor for the result of an operation, whose
+        components are well formed by construction: only zero components
+        are dropped.  An exact result comes with ``packed`` (its
+        ``_numerators()``) and ``zeros`` (the bounds of zero entries that
+        are not 0, by component), and comps None or the matching entries;
+        its components must all be nonzero."""
+        f = cls.__new__(cls)
+        f.chart = chart
+        f.m = m
+        f.backend = backend
+        f.nodes = nodes
+        if packed is None:
+            comps = {i: mat for i, mat in comps.items() if not linalg.mat_is_zero(mat)}
+        f._comps = comps
+        f._hash = None
+        f._packed = packed
+        f._zeros = zeros
+        return f
+
+    @property
+    def comps(self) -> Dict[IdxTuple, tuple]:
+        """Component index tuple -> m x m matrix of scalars; for a form
+        built from packed numerators, made on first read, each entry a
+        PolyScalar sharing its numerators."""
+        comps = self._comps
+        if comps is None:
+            chart = self.chart
+            d, nums = self._packed
+            comps = {}
+            for k, mat in nums.items():
+                zeros = self._zeros.get(k, {})
+                comps[k] = tuple(tuple(
+                    PolyScalar._from_packed(chart, d, x[0], x[1]) if x is not None
+                    else PolyScalar._from_packed(chart, 1, {}, zeros.get((r, c), 0))
+                    for c, x in enumerate(row)) for r, row in enumerate(mat))
+            self._comps = comps
+        return comps
 
     # -- constructors ---------------------------------------------------
 
@@ -218,12 +416,28 @@ class MatrixForm:
 
     def _numerators(self):
         """(d, {I: numerator matrix of A_I}) of an exact form, every entry
-        over the one denominator d (``scalars.packed_matrices``); kept, as
-        a form is not changed after it is built."""
+        over the one denominator d (``scalars.packed_matrices``), d the lcm
+        of the coefficient denominators (``_canonical``), so equal forms
+        have equal numerators.  An operation hands its result these
+        directly; otherwise they are packed on first use, together with
+        ``_zeros``.  They are kept, as a form is not changed after it is
+        built."""
         if self._packed is None:
-            d, mats = packed_matrices(self.comps.values())
-            self._packed = (d, dict(zip(self.comps, mats)))
+            comps = self._comps
+            d, mats = packed_matrices(comps.values())
+            self._packed = _canonical(d, dict(zip(comps, mats)))
+            self._zeros = {}
+            for k, mat in comps.items():
+                zeros = {(r, c): b for r, row in enumerate(mat)
+                         for c, x in enumerate(row)
+                         if x.is_zero() and (b := (x._packed or x._pack())[2])}
+                if zeros:
+                    self._zeros[k] = zeros
         return self._packed
+
+    def _keys(self):
+        """The component index tuples, in order, without building comps."""
+        return self._comps if self._comps is not None else self._packed[1]
 
     def _check(self, other: "MatrixForm"):
         if self.chart != other.chart or self.backend != other.backend:
@@ -232,14 +446,21 @@ class MatrixForm:
             raise ShapeMismatch("sample grids differ")
 
     def degrees(self) -> List[int]:
-        return sorted({len(i) for i in self.comps})
+        return sorted({len(i) for i in self._keys()})
 
     def degree_part(self, k: int) -> "MatrixForm":
-        comps = {i: m for i, m in self.comps.items() if len(i) == k}
-        return MatrixForm(self.chart, self.m, comps, self.backend, self.nodes)
+        keep = [i for i in self._keys() if len(i) == k]
+        comps = packed = None
+        if self._comps is not None:
+            comps = {i: self._comps[i] for i in keep}
+        if self._packed is not None:
+            d, nums = self._packed
+            packed = _canonical(d, {i: nums[i] for i in keep})
+        return MatrixForm._built(self.chart, self.m, comps, self.backend,
+                                 self.nodes, packed, self._zeros)
 
     def is_zero(self) -> bool:
-        return not self.comps
+        return not self._keys()
 
     def component(self, idx: IdxTuple):
         z = self._zero_scalar()
@@ -250,28 +471,14 @@ class MatrixForm:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            other = MatrixForm.const_matrix(
-                self.chart,
-                linalg.mat_scale(QQi.coerce(other), linalg.mat_eye(self.m, QQi(0), QQi(1))),
-                self.backend,
-                self.nodes,
-            )
-        self._check(other)
-        if self.m != other.m:
-            raise ShapeMismatch(f"matrix sizes differ: {self.m} vs {other.m}")
-        out = dict(self.comps)
-        for idx, mat in other.comps.items():
-            if idx in out:
-                out[idx] = linalg.mat_add(out[idx], mat)
-            else:
-                out[idx] = mat
-        return MatrixForm(self.chart, self.m, out, self.backend, self.nodes)
+        return self._plus(other, QQI_ONE)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MatrixForm(
+        if self.backend == "exact":
+            return _linear(self.chart, self.m, _parts(self, QQI_MINUS_ONE))
+        return MatrixForm._built(
             self.chart,
             self.m,
             {i: linalg.mat_neg(m) for i, m in self.comps.items()},
@@ -282,15 +489,46 @@ class MatrixForm:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
             return self + (-QQi.coerce(other))
-        return self + (-other)
+        return self._plus(other, QQI_MINUS_ONE)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _plus(self, other, sign: QQi) -> "MatrixForm":
+        """self + sign * other, sign being 1 or -1."""
+        if isinstance(other, (int, Fraction, QQi)):
+            other = MatrixForm.const_matrix(
+                self.chart,
+                linalg.mat_scale(QQi.coerce(other), linalg.mat_eye(self.m, QQi(0), QQi(1))),
+                self.backend,
+                self.nodes,
+            )
+        self._check(other)
+        if self.m != other.m:
+            raise ShapeMismatch(f"matrix sizes differ: {self.m} vs {other.m}")
+        if self.backend == "exact":
+            return _linear(self.chart, self.m, _parts(self) + _parts(other, sign))
+        if sign is QQI_MINUS_ONE:
+            other = -other
+        out = dict(self.comps)
+        for idx, mat in other.comps.items():
+            if idx in out:
+                out[idx] = linalg.mat_add(out[idx], mat)
+            else:
+                out[idx] = mat
+        return MatrixForm._built(self.chart, self.m, out, self.backend, self.nodes)
+
     def scale(self, c) -> "MatrixForm":
-        if self.backend == "jet" and isinstance(c, (QQi, Fraction)):
+        if self.backend == "exact":
+            if not self._keys():
+                return self
+            c = QQi.coerce(c)
+            if c.is_zero():
+                return MatrixForm._built(self.chart, self.m, {}, "exact", None, (1, {}), {})
+            return _linear(self.chart, self.m, _parts(self, c))
+        if isinstance(c, (QQi, Fraction)):
             c = complex(c)
-        return MatrixForm(
+        return MatrixForm._built(
             self.chart,
             self.m,
             {i: linalg.mat_scale(c, m) for i, m in self.comps.items()},
@@ -307,12 +545,12 @@ class MatrixForm:
         self._check(other)
         if self.m != other.m and 1 not in (self.m, other.m):
             raise ShapeMismatch(f"matrix sizes differ: {self.m} vs {other.m}")
+        if self.backend == "exact":
+            return _exact_product(self, other)
         m_out = max(self.m, other.m)
-        if self.m == other.m and self.backend == "exact":
-            return MatrixForm(self.chart, m_out, _exact_product(self, other),
-                              self.backend, self.nodes)
         out: Dict[IdxTuple, tuple] = {}
-        for i_idx, a, j_idx, b in _component_pairs(self, other):
+        for i_idx, a, j_idx, b in _component_pairs(self.comps, other.comps,
+                                                   self.chart.dim):
             sign = merge_sign(i_idx, j_idx)
             if self.m == other.m:
                 mat = _jet_mat_mul(a, b, self.chart)
@@ -327,7 +565,7 @@ class MatrixForm:
                 out[k] = linalg.mat_add(out[k], mat)
             else:
                 out[k] = mat
-        return MatrixForm(self.chart, m_out, out, self.backend, self.nodes)
+        return MatrixForm._built(self.chart, m_out, out, self.backend, self.nodes)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
@@ -337,6 +575,21 @@ class MatrixForm:
         return NotImplemented
 
     def trace(self) -> "MatrixForm":
+        if self.backend == "exact":
+            # the diagonal summed in order, as linalg.mat_trace folds it
+            d, nums = self._numerators()
+            span = range(self.m)
+            sums = {}
+            for idx, mat in nums.items():
+                zeros = self._zeros.get(idx, {})
+                diag = [mat[i][i] for i in span]
+                terms = [(x[0], 1, 0) for x in diag if x]
+                terms = linear_sum(terms) if terms else None
+                if terms:
+                    bound = max(zeros.get((i, i), 0) if x is None else x[1]
+                                for i, x in enumerate(diag))
+                    sums[idx] = ((((terms, bound),),), {})
+            return _packed_form(self.chart, 1, d, sums)
         out = {}
         for idx, mat in self.comps.items():
             out[idx] = ((linalg.mat_trace(mat),),)
@@ -408,19 +661,24 @@ class MatrixForm:
             return False
         if self.backend == "jet":
             return self.approx_eq(other, 0.0)
-        return set(self.comps) == set(other.comps) and all(
-            linalg.mat_eq(self.comps[i], other.comps[i]) for i in self.comps
-        )
+        # canonical numerators: equal values, equal denominator and terms
+        d, nums = self._numerators()
+        d2, nums2 = other._numerators()
+        return d == d2 and nums.keys() == nums2.keys() and all(
+            _terms_of(nums[i]) == _terms_of(nums2[i]) for i in nums)
 
     def __hash__(self):
         if self.backend != "exact":
             raise TypeError("numeric forms are not hashable")
         if self._hash is None:
+            d, nums = self._numerators()
             key = tuple(
-                (idx, tuple(tuple(x.key() for x in row) for row in mat))
-                for idx, mat in sorted(self.comps.items())
+                (idx, tuple(None if x is None else frozenset(
+                    (k, re, im) for k, (re, im) in x[0].items())
+                    for row in mat for x in row))
+                for idx, mat in sorted(nums.items())
             )
-            self._hash = hash((self.chart, self.m, key))
+            self._hash = hash((self.chart, self.m, d, key))
         return self._hash
 
     def max_abs(self) -> float:
@@ -445,22 +703,22 @@ class MatrixForm:
             return True
         if self.degrees() != [0]:
             return False
+        if self.backend == "exact":
+            # one denominator for all entries: equal entries, equal terms
+            terms = _terms_of(self._numerators()[1][()])
+            diag = terms[0][0]
+            return (diag is not None and self.comps[()][0][0].is_constant()
+                    and all(x == diag if i == j else x is None
+                            for i, row in enumerate(terms) for j, x in enumerate(row)))
         mat = self.comps[()]
         diag = mat[0][0]
-        if self.backend == "exact":
-            if not diag.is_constant():
-                return False
-        else:
-            v = diag.values
-            if v.size and float(np.max(np.abs(v - v.flat[0]))) > 1e-12:
-                return False
+        v = diag.values
+        if v.size and float(np.max(np.abs(v - v.flat[0]))) > 1e-12:
+            return False
         for i in range(self.m):
             for j in range(self.m):
                 off = mat[i][j] - diag if i == j else mat[i][j]
-                if self.backend == "exact":
-                    if not off.is_zero():
-                        return False
-                elif off.max_abs() > 1e-12:
+                if off.max_abs() > 1e-12:
                     return False
         return True
 
@@ -476,6 +734,16 @@ def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
 
 def exterior_d(a: MatrixForm) -> MatrixForm:
     """Exterior differential, entrywise on coefficients."""
+    if a.backend == "exact":
+        d, nums = a._numerators()
+        parts = []
+        for idx in nums:
+            for j in range(a.chart.dim):
+                if j not in idx:
+                    sign = QQI_MINUS_ONE if sum(1 for i in idx if i < j) % 2 else QQI_ONE
+                    parts.append((tuple(sorted(idx + (j,))), sign, d,
+                                  _diff_numerators(a.chart, nums[idx], j), None))
+        return _linear(a.chart, a.m, parts)
     out: Dict[IdxTuple, tuple] = {}
     for idx, mat in a.comps.items():
         for j in range(a.chart.dim):
@@ -490,7 +758,18 @@ def exterior_d(a: MatrixForm) -> MatrixForm:
                 out[k] = linalg.mat_add(out[k], d_mat)
             else:
                 out[k] = d_mat
-    return MatrixForm(a.chart, a.m, out, a.backend, a.nodes)
+    return MatrixForm._built(a.chart, a.m, out, a.backend, a.nodes)
+
+
+def add_partials(base: MatrixForm, a: MatrixForm, vector) -> MatrixForm:
+    """base + c_0 d_0 a + c_1 d_1 a + ... for exact forms, added term by
+    term in that order; a zero c_j adds nothing."""
+    d, nums = a._numerators()
+    parts = _parts(base)
+    for idx, mat in nums.items():
+        parts += [(idx, c, d, _diff_numerators(a.chart, mat, j), None)
+                  for j, c in enumerate(vector) if not c.is_zero()]
+    return _linear(a.chart, a.m, parts)
 
 
 class Connection:

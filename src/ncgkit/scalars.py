@@ -23,6 +23,8 @@ import numpy as np
 
 RationalLike = Union[int, Fraction]
 
+import sys
+from array import array
 from functools import lru_cache
 from itertools import islice
 from math import gcd as _gcd, lcm as _lcm
@@ -286,13 +288,6 @@ def _packing(dim: int):
     return int.from_bytes(b"\x00\x80" * dim, "little"), Struct(f"<{dim}h")
 
 
-def _rescaled(terms: dict, f: int) -> dict:
-    """Packed terms with every numerator times f; ``terms`` itself if f is 1."""
-    if f == 1:
-        return terms
-    return {k: [a * f, b * f] for k, (a, b) in terms.items()}
-
-
 def _product_bound(bound1: int, bound2: int) -> int:
     """The exponent bound of a product, which must fit a packed field."""
     bound = bound1 + bound2
@@ -339,25 +334,6 @@ def _products_into(acc: dict, pairs, bias: int, negate: bool = False,
                             zeros.append(k)
 
 
-def _add_into(acc: dict, terms: dict) -> None:
-    """acc += terms with the order rule of a sum: a monomial already in
-    ``acc`` keeps its place, a new one is appended and one that cancels is
-    dropped.  ``terms`` must be fresh: its lists move into ``acc``."""
-    get = acc.get
-    for k, v in terms.items():
-        s = get(k)
-        if s is None:
-            acc[k] = v
-        else:
-            re = s[0] + v[0]
-            im = s[1] + v[1]
-            if re or im:
-                s[0] = re
-                s[1] = im
-            else:
-                del acc[k]
-
-
 def _group_into(entry: dict, pairs, bias: int, negate: bool) -> None:
     """entry += ±(sum_t x_t*y_t), ordered as the fold ``entry + group``.
 
@@ -382,11 +358,12 @@ def _group_into(entry: dict, pairs, bias: int, negate: bool) -> None:
         again: list = []
         _products_into(group, pairs, bias, negate, again)
         if again:
-            group = {}
+            products = []
             for pair in pairs:
                 product: dict = {}
                 _products_into(product, (pair,), bias, negate)
-                _add_into(group, product)
+                products.append((product, 1, 0))
+            group = linear_sum(products)
         for k in new:
             del entry[k]
         for k in group:
@@ -408,20 +385,21 @@ def packed_matrices(mats):
     forms = [[[x._packed or x._pack() for x in row] for row in mat]
              for mat in mats]
     d = _lcm(*[e for mat in forms for row in mat for e, terms, _ in row if terms])
-    return d, [[[(_rescaled(terms, d // e), bound) if terms else None
+    return d, [[[(terms if e == d else _scaled(terms, d // e, 0), bound) if terms else None
                   for e, terms, bound in row] for row in mat] for mat in forms]
 
 
-def sum_of_products(chart: Chart, d: int, groups) -> "PolyScalar":
-    """sum_g ±(sum_t x_gt*y_gt) as one PolyScalar, from ``packed_matrices``
-    factors whose denominators multiply to d.
+def sum_of_products(chart: Chart, groups):
+    """sum_g ±(sum_t x_gt*y_gt) as packed (terms, exponent bound), from
+    ``packed_matrices`` factors; the numerators are over the product of the
+    factors' denominators, with the content not divided out.
 
     ``groups`` yields (negate, pairs), pairs being the (x, y) factor pairs
     of one group with both factors nonzero.  The result equals the fold of
     the ring operations ``acc = acc + (±(x_0*y_0 + x_1*y_1 + ...))`` in
     value, exponent bound and the key order of ``coeffs``.  All products
-    are summed in one dict (see ``_group_into``), no PolyScalar is built
-    per product, and the content is divided out once at the end.
+    are summed in one dict (see ``_group_into``) and no PolyScalar is built
+    per product.
     """
     bias = _packing(chart.dim)[0]
     entry: dict = {}
@@ -432,9 +410,93 @@ def sum_of_products(chart: Chart, d: int, groups) -> "PolyScalar":
             if b > bound:
                 bound = b
         _group_into(entry, pairs, bias, negate)
-    if not entry:
-        return PolyScalar._from_packed(chart, 1, {}, bound)
-    return PolyScalar._reduced(chart, d, entry, bound)
+    return entry, bound
+
+
+def linear_sum(parts) -> dict:
+    """sum_i (p_i + q_i i) * terms_i of packed numerators, folded in order
+    with the order rule of ``PolyScalar.__add__``: a monomial already in
+    the sum keeps its place, a new one is appended and one whose sum
+    cancels is dropped.  ``parts`` is a nonempty list of (terms, p, q).
+
+    As in ``PolyScalar.__add__``, a numerator list is never changed in
+    place, so the result may share lists, or with a single part of
+    multiplier 1 be, the dict it was given.
+    """
+    terms, p, q = parts[0]
+    if p == 1 and not q:
+        if len(parts) == 1:
+            return terms
+        acc = dict(terms)
+    else:
+        acc = _scaled(terms, p, q)
+    get = acc.get
+    for terms, p, q in islice(parts, 1, None):
+        if p != 1 or q:
+            terms = _scaled(terms, p, q)
+        for k, v in terms.items():
+            s = get(k)
+            if s is None:
+                acc[k] = v
+            else:
+                re = s[0] + v[0]
+                im = s[1] + v[1]
+                if re or im:
+                    acc[k] = [re, im]
+                else:
+                    del acc[k]
+    return acc
+
+
+def _scaled(terms: dict, p: int, q: int) -> dict:
+    """Packed numerators times p + q*i, as new lists in a new dict."""
+    if q:
+        return {k: [a * p - b * q, a * q + b * p] for k, (a, b) in terms.items()}
+    return {k: [a * p, b * p] for k, (a, b) in terms.items()}
+
+
+def content(d: int, entries) -> int:
+    """gcd of d and every numerator of the packed terms dicts ``entries``."""
+    g = d
+    for terms in entries:
+        for re, im in terms.values():
+            g = _gcd(g, re, im)
+            if g == 1:
+                return 1
+    return g
+
+
+def packed_diff(chart: Chart, terms: dict, j: int):
+    """d/dx_j of packed numerators, as (terms, exponent bound) over the same
+    denominator.
+
+    On an affine field the key moves down by one and the numerator is
+    multiplied by e; on a periodic field the key stays and the numerator is
+    multiplied by i*e.  Terms with e = 0 go.  Distinct keys stay distinct,
+    so nothing cancels and the terms keep their order.  The bound is the
+    largest |exponent| of the result, as a repacked derivative would have.
+    """
+    shift = 16 * j
+    out = {}
+    if chart.kinds[j] == AFFINE:
+        step = 1 << shift
+        for k, (a, b) in terms.items():
+            e = ((k >> shift) & 0xFFFF) - 0x8000
+            if e:
+                out[k - step] = [a * e, b * e]
+    else:
+        for k, (a, b) in terms.items():
+            e = ((k >> shift) & 0xFFFF) - 0x8000
+            if e:
+                out[k] = [-b * e, a * e]
+    if not out:
+        return out, 0
+    bias = _packing(chart.dim)[0]
+    n = 2 * chart.dim
+    fields = array("h", b"".join([(k ^ bias).to_bytes(n, "little") for k in out]))
+    if sys.byteorder != "little":
+        fields.byteswap()
+    return out, max(max(fields), -min(fields))
 
 
 class PolyScalar:
@@ -504,11 +566,7 @@ class PolyScalar:
         """``_from_packed`` after dividing out the content of d and the
         numerators, so that d is the lcm of the coefficient denominators.
         ``terms`` must be fresh: its numerators are divided in place."""
-        g = d
-        for re, im in terms.values():
-            g = _gcd(g, re, im)
-            if g == 1:
-                break
+        g = content(d, (terms,))
         if g > 1:
             d //= g
             for v in terms.values():
@@ -605,28 +663,14 @@ class PolyScalar:
         d1, terms1, bound1 = self._packed or self._pack()
         d2, terms2, bound2 = other._packed or other._pack()
         d = d1 if d2 == d1 else _lcm(d1, d2)
-        out = dict(terms1) if d == d1 else _rescaled(terms1, d // d1)
-        terms2 = _rescaled(terms2, d // d2)
-        get = out.get
-        for k, v in terms2.items():
-            s = get(k)
-            if s is None:
-                out[k] = v
-            else:
-                re = s[0] + v[0]
-                im = s[1] + v[1]
-                if re or im:
-                    out[k] = [re, im]
-                else:
-                    del out[k]
+        out = linear_sum([(terms1, d // d1, 0), (terms2, d // d2, 0)])
         return PolyScalar._from_packed(self.chart, d, out, max(bound1, bound2))
 
     __radd__ = __add__
 
     def __neg__(self):
         d, terms, bound = self._packed or self._pack()
-        return PolyScalar._from_packed(
-            self.chart, d, {k: [-a, -b] for k, (a, b) in terms.items()}, bound)
+        return PolyScalar._from_packed(self.chart, d, _scaled(terms, -1, 0), bound)
 
     def __sub__(self, other):
         if not isinstance(other, PolyScalar):
@@ -642,10 +686,7 @@ class PolyScalar:
             if c.is_zero():
                 return PolyScalar._raw(self.chart, {})
             d, terms, bound = self._packed or self._pack()
-            ca, cb = c.a, c.b
-            return PolyScalar._reduced(self.chart, d * c.d, {
-                k: [a * ca - b * cb, a * cb + b * ca] for k, (a, b) in terms.items()
-            }, bound)
+            return PolyScalar._reduced(self.chart, d * c.d, _scaled(terms, c.a, c.b), bound)
         if self.chart is not other.chart:
             self._check(other)
         if self.is_zero() or other.is_zero():
@@ -672,34 +713,14 @@ class PolyScalar:
     # -- calculus ------------------------------------------------------
 
     def diff(self, j: int) -> "PolyScalar":
-        """Partial derivative along coordinate j.
+        """Partial derivative along coordinate j (``packed_diff``).
 
         For a periodic coordinate this is d/dx_j acting on e^{i*k*x_j},
         which multiplies the monomial by i*k.
         """
-        kind = self.chart.kinds[j]
-        out: dict = {}
-        for mono, c in self.coeffs.items():
-            e = mono[j]
-            if kind == AFFINE:
-                if e == 0:
-                    continue
-                m = list(mono)
-                m[j] = e - 1
-                nc = c * e
-            else:
-                if e == 0:
-                    continue
-                m = list(mono)
-                nc = c * QQi(0, e)
-            m = tuple(m)
-            s = out.get(m)
-            s = nc if s is None else s + nc
-            if s.a == 0 and s.b == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return PolyScalar._raw(self.chart, out)
+        d, terms, _ = self._packed or self._pack()
+        terms, bound = packed_diff(self.chart, terms, j)
+        return PolyScalar._from_packed(self.chart, d, terms, bound)
 
     def conj(self) -> "PolyScalar":
         """Complex conjugate; affine coordinates are real, periodic exponents flip."""

@@ -289,8 +289,36 @@ def test_verify_identities_fails_when_every_form_reads_zero(capsys, monkeypatch)
     monkeypatch.setattr(MatrixForm, "is_zero", lambda self: True)
     code, out = run_cli(capsys, "verify-identities", "--trials", "1")
     assert code == 1
-    assert out.count("planted_defect_seen: false") == 2
+    assert out.count("planted_defect_seen: false") == 4
     assert "overall: fail" in out
+
+
+@pytest.mark.parametrize("m, dim", [(1, 2), (2, 3), (3, 4)])
+def test_planted_defects_of_the_linear_checks(m, dim):
+    """The controls of bianchi-trace and twisted-complex read the defect
+    they plant: m dx_0 for a doubled nabla(x_0 Id), and d beta for a shift
+    by beta = x_0 dx_1 dx_2 without the matching twist."""
+    import random
+
+    from ncgkit.checks import (_PlantedDefect, _control_elements, _shift_defect,
+                               _trace_exchange_defect)
+    from ncgkit.forms import MatrixForm, exterior_d
+    from ncgkit.randgen import random_connection, random_matrix_form
+    from ncgkit.scalars import Chart, PolyScalar
+
+    rng = random.Random(dim)
+    chart = Chart.affine(dim)
+    conn = random_connection(chart, m, rng, poly_deg=1)
+    (target,) = _control_elements(conn, 1)
+    assert _trace_exchange_defect(conn, target).is_zero()
+    dx0 = MatrixForm.from_scalar(PolyScalar.const(chart, m), 1, (0,))
+    assert _trace_exchange_defect(_PlantedDefect(conn, target), target) == dx0
+    if dim >= 3:
+        c = exterior_d(random_matrix_form(chart, 1, rng, 2, poly_deg=1))
+        beta = MatrixForm.from_scalar(PolyScalar.coordinate(chart, 0), 1, (1, 2))
+        one = MatrixForm.identity(chart, 1)
+        assert _shift_defect(c, c - exterior_d(beta), beta, one).is_zero()
+        assert _shift_defect(c, c, beta, one) == exterior_d(beta)
 
 
 def test_render_value_rationals():
@@ -345,6 +373,17 @@ class TestRejectsBadInput:
         {"kind": "cech", "seed": 7, "params": {"rephasings": 0}},
         {"kind": "identities", "seed": 7, "params": {"trials": 2.5}},
         {"kind": "index", "seed": 7, "params": {"dilation": "0.5"}},
+        # a dilation must be finite with |dilation| < 1
+        {"kind": "index", "seed": 7, "params": {
+            "geometry": "sphere2", "projection": "bott-dilated", "dilation": float("nan")}},
+        {"kind": "index", "seed": 7, "params": {
+            "geometry": "sphere2", "projection": "bott-dilated", "dilation": -3.0}},
+        {"kind": "index", "seed": 7, "params": {
+            "geometry": "sphere2", "projection": "bott", "dilation": float("inf")}},
+        {"kind": "index", "seed": 7, "params": {
+            "geometry": "sphere2", "projection": "bott-dilated", "dilation": 1.0}},
+        {"kind": "index", "seed": 7, "params": {
+            "geometry": "sphere2", "projection": "bott", "dilation": -1}},
         # parameters that no check of the command takes
         {"kind": "index", "seed": 7, "params": {"trials": 3}},
         {"kind": "index", "seed": 7, "params": {"geometry": "sphere2", "k_max": 2}},
@@ -361,6 +400,18 @@ class TestRejectsBadInput:
         code, out = run_cli(capsys, command, "--scenario", str(path))
         assert code == 2
         assert out == ""
+
+    def test_unresolved_dilation_fails_with_its_residual(self, tmp_path, capsys):
+        """A valid dilation that the grid cannot resolve is a failing
+        check that reports its residual, not an internal error."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"kind": "index", "seed": 7, "params": {
+            "geometry": "sphere2", "projection": "bott-dilated", "dilation": 0.99}}))
+        code, out = run_cli(capsys, "index", "--scenario", str(path))
+        assert code == 1
+        assert "  status: fail" in out
+        residual = float(out.split("chern_residual: ")[1].split()[0])
+        assert 1e-6 < residual < 1
 
     @pytest.mark.parametrize("argv", [
         ("index", "--trials", "3", "--refine", "0"),

@@ -45,6 +45,29 @@ MUTANTS = {
           "self._zero = not self.values.any()")],
         ["tests/test_jet_product.py", "tests/test_forms.py"],
     ),
+    "zero-sum-keeps-grads": (
+        "a jet sum with a zero that has no gradients keeps the other "
+        "operand's gradients",
+        [("src/ncgkit/scalars.py",
+          "        if zero.grads is None and self.grads is not None:\n",
+          "        if False:\n")],
+        ["tests/test_jet_product.py::test_sum_with_a_zero_matches_the_fold"],
+    ),
+    "dropped-grads-keep-zero-flag": (
+        "a jet copy with its gradients dropped keeps the operand's cached "
+        "zero flag, so a flat operand's copy still reads nonzero",
+        [("src/ncgkit/scalars.py", "        out._one = self._one\n",
+          "        out._one = self._one\n        out._zero = self._zero\n")],
+        ["tests/test_jet_product.py::test_dropped_gradients_share_values_and_find_their_zero",
+         "tests/test_jet_product.py::test_sum_with_a_zero_matches_the_fold"],
+    ),
+    "one-ignores-presence": (
+        "a jet times a structural one without gradients keeps its gradients",
+        [("src/ncgkit/scalars.py",
+          "        if one.grads is None and self.grads is not None:\n",
+          "        if False:\n")],
+        ["tests/test_jet_product.py::test_product_with_a_one_matches_the_fold"],
+    ),
     "module-level-nerve-cache": (
         "every nerve shares one cache of simplices and presentations",
         [("src/ncgkit/cech.py", "        self._cache: Dict[tuple, object] = {}\n",

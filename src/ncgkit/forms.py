@@ -57,8 +57,10 @@ def merge_sign(i_tuple: IdxTuple, j_tuple: IdxTuple) -> int:
 def _jet_mat_mul(a, b, chart: Chart):
     """``linalg.mat_mul`` for jet matrices, skipping products with a zero factor.
 
-    The nonzero terms are added in the same k order, so each entry equals
-    the full sum.  An entry keeps gradients only when every product in its
+    The nonzero terms are added in the same k order, and a product with a
+    structural one is the other factor, so each entry equals the full sum up
+    to the sign of a zero sample (the signed-zero contract of
+    ``JetScalar``).  An entry keeps gradients only when every product in its
     full sum had them, as the full sum would; an entry with no nonzero term
     is a shared zero.
     """
@@ -86,6 +88,17 @@ def _jet_mat_mul(a, b, chart: Chart):
             orow.append(acc)
         out.append(tuple(orow))
     return tuple(out)
+
+
+def _accumulate(out: dict, k: IdxTuple, mat, negative: bool) -> None:
+    """out[k] += mat, or -= mat when ``negative``, entrywise on jet
+    matrices: a difference is x - y, with no negated matrix built first."""
+    if k not in out:
+        out[k] = linalg.mat_neg(mat) if negative else mat
+    elif negative:
+        out[k] = linalg.mat_sub(out[k], mat)
+    else:
+        out[k] = linalg.mat_add(out[k], mat)
 
 
 def _component_pairs(ca: dict, cb: dict, dim: int):
@@ -508,14 +521,9 @@ class MatrixForm:
             raise ShapeMismatch(f"matrix sizes differ: {self.m} vs {other.m}")
         if self.backend == "exact":
             return _linear(self.chart, self.m, _parts(self) + _parts(other, sign))
-        if sign is QQI_MINUS_ONE:
-            other = -other
         out = dict(self.comps)
         for idx, mat in other.comps.items():
-            if idx in out:
-                out[idx] = linalg.mat_add(out[idx], mat)
-            else:
-                out[idx] = mat
+            _accumulate(out, idx, mat, sign is QQI_MINUS_ONE)
         return MatrixForm._built(self.chart, self.m, out, self.backend, self.nodes)
 
     def scale(self, c) -> "MatrixForm":
@@ -558,13 +566,7 @@ class MatrixForm:
                 mat = linalg.mat_scale(a[0][0], b)
             else:
                 mat = linalg.mat_scale(b[0][0], a)
-            if sign < 0:
-                mat = linalg.mat_neg(mat)
-            k = tuple(sorted(i_idx + j_idx))
-            if k in out:
-                out[k] = linalg.mat_add(out[k], mat)
-            else:
-                out[k] = mat
+            _accumulate(out, tuple(sorted(i_idx + j_idx)), mat, sign < 0)
         return MatrixForm._built(self.chart, m_out, out, self.backend, self.nodes)
 
     def __rmul__(self, other):
@@ -751,13 +753,7 @@ def exterior_d(a: MatrixForm) -> MatrixForm:
                 continue
             sign = -1 if sum(1 for i in idx if i < j) % 2 else 1
             d_mat = tuple(tuple(x.diff(j) for x in row) for row in mat)
-            if sign < 0:
-                d_mat = linalg.mat_neg(d_mat)
-            k = tuple(sorted(idx + (j,)))
-            if k in out:
-                out[k] = linalg.mat_add(out[k], d_mat)
-            else:
-                out[k] = d_mat
+            _accumulate(out, tuple(sorted(idx + (j,))), d_mat, sign < 0)
     return MatrixForm._built(a.chart, a.m, out, a.backend, a.nodes)
 
 
@@ -874,18 +870,24 @@ def twisted_d(c: MatrixForm, w: MatrixForm) -> MatrixForm:
 
 
 def exp_form(beta: MatrixForm) -> MatrixForm:
-    """exp(beta) as a finite sum; nilpotency in form degree truncates it."""
+    """exp(beta) as a finite sum; nilpotency in form degree truncates it.
+
+    The powers start at beta, not at identity * beta, and the k = 1 term is
+    added unscaled.  On jets, beta's samples then enter the sum as they are,
+    which is identity * beta up to the sign of a zero sample (the
+    signed-zero contract of ``JetScalar``), and the k = 1 term keeps beta's
+    own gradients where identity * beta would drop those of an entry in a
+    column with a gradient-free entry.
+    """
     out = MatrixForm.identity(beta.chart, beta.m, beta.backend, beta.nodes)
-    power = out
+    power = beta
     k = 1
-    while True:
-        power = power * beta
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction(1, factorial(k)))
+    while not power.is_zero():
+        out = out + (power if k == 1 else power.scale(Fraction(1, factorial(k))))
         k += 1
         if k > beta.chart.dim + 1:
             break
+        power = power * beta
     return out
 
 

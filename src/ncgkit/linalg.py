@@ -42,8 +42,11 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
+
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return mat_add(a, mat_neg(b))
+    return tuple(
+        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
 
 
 def mat_scale(c, a: Matrix) -> Matrix:

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from . import linalg
 from .forms import Connection, MatrixForm
-from .scalars import PERIODIC, Chart, PolyScalar, QQi
+from .scalars import PERIODIC, Chart, PolyScalar, QQi, _qqi
 
 EXACT_PHASES = [
     QQi(1),
@@ -30,10 +30,10 @@ EXACT_PHASES = [
 
 
 def random_qqi(rng: random.Random, span: int = 3) -> QQi:
-    return QQi(
-        Fraction(rng.randint(-span, span), rng.randint(1, 3)),
-        Fraction(rng.randint(-span, span), rng.randint(1, 3)),
-    )
+    """p/q + (r/s) i, drawn in the order p, q, r, s, as one reduced triple."""
+    p, q = rng.randint(-span, span), rng.randint(1, 3)
+    r, s = rng.randint(-span, span), rng.randint(1, 3)
+    return _qqi(p * s, r * q, q * s)
 
 
 def random_poly(chart: Chart, rng: random.Random, deg: int = 1,

@@ -802,15 +802,34 @@ class JetScalar:
     ``values`` has shape (n_nodes,); ``grads`` has shape (dim, n_nodes) or is
     None when no derivative data was supplied (after one differentiation,
     for instance).  Products propagate derivatives by the Leibniz rule;
-    nothing is ever differentiated numerically.
+    nothing is ever differentiated numerically.  A sum, difference or
+    product has gradients only when both operands have them (the presence
+    rule).
 
     Both arrays are read-only, so the answer of ``is_zero`` is computed once
-    and kept.  A zero is structural: ``JetScalar.zero`` makes one that is
-    flagged from the start, builders share one such zero across every zero
-    entry of a matrix, and negating or scaling a zero returns it unchanged.
+    and kept, and an operation may hand back an operand.  Zeros and ones
+    are structural:
+
+    * ``JetScalar.zero`` makes a zero that is flagged from the start, and
+      builders share one such zero across every zero entry of a matrix;
+    * ``JetScalar.const(..., 1)`` is flagged as a structural one;
+    * a sum or difference with a zero operand is the other operand (negated
+      for zero - y), a product with a one is the other factor, and negating
+      or scaling a zero by a finite number returns the zero;
+    * where the presence rule drops the other operand's gradients, the
+      result is a copy that shares its value array, keeps its one flag and
+      has its zero flag reset, as a flat operand (zero values, nonzero
+      gradients) is zero without its gradients.
+
+    Signed zeros: these shortcuts return an operand's samples unchanged, so
+    they equal IEEE arithmetic on the samples up to the sign of a zero part
+    (+0 + -0 is +0, and a complex product by 1 + 0j may flip the sign of a
+    zero part) and up to the NaN parts that a product with 0 or 1 + 0j
+    makes of an infinite sample.  Every other difference is x - y computed
+    directly, which IEEE defines as x + (-y).
     """
 
-    __slots__ = ("chart", "values", "grads", "_zero")
+    __slots__ = ("chart", "values", "grads", "_zero", "_one")
 
     def __init__(self, chart: Chart, values, grads=None):
         self.chart = chart
@@ -823,12 +842,16 @@ class JetScalar:
             grads.flags.writeable = False
         self.grads = grads
         self._zero = None
+        self._one = False
 
     @staticmethod
     def const(chart: Chart, c, n_nodes: int) -> "JetScalar":
-        v = np.full(n_nodes, complex(c), dtype=complex)
+        c = complex(c)
+        v = np.full(n_nodes, c, dtype=complex)
         g = np.zeros((chart.dim, n_nodes), dtype=complex)
-        return JetScalar(chart, v, g)
+        out = JetScalar(chart, v, g)
+        out._one = c == 1
+        return out
 
     @staticmethod
     def zero(chart: Chart, n_nodes: int, grads: bool = True) -> "JetScalar":
@@ -844,10 +867,34 @@ class JetScalar:
         if self.chart != other.chart or self.values.shape != other.values.shape:
             raise ValueError("jet grids are incompatible")
 
+    def _without_grads(self) -> "JetScalar":
+        """A copy with no gradients that shares the value array; it is a one
+        if this jet is, and a flat jet becomes zero, so its zero flag is
+        found again."""
+        out = JetScalar(self.chart, self.values, None)
+        out._one = self._one
+        return out
+
+    def _plus_zero(self, zero: "JetScalar") -> "JetScalar":
+        """self + zero under the presence rule."""
+        if zero.grads is None and self.grads is not None:
+            return zero if self.is_zero() else self._without_grads()
+        return self
+
+    def _times_one(self, one: "JetScalar") -> "JetScalar":
+        """self * one under the presence rule."""
+        if one.grads is None and self.grads is not None:
+            return self._without_grads()
+        return self
+
     def __add__(self, other):
         if not isinstance(other, JetScalar):
             other = JetScalar.const(self.chart, complex(other), len(self.values))
         self._check(other)
+        if other.is_zero():
+            return self._plus_zero(other)
+        if self.is_zero():
+            return other._plus_zero(self)
         g = None
         if self.grads is not None and other.grads is not None:
             g = self.grads + other.grads
@@ -866,7 +913,15 @@ class JetScalar:
     def __sub__(self, other):
         if not isinstance(other, JetScalar):
             other = JetScalar.const(self.chart, complex(other), len(self.values))
-        return self + (-other)
+        self._check(other)
+        if other.is_zero():
+            return self._plus_zero(other)
+        if self.is_zero():
+            return (-other)._plus_zero(self)
+        g = None
+        if self.grads is not None and other.grads is not None:
+            g = self.grads - other.grads
+        return JetScalar(self.chart, self.values - other.values, g)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -880,6 +935,10 @@ class JetScalar:
             g = None if self.grads is None else self.grads * c
             return JetScalar(self.chart, self.values * c, g)
         self._check(other)
+        if other._one:
+            return self._times_one(other)
+        if self._one:
+            return other._times_one(self)
         g = None
         if self.grads is not None and other.grads is not None:
             g = self.grads * other.values[None, :] + self.values[None, :] * other.grads

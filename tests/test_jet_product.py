@@ -1,10 +1,16 @@
-"""The zero-skipping product of jet matrices against ``linalg.mat_mul``.
+"""The structural jet arithmetic against a pure-numpy fold.
 
 ``forms._jet_mat_mul`` leaves out every product with a factor that is zero
-in value and gradient.  It must give the same values, the same gradients
-and the same presence of gradients as the full sum, entry by entry, and the
-index pipeline built on it must return the same floats.
+in value and gradient, and ``JetScalar`` hands back an operand for a sum
+or difference with a zero and a product with a one.  Each must give the
+same values, the same gradients and the same presence of gradients as the
+full fold over (values, grads) arrays, entry by entry, and the index
+pipeline built on it must return the same floats.  The fold is plain numpy,
+so it shares none of the shortcuts it checks.
 """
+
+from fractions import Fraction
+from math import factorial
 
 import hypothesis.strategies as st
 import numpy as np
@@ -31,6 +37,7 @@ KINDS = (
     "zero-no-grads",  # zero values, no gradients: skipped
     "flat",           # zero values, nonzero gradients: must not be skipped
     "shared-zero",    # one zero object in many places, as in a block matrix
+    "one",            # the structural one: a product with it is the other factor
 )
 
 
@@ -52,6 +59,8 @@ def _entry(kind, chart, rng, shared):
         return JetScalar(chart, np.zeros(NODES), None)
     if kind == "flat":
         return JetScalar(chart, np.zeros(NODES), _samples(rng, grads_shape))
+    if kind == "one":
+        return JetScalar.const(chart, 1, NODES)
     return shared
 
 
@@ -73,21 +82,84 @@ def jet_matrix_pairs(draw):
     return chart, matrix(), matrix()
 
 
+# -- the oracle: a numpy fold over (values, grads) pairs -------------------
+# A pair's grads are None when it has none; a sum, difference or product has
+# gradients only when both operands do (the presence rule).
+
+
+def _pair(x):
+    return x.values, x.grads
+
+
+def _add(a, b):
+    both = a[1] is not None and b[1] is not None
+    return a[0] + b[0], a[1] + b[1] if both else None
+
+
+def _sub(a, b):
+    both = a[1] is not None and b[1] is not None
+    return a[0] - b[0], a[1] - b[1] if both else None
+
+
+def _neg(a):
+    return -a[0], None if a[1] is None else -a[1]
+
+
+def _mul(a, b):
+    both = a[1] is not None and b[1] is not None
+    return a[0] * b[0], (a[1] * b[0][None, :] + a[0][None, :] * b[1]) if both else None
+
+
+def _fold_mat_mul(a, b):
+    """The full product of two matrices of pairs, every term in k order."""
+    out = []
+    for row in a:
+        orow = []
+        for col in zip(*b):
+            acc = None
+            for x, y in zip(row, col):
+                p = _mul(x, y)
+                acc = p if acc is None else _add(acc, p)
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def _pairs_of(mat):
+    return [[_pair(x) for x in row] for row in mat]
+
+
+def _fresh_is_zero(x):
+    return not x.values.any() and (x.grads is None or not x.grads.any())
+
+
+def _pair_is_zero(a):
+    return not a[0].any() and (a[1] is None or not a[1].any())
+
+
+def assert_same_jet(got, want):
+    """A jet against a fold pair; its cached zero test against a fresh scan."""
+    assert np.array_equal(got.values, want[0])
+    assert (got.grads is None) == (want[1] is None)
+    if want[1] is not None:
+        assert np.array_equal(got.grads, want[1])
+    assert got.is_zero() == _fresh_is_zero(got)
+
+
 def assert_same_matrix(got, want):
+    """A jet matrix against a matrix of jets or of fold pairs."""
     assert len(got) == len(want)
     for got_row, want_row in zip(got, want):
         assert len(got_row) == len(want_row)
         for g, w in zip(got_row, want_row):
-            assert np.array_equal(g.values, w.values)
-            assert (g.grads is None) == (w.grads is None)
-            if w.grads is not None:
-                assert np.array_equal(g.grads, w.grads)
+            assert_same_jet(g, w if isinstance(w, tuple) else _pair(w))
 
 
 @given(jet_matrix_pairs())
 def test_matches_full_product(pair):
     chart, a, b = pair
-    assert_same_matrix(_jet_mat_mul(a, b, chart), linalg.mat_mul(a, b))
+    assert_same_matrix(_jet_mat_mul(a, b, chart),
+                       _fold_mat_mul(_pairs_of(a), _pairs_of(b)))
 
 
 @given(jet_matrix_pairs())
@@ -96,9 +168,9 @@ def test_form_product_matches_full_product(pair):
     fa = MatrixForm(chart, len(a), {(): a}, "jet", NODES)
     fb = MatrixForm(chart, len(b), {(0,): b}, "jet", NODES)
     got = (fa * fb).comps.get((0,))
-    want = linalg.mat_mul(a, b)
+    want = _fold_mat_mul(_pairs_of(a), _pairs_of(b))
     if got is None:
-        assert linalg.mat_is_zero(want)
+        assert all(_pair_is_zero(w) for row in want for w in row)
     else:
         assert_same_matrix(got, want)
 
@@ -119,9 +191,12 @@ def test_values_only_zero_test_is_caught(monkeypatch):
     rng = np.random.default_rng(3)
     a = ((_entry("flat", chart, rng, None), _entry("dense", chart, rng, None)),) * 2
     b = ((_entry("dense", chart, rng, None),) * 2,) * 2
+    want = _fold_mat_mul(_pairs_of(a), _pairs_of(b))
     monkeypatch.setattr(JetScalar, "is_zero", lambda x: not x.values.any())
+    got = _jet_mat_mul(a, b, chart)
+    monkeypatch.undo()
     with pytest.raises(AssertionError):
-        assert_same_matrix(_jet_mat_mul(a, b, chart), linalg.mat_mul(a, b))
+        assert_same_matrix(got, want)
 
 
 def test_jet_forms_do_not_enter_mat_mul(monkeypatch):
@@ -137,26 +212,28 @@ def test_jet_forms_do_not_enter_mat_mul(monkeypatch):
 
 # -- structural zeros: one flagged shared zero against distinct dense zeros --
 
-SPEC_KINDS = ("dense", "no-grads", "zero", "zero-no-grads", "flat")
-
-
-def _fresh_is_zero(x):
-    return not x.values.any() and (x.grads is None or not x.grads.any())
+SPEC_KINDS = ("dense", "no-grads", "zero", "zero-no-grads", "flat", "one")
 
 
 def _build(chart, n, kinds, seed, shared):
     """One jet matrix from a spec; with ``shared`` every zero entry is one
-    of two flagged zeros, otherwise each is its own dense zero array."""
+    of two flagged zeros and every one entry one flagged one, otherwise each
+    is its own dense array of zeros or of ones."""
     rng = np.random.default_rng(seed)
     zeros = {"zero": JetScalar.zero(chart, NODES),
-             "zero-no-grads": JetScalar.zero(chart, NODES, grads=False)}
+             "zero-no-grads": JetScalar.zero(chart, NODES, grads=False),
+             "one": JetScalar.const(chart, 1, NODES)}
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             kind = kinds[i * n + j]
             entry = _entry(kind, chart, rng, None)
-            row.append(zeros[kind] if shared and kind in zeros else entry)
+            if shared and kind in zeros:
+                entry = zeros[kind]
+            elif kind == "one":
+                entry = JetScalar(chart, entry.values, entry.grads)  # unflagged
+            row.append(entry)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -217,15 +294,6 @@ def assert_entrywise(got, operands, op):
                 assert (x.grads is None) == (grads is None)
                 if grads is not None:
                     assert np.array_equal(x.grads, grads)
-
-
-def _neg(a):
-    return -a[0], None if a[1] is None else -a[1]
-
-
-def _add(a, b):
-    both = a[1] is not None and b[1] is not None
-    return a[0] + b[0], a[1] + b[1] if both else None
 
 
 @given(form_pairs())
@@ -343,3 +411,215 @@ def test_index_pipeline_unchanged(case, monkeypatch):
     fast = run()
     monkeypatch.setattr(forms, "_jet_mat_mul", lambda a, b, chart: linalg.mat_mul(a, b))
     assert fast == run()
+
+
+# -- structural zeros and ones in sums, differences and products -----------
+
+CHARTS = (Chart.affine(1), Chart.affine(2), Chart.torus(2))
+
+
+@st.composite
+def jet_operands(draw):
+    """(x, y, zero, one): x and y of the KINDS on one chart, a flagged zero
+    and a flagged one, each with or without gradients.  The one without
+    gradients is a zero without gradients plus a one: a copy that keeps the
+    one flag."""
+    chart = draw(st.sampled_from(CHARTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = JetScalar.const(chart, 0.0, NODES)
+    x = _entry(draw(st.sampled_from(KINDS)), chart, rng, shared)
+    y = _entry(draw(st.sampled_from(KINDS)), chart, rng, shared)
+    zero = JetScalar.zero(chart, NODES, grads=draw(st.booleans()))
+    one = JetScalar.const(chart, 1, NODES)
+    if draw(st.booleans()):
+        one = JetScalar.zero(chart, NODES, grads=False) + one
+    return x, y, zero, one
+
+
+@given(jet_operands())
+def test_sum_with_a_zero_matches_the_fold(operands):
+    x, _, zero, _ = operands
+    assert_same_jet(zero + x, _add(_pair(zero), _pair(x)))
+    assert_same_jet(x + zero, _add(_pair(x), _pair(zero)))
+
+
+@given(jet_operands())
+def test_difference_matches_the_fold(operands):
+    x, y, zero, _ = operands
+    assert_same_jet(x - y, _sub(_pair(x), _pair(y)))
+    assert_same_jet(zero - y, _sub(_pair(zero), _pair(y)))
+    assert_same_jet(y - zero, _sub(_pair(y), _pair(zero)))
+
+
+@given(jet_operands())
+def test_product_with_a_one_matches_the_fold(operands):
+    x, _, _, one = operands
+    assert_same_jet(x * one, _mul(_pair(x), _pair(one)))
+    assert_same_jet(one * x, _mul(_pair(one), _pair(x)))
+
+
+def test_zeros_and_ones_hand_back_an_operand():
+    chart = Chart.affine(2)
+    x = JetScalar(chart, [1.0, 2.0], [[1.0, 0.0], [0.0, 3.0]])
+    zero, one = JetScalar.zero(chart, 2), JetScalar.const(chart, 1, 2)
+    for got in (zero + x, x + zero, x - zero, x * one, one * x):
+        assert got is x
+    bare = JetScalar.zero(chart, 2, grads=False)
+    assert zero + bare is bare and bare + zero is bare
+    assert (bare + one)._one and (bare + one).grads is None
+
+
+def test_dropped_gradients_share_values_and_find_their_zero():
+    """zero (no gradients) + flat is the flat jet's zero values alone: a
+    copy sharing its array, which must not keep the flat jet's 'nonzero'."""
+    chart = Chart.affine(1)
+    flat = JetScalar(chart, np.zeros(2), [[0.0, 1.0]])
+    assert not flat.is_zero()
+    out = JetScalar.zero(chart, 2, grads=False) + flat
+    assert out.values is flat.values and out.grads is None
+    assert out.is_zero()
+
+
+def test_a_zero_sum_keeps_a_negative_zero_sample():
+    """The signed-zero contract: zero + x is x, so a -0 sample of x stays -0
+    where IEEE +0 + -0 gives +0; the two compare equal."""
+    chart = Chart.affine(1)
+    x = JetScalar(chart, [complex(-0.0, -0.0), 1.0], [[1.0, 1.0]])
+    out = JetScalar.zero(chart, 2) + x
+    assert np.signbit(out.values.real[0]) and np.signbit(out.values.imag[0])
+    assert np.array_equal(out.values, _add(_pair(JetScalar.zero(chart, 2)), _pair(x))[0])
+
+
+# -- forms against the fold: a missing component is a zero one, and a
+# component whose entries are all zero, in values and gradients, is dropped
+
+
+def _form_of_pairs(form):
+    return {idx: _pairs_of(mat) for idx, mat in form.comps.items()}
+
+
+def _dropping_zeros(comps):
+    return {idx: mat for idx, mat in comps.items()
+            if not all(_pair_is_zero(w) for row in mat for w in row)}
+
+
+def _entrywise(op, a, b):
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _fold_accumulate(out, k, mat, negative):
+    if k not in out:
+        out[k] = [[_neg(w) for w in row] for row in mat] if negative else mat
+    else:
+        out[k] = _entrywise(_sub if negative else _add, out[k], mat)
+
+
+def _fold_form_sum(a, b, negative=False):
+    out = dict(a)
+    for idx, mat in b.items():
+        _fold_accumulate(out, idx, mat, negative)
+    return _dropping_zeros(out)
+
+
+def _fold_form_product(a, b, dim):
+    """The graded product, component pairs in product order, each pair's
+    full matrix product added with its Koszul sign."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if set(i) & set(j) or len(i) + len(j) > dim:
+                continue
+            inversions = sum(1 for p in i for q in j if p > q)
+            _fold_accumulate(out, tuple(sorted(i + j)), _fold_mat_mul(x, y),
+                             inversions % 2 == 1)
+    return _dropping_zeros(out)
+
+
+def _fold_exp(beta, m, dim):
+    """I + beta + beta^2/2! + ..., the powers starting at beta, up to
+    degree dim + 1 or the first zero power."""
+    grads = np.zeros((dim, NODES), dtype=complex)
+    out = {(): [[(np.full(NODES, 1.0 if r == c else 0.0, dtype=complex), grads)
+                 for c in range(m)] for r in range(m)]}
+    power, k = beta, 1
+    while power:
+        c = complex(Fraction(1, factorial(k)))
+        term = power if k == 1 else {idx: [[(v * c, None if g is None else g * c)
+                                             for v, g in row] for row in mat]
+                                     for idx, mat in power.items()}
+        out = _fold_form_sum(out, term)
+        k += 1
+        if k > dim + 1:
+            break
+        power = _fold_form_product(power, beta, dim)
+    return out
+
+
+def assert_form_matches_fold(got, want):
+    for idx in set(got.comps) | set(want):
+        mat = got.comps.get(idx)
+        if mat is None:
+            assert all(_pair_is_zero(w) for row in want[idx] for w in row)
+        elif idx not in want:
+            assert all(_fresh_is_zero(x) for row in mat for x in row)
+        else:
+            assert_same_matrix(mat, want[idx])
+
+
+@st.composite
+def one_form_pairs(draw):
+    """Two jet 1-forms with components (0,) and (1,) on a 2-dim chart: their
+    product adds pairs of both merge signs into (0, 1)."""
+    chart = draw(st.sampled_from(CHARTS[1:]))
+    n = draw(st.integers(1, 3))
+
+    def form():
+        comps = {idx: _build(chart, n, draw(st.lists(st.sampled_from(SPEC_KINDS),
+                                                     min_size=n * n, max_size=n * n)),
+                             draw(st.integers(0, 2**32 - 1)), True)
+                 for idx in ((0,), (1,))}
+        return MatrixForm(chart, n, comps, "jet", NODES)
+
+    return form(), form()
+
+
+@given(form_pairs())
+def test_form_difference_matches_the_fold(pairs):
+    (fa, fb), _ = pairs
+    a, b = _form_of_pairs(fa), _form_of_pairs(fb)
+    assert_form_matches_fold(fa - fb, _fold_form_sum(a, b, negative=True))
+    assert_form_matches_fold(fb - fa, _fold_form_sum(b, a, negative=True))
+
+
+@given(form_pairs())
+def test_form_product_matches_the_fold(pairs):
+    (fa, fb), _ = pairs
+    dim = fa.chart.dim
+    a, b = _form_of_pairs(fa), _form_of_pairs(fb)
+    assert_form_matches_fold(fa * fb, _fold_form_product(a, b, dim))
+    assert_form_matches_fold(fb * fa, _fold_form_product(b, a, dim))
+
+
+@given(one_form_pairs())
+def test_one_form_product_matches_the_fold(pair):
+    fa, fb = pair
+    a, b = _form_of_pairs(fa), _form_of_pairs(fb)
+    assert_form_matches_fold(fa * fb, _fold_form_product(a, b, 2))
+    assert_form_matches_fold(fb * fa, _fold_form_product(b, a, 2))
+
+
+@given(form_pairs())
+def test_exp_form_matches_the_fold(pairs):
+    (fa, fb), _ = pairs
+    dim, m = fa.chart.dim, fa.m
+    for beta in (fa, fb.degree_part(1)):
+        assert_form_matches_fold(forms.exp_form(beta),
+                                 _fold_exp(_form_of_pairs(beta), m, dim))
+
+
+@given(one_form_pairs())
+def test_exp_form_of_a_two_form_matches_the_fold(pair):
+    fa, fb = pair
+    beta = fa * fb
+    assert_form_matches_fold(forms.exp_form(beta),
+                             _fold_exp(_form_of_pairs(beta), fa.m, 2))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from ncgkit.randgen import random_qqi
 from ncgkit.scalars import AFFINE, PERIODIC, Chart, JetScalar, PolyScalar, QQi
 
 rationals = st.fractions(
@@ -124,3 +126,16 @@ class TestJetScalar:
         c = JetScalar.const(chart, 1 + 2j, 5)
         assert np.all(c.conj().values == 1 - 2j)
         assert c.diff(0).is_zero()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+def test_random_qqi_matches_the_fraction_construction(seed, span):
+    """The integer-triple draw gives the canonical QQi of the two Fractions
+    it replaces, field by field, and leaves the generator in the same state."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        got = random_qqi(rng, span)
+        want = QQi(Fraction(ref.randint(-span, span), ref.randint(1, 3)),
+                   Fraction(ref.randint(-span, span), ref.randint(1, 3)))
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+    assert rng.getstate() == ref.getstate()

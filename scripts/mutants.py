@@ -68,6 +68,23 @@ MUTANTS = {
           "        if False:\n")],
         ["tests/test_jet_product.py::test_product_with_a_one_matches_the_fold"],
     ),
+    "kron-fill-keeps-grads": (
+        "the off-block entries of a (x) Id_k carry gradients when no entry of "
+        "a does, so the curvature term gains gradients its 8 x 8 product "
+        "would not have",
+        [("src/ncgkit/geom.py",
+          '    if a.backend == "jet" and all(x.grads is None for mat in a.comps.values()\n',
+          '    if False and all(x.grads is None for mat in a.comps.values()\n')],
+        ["tests/test_geom.py::test_twisting_curvature_matches_the_amplified_formula"],
+    ),
+    "trace-product-drops-merge-sign": (
+        "the diagonal of a jet trace of a product adds the component pairs "
+        "of odd merge sign with sign +1",
+        [("src/ncgkit/forms.py",
+          "(diagonal,),\n                    merge_sign(i_idx, j_idx) < 0)",
+          "(diagonal,),\n                    False)")],
+        ["tests/test_jet_product.py::test_trace_of_product_matches_the_trace"],
+    ),
     "module-level-nerve-cache": (
         "every nerve shares one cache of simplices and presentations",
         [("src/ncgkit/cech.py", "        self._cache: Dict[tuple, object] = {}\n",

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
 from .cyclic import Chain
-from .forms import Connection, MatrixForm, add_partials
-from .scalars import PolyScalar, QQi, sum_of_products
+from .forms import Connection, MatrixForm, add_partials, trace_of_product
+from .scalars import PolyScalar, QQi
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -241,30 +241,11 @@ def derivation_character(ch: Chain, xs: Sequence[Derivation]) -> PolyScalar:
                     if perm[:pos + 1] not in prefix:
                         prefix[perm[:pos + 1]] = (
                             prefix[perm[:pos]] * xs[perm[pos]].apply(t[pos + 1]))
-                val = _trace_of_product(prefix[perm[:-1]],
-                                        xs[perm[-1]].apply(t[k]))
+                val = form_scalar(trace_of_product(prefix[perm[:-1]],
+                                                   xs[perm[-1]].apply(t[k])))
             acc = acc + (val if sgn > 0 else -val)
         total = total + acc * (coef * Fraction(1, _factorial(k)))
     return total
-
-
-def _trace_of_product(a: MatrixForm, b: MatrixForm) -> PolyScalar:
-    """tr(a b) of degree-0 forms from the diagonal of the product only.
-
-    One ``scalars.sum_of_products`` with one group per diagonal entry, in
-    the order of ``linalg.mat_trace``, so the value (and the key order of
-    its coefficients) equals ``form_scalar((a * b).trace())``.
-    """
-    zero = PolyScalar.const(a.chart, 0)
-    if () not in a.comps or () not in b.comps:
-        return zero
-    da, pa = a._numerators()
-    db, pb = b._numerators()
-    pa, pb, span = pa[()], pb[()], range(a.m)
-    terms, bound = sum_of_products(a.chart, [
-        (False, [(pa[i][t], pb[t][i]) for t in span if pa[i][t] and pb[t][i]])
-        for i in span])
-    return PolyScalar._reduced(a.chart, da * db, terms, bound) if terms else zero
 
 
 def chain_cochain(ch: Chain) -> AlternatingForm:

@@ -54,6 +54,34 @@ def merge_sign(i_tuple: IdxTuple, j_tuple: IdxTuple) -> int:
     return -1 if inv % 2 else 1
 
 
+def _jet_factors(vectors):
+    """(positions of the nonzero entries, whether every entry has gradients)
+    for each row or column of jets."""
+    return [([k for k, x in enumerate(v) if not x.is_zero()],
+             all(x.grads is not None for x in v)) for v in vectors]
+
+
+def _jet_entry(row, terms, col, col_terms, keep_grads: bool, zeros):
+    """Entry sum_k row[k] col[k] of a jet matrix product over the k of
+    ``terms`` (in order) that are in ``col_terms``: the products with a zero
+    factor left out.  It has gradients only when ``keep_grads``, and with no
+    term it is ``zeros[keep_grads]``, of the pair (gradient-free zero, zero)."""
+    acc = None
+    for k in terms:
+        if k in col_terms:
+            p = row[k] * col[k]
+            acc = p if acc is None else acc + p
+    if acc is None:
+        return zeros[keep_grads]
+    if not keep_grads and acc.grads is not None:
+        return JetScalar(acc.chart, acc.values, None)
+    return acc
+
+
+def _jet_zeros(chart: Chart, n: int):
+    return JetScalar.zero(chart, n, grads=False), JetScalar.zero(chart, n)
+
+
 def _jet_mat_mul(a, b, chart: Chart):
     """``linalg.mat_mul`` for jet matrices, skipping products with a zero factor.
 
@@ -65,29 +93,12 @@ def _jet_mat_mul(a, b, chart: Chart):
     is a shared zero.
     """
     bt = list(zip(*b))
-    a_terms = [[k for k, x in enumerate(row) if not x.is_zero()] for row in a]
-    b_terms = [{k for k, y in enumerate(col) if not y.is_zero()} for col in bt]
-    a_grads = [all(x.grads is not None for x in row) for row in a]
-    b_grads = [all(y.grads is not None for y in col) for col in bt]
-    n = len(a[0][0].values)
-    zero_jet = (JetScalar.zero(chart, n, grads=False), JetScalar.zero(chart, n))
-    out = []
-    for row, terms, row_grads in zip(a, a_terms, a_grads):
-        orow = []
-        for col, col_terms, col_grads in zip(bt, b_terms, b_grads):
-            keep_grads = row_grads and col_grads
-            acc = None
-            for k in terms:
-                if k in col_terms:
-                    p = row[k] * col[k]
-                    acc = p if acc is None else acc + p
-            if acc is None:
-                acc = zero_jet[keep_grads]
-            elif not keep_grads and acc.grads is not None:
-                acc = JetScalar(chart, acc.values, None)
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
+    b_factors = [(set(terms), grads) for terms, grads in _jet_factors(bt)]
+    zeros = _jet_zeros(chart, len(a[0][0].values))
+    return tuple(
+        tuple(_jet_entry(row, terms, col, col_terms, row_grads and col_grads, zeros)
+              for col, (col_terms, col_grads) in zip(bt, b_factors))
+        for row, (terms, row_grads) in zip(a, _jet_factors(a)))
 
 
 def _accumulate(out: dict, k: IdxTuple, mat, negative: bool) -> None:
@@ -732,6 +743,53 @@ class MatrixForm:
 def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     """Graded product (A dx_I)(B dx_J) = (A B) dx_I^dx_J."""
     return a * b
+
+
+def trace_of_product(a: MatrixForm, b: MatrixForm) -> MatrixForm:
+    """tr(a b) of forms of one size, equal to ``(a * b).trace()``, from the
+    diagonal of the product only.
+
+    Exact forms must be of degree 0: one ``scalars.sum_of_products`` with
+    one group per diagonal entry, in the order of ``linalg.mat_trace``, so
+    the value and the key order of its coefficients are those of the trace.
+    Jet forms may be of any degree: each diagonal entry of a component
+    pair's product is the entry of ``_jet_mat_mul``, the pairs are added
+    with their merge signs as the product adds them, and each component's
+    diagonal is summed in ``linalg.mat_trace`` order, so every sample and
+    the presence of gradients are those of the trace.
+    """
+    a._check(b)
+    if a.m != b.m:
+        raise ShapeMismatch(f"matrix sizes differ: {a.m} vs {b.m}")
+    chart, span = a.chart, range(a.m)
+    out: Dict[IdxTuple, tuple] = {}
+    if a.backend == "exact":
+        if a.degrees() not in ([], [0]) or b.degrees() not in ([], [0]):
+            raise ValueError("the exact trace of a product takes degree-0 forms")
+        if a.is_zero() or b.is_zero():
+            return MatrixForm._built(chart, 1, out, "exact", None)
+        da, pa = a._numerators()
+        db, pb = b._numerators()
+        pa, pb = pa[()], pb[()]
+        terms, bound = sum_of_products(chart, [
+            (False, [(pa[i][t], pb[t][i]) for t in span if pa[i][t] and pb[t][i]])
+            for i in span])
+        if terms:
+            out[()] = ((PolyScalar._reduced(chart, da * db, terms, bound),),)
+        return MatrixForm._built(chart, 1, out, "exact", None)
+    zeros = _jet_zeros(chart, a.nodes)
+    diagonals: Dict[IdxTuple, tuple] = {}
+    for i_idx, x, j_idx, y in _component_pairs(a.comps, b.comps, chart.dim):
+        cols = list(zip(*y))
+        diagonal = tuple(
+            _jet_entry(row, terms, col, set(col_terms), row_grads and col_grads, zeros)
+            for row, (terms, row_grads), col, (col_terms, col_grads)
+            in zip(x, _jet_factors(x), cols, _jet_factors(cols)))
+        _accumulate(diagonals, tuple(sorted(i_idx + j_idx)), (diagonal,),
+                    merge_sign(i_idx, j_idx) < 0)
+    for k, (diagonal,) in diagonals.items():
+        out[k] = ((sum(diagonal[1:], diagonal[0]),),)  # linalg.mat_trace order
+    return MatrixForm(chart, 1, out, "jet", a.nodes)
 
 
 def exterior_d(a: MatrixForm) -> MatrixForm:

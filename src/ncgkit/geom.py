@@ -27,7 +27,7 @@ import numpy as np
 from . import clifford
 from .cyclic import Chain, Projection, chern_cyclic
 from .characters import rho
-from .forms import Connection, MatrixForm, exp_form, exterior_d
+from .forms import Connection, MatrixForm, exp_form, exterior_d, trace_of_product
 from .scalars import AFFINE, PERIODIC, Chart, JetScalar, QQi
 
 # per-2-form-degree normalization; the sign of i is pinned by requiring
@@ -331,8 +331,16 @@ def constant_projection(geom: Geometry, rank: int, size: int) -> MatrixForm:
 
 
 def kron_identity_right(a: MatrixForm, k: int) -> MatrixForm:
-    """a (x) Id_k: each scalar entry becomes a k-block multiple of identity."""
+    """a (x) Id_k: each scalar entry becomes a k-block multiple of identity.
+
+    The entries off the blocks are the form's zero; on jets they have no
+    gradients when no entry of ``a`` has any, as in a product of a with a
+    gradient-free factor.
+    """
     z = a._zero_scalar()
+    if a.backend == "jet" and all(x.grads is None for mat in a.comps.values()
+                                  for row in mat for x in row):
+        z = JetScalar.zero(a.chart, a.nodes, grads=False)
     out = {}
     m = a.m
     for idx, mat in a.comps.items():
@@ -349,13 +357,15 @@ def twisting_curvature(geom: Geometry, p_form: MatrixForm) -> Tuple[MatrixForm, 
     """T = p (dp)(dp) - p c_left(R) p on the module tensor exterior fiber.
 
     Returns (T, P4) with P4 the projection amplified over the fiber; on
-    flat geometries with constant p both terms vanish.
+    flat geometries with constant p both terms vanish.  The first term is
+    (p dp dp) (x) Id_4, by the mixed-product rule
+    (A (x) B)(C (x) D) = AC (x) BD, formed on the s x s matrices.
     """
     s = p_form.m
     p4 = kron_identity_right(p_form, 4)
-    dp4 = exterior_d(p4)
+    dp = exterior_d(p_form)
     cl = geom.clifford_curvature_form(s)
-    t_form = p4 * dp4 * dp4 - p4 * cl * p4
+    t_form = kron_identity_right(p_form * dp * dp, 4) - p4 * cl * p4
     return t_form, p4
 
 
@@ -369,7 +379,7 @@ def relative_chern(geom: Geometry, t_form: MatrixForm, p4: MatrixForm) -> Matrix
     """
     n = geom.half_dim
     ex = exp_form(-t_form)
-    traced = (p4 * ex).trace()
+    traced = trace_of_product(p4, ex)
     out = MatrixForm.zero(traced.chart, 1, traced.backend, traced.nodes)
     for k in traced.degrees():
         part = traced.degree_part(k)
@@ -382,7 +392,7 @@ def chern_number(geom: Geometry, p_form: MatrixForm,
                  residual_tol: float = 1e-6) -> Dict[str, object]:
     """(1/2 pi i) integral of tr(p dp dp), snapped to the nearest integer."""
     dp = exterior_d(p_form)
-    two_form = (p_form * dp * dp).trace()
+    two_form = trace_of_product(p_form * dp, dp)
     raw = geom.integrate_form(two_form, 2) / CHERN_UNIT
     snapped = round(raw.real)
     residual = abs(raw - snapped)

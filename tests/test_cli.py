@@ -173,6 +173,21 @@ def test_index_focus_flags(capsys):
     assert "residual_trend_nonincreasing: true" in out
 
 
+def test_index_focus_fails_on_a_rising_residual_trend(capsys, monkeypatch):
+    """Every residual under the 1e-4 gate, but rising with refinement: the
+    verdict must agree with the reported trend."""
+    from ncgkit import geom
+
+    residuals = iter([1e-7, 1e-6, 1e-5])
+    monkeypatch.setattr(geom, "local_index", lambda g, p, residual_tol: {
+        "raw": -2.0, "integer": -2, "residual": next(residuals)})
+    code, out = run_cli(capsys, "index", "--geometry", "torus2",
+                        "--projection", "constant", "--refine", "2")
+    assert code == 1
+    assert "residual_trend_nonincreasing: false" in out
+    assert "overall: fail" in out
+
+
 def test_explicit_refine_zero_wins_over_scenario(capsys):
     import pathlib
 

@@ -1,7 +1,7 @@
 """Differential tests of the packed sum-of-products kernel of exact forms.
 
 ``MatrixForm.__mul__`` on same-size exact forms and
-``algebroid._trace_of_product`` form each entry with
+``forms.trace_of_product`` form each entry with
 ``scalars.sum_of_products``.  The reference below is the ring-operation
 fold they replaced: ``linalg.mat_mul`` per component pair, ``mat_neg`` for
 an odd merge sign and ``mat_add`` into the component.  Results must agree in
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 
 from ncgkit import linalg
-from ncgkit.algebroid import _trace_of_product, form_scalar
+from ncgkit.algebroid import form_scalar
 from ncgkit.cli import main
-from ncgkit.forms import MatrixForm, merge_sign
+from ncgkit.forms import MatrixForm, merge_sign, trace_of_product
 from ncgkit.scalars import AFFINE, PERIODIC, Chart, PolyScalar, QQi
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -232,11 +232,18 @@ def test_trace_of_product_matches_the_fold(pair):
     a, b = pair
     a, b = a.degree_part(0), b.degree_part(0)
     if a.is_zero() or b.is_zero():
-        assert _trace_of_product(a, b).is_zero()
+        assert trace_of_product(a, b).is_zero()
         return
-    ours = _trace_of_product(a, b)
+    ours = form_scalar(trace_of_product(a, b))
     assert entry_facts(ours)[0] == entry_facts(reference_trace_of_product(a, b))[0]
     assert entry_facts(ours)[0] == entry_facts(form_scalar((a * b).trace()))[0]
+
+
+def test_exact_trace_of_product_takes_degree_zero_forms():
+    chart = Chart((AFFINE, PERIODIC))
+    x = PolyScalar.const(chart, 2)
+    with pytest.raises(ValueError):
+        trace_of_product(MatrixForm.from_scalar(x, 2), MatrixForm.from_scalar(x, 2, (0,)))
 
 
 # -- end to end ---------------------------------------------------------------

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from math import pi
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from ncgkit.cyclic import Chain
-from ncgkit.forms import MatrixForm
+from ncgkit.forms import MatrixForm, exterior_d
 from ncgkit.geom import (
     Geometry,
     QuadratureError,
@@ -237,6 +239,92 @@ class TestTwistingCurvature:
         lhs = relative_chern(g, tb, qb)
         rhs = relative_chern(g, t1, q1) + relative_chern(g, t2, q2)
         assert (lhs - rhs).max_abs() < 1e-12
+
+
+def curvature_8x8(geom: Geometry, p: MatrixForm) -> MatrixForm:
+    """T on the amplified projection: p4 dp4 dp4 - p4 c(R) p4, p4 = p (x) Id_4."""
+    p4 = kron_identity_right(p, 4)
+    dp4 = exterior_d(p4)
+    cl = geom.clifford_curvature_form(p.m)
+    return p4 * dp4 * dp4 - p4 * cl * p4
+
+
+GRADLESS_KINDS = ("no-grads", "zero-no-grads")
+
+
+def _random_jet(geom: Geometry, kind: str, rng, zeros):
+    n, dim = geom.n_nodes, geom.chart.dim
+    if kind in zeros:
+        return zeros[kind]
+    if kind == "one":
+        return JetScalar.const(geom.chart, 1, n)
+
+    def samples(shape):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x[rng.random(shape) < 0.3] = 0
+        return x
+
+    if kind == "no-grads":
+        return JetScalar(geom.chart, samples(n), None)
+    if kind == "flat":
+        return JetScalar(geom.chart, np.zeros(n), samples((dim, n)))
+    return JetScalar(geom.chart, samples(n), samples((dim, n)))
+
+
+@st.composite
+def curvature_inputs(draw):
+    """(geometry, p): a projection (bott with a dilation, constant of any
+    rank, zero) or a random s x s jet matrix with shared zeros, ones and,
+    in some draws, an entry without gradients; s = 1..3, small grids."""
+    kind = draw(st.sampled_from(("sphere2", "torus2")))
+    geom = (Geometry.sphere2(*draw(st.sampled_from(((3, 6), (4, 8)))))
+            if kind == "sphere2" else Geometry.torus2(draw(st.sampled_from((3, 4)))))
+    s = draw(st.integers(1, 3))
+    sources = ("constant", "zero", "random", "random")  # random: the most varied
+    source = draw(st.sampled_from(sources + ("bott",) * (kind == "sphere2")))
+    if source == "bott":
+        return geom, bott_projection(geom, draw(st.sampled_from((0.0, 0.5, -0.5, 0.9, -0.9))))
+    if source == "constant":
+        return geom, constant_projection(geom, draw(st.integers(0, s)), s)
+    if source == "zero":
+        return geom, MatrixForm.zero(geom.chart, s, "jet", geom.n_nodes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = {"zero": JetScalar.zero(geom.chart, geom.n_nodes),
+             "zero-no-grads": JetScalar.zero(geom.chart, geom.n_nodes, grads=False)}
+    kinds = draw(st.lists(st.sampled_from(("dense", "zero", "one", "flat")),
+                          min_size=s * s, max_size=s * s))
+    if draw(st.booleans()):
+        kinds[draw(st.integers(0, s * s - 1))] = draw(st.sampled_from(GRADLESS_KINDS))
+    rows = tuple(tuple(_random_jet(geom, kinds[i * s + j], rng, zeros) for j in range(s))
+                 for i in range(s))
+    return geom, MatrixForm(geom.chart, s, {(): rows}, "jet", geom.n_nodes)
+
+
+def _fresh_is_zero(x):
+    return not x.values.any() and (x.grads is None or not x.grads.any())
+
+
+@given(curvature_inputs())
+def test_twisting_curvature_matches_the_amplified_formula(inputs):
+    """Per entry: the sample bytes (signed zeros count), the presence of
+    gradients and the cached zero test against a fresh scan."""
+    geom, p = inputs
+    if any(x.grads is None for mat in p.comps.values() for row in mat for x in row):
+        for build in (lambda: twisting_curvature(geom, p), lambda: curvature_8x8(geom, p)):
+            with pytest.raises(ValueError):
+                build()
+        return
+    got, _ = twisting_curvature(geom, p)
+    want = curvature_8x8(geom, p)
+    assert list(got.comps) == list(want.comps)
+    for idx, mat in want.comps.items():
+        for got_row, want_row in zip(got.comps[idx], mat):
+            for x, y in zip(got_row, want_row):
+                assert x.values.tobytes() == y.values.tobytes()
+                assert (x.grads is None) == (y.grads is None)
+                if y.grads is not None:
+                    assert x.grads.tobytes() == y.grads.tobytes()
+                assert x.is_zero() == _fresh_is_zero(x) == y.is_zero()
 
 
 class TestLocalIndex:

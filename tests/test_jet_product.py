@@ -623,3 +623,44 @@ def test_exp_form_of_a_two_form_matches_the_fold(pair):
     beta = fa * fb
     assert_form_matches_fold(forms.exp_form(beta),
                              _fold_exp(_form_of_pairs(beta), fa.m, 2))
+
+
+# -- the trace of a product from its diagonal -------------------------------
+
+
+@st.composite
+def mixed_degree_pairs(draw):
+    """Two n x n jet forms (n = 1..4) of mixed degree: each has a random set
+    of the chart's components, with entries of the KINDS."""
+    chart = draw(st.sampled_from(CHARTS))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = JetScalar.const(chart, 0.0, NODES)
+    idxs = [()] + [(i,) for i in range(chart.dim)] + [(0, 1)] * (chart.dim == 2)
+
+    def form():
+        comps = {}
+        for idx in draw(st.lists(st.sampled_from(idxs), min_size=1, unique=True)):
+            kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n * n, max_size=n * n))
+            comps[idx] = tuple(tuple(_entry(kinds[i * n + j], chart, rng, shared)
+                                     for j in range(n)) for i in range(n))
+        return MatrixForm(chart, n, comps, "jet", NODES)
+
+    return form(), form()
+
+
+@given(mixed_degree_pairs())
+def test_trace_of_product_matches_the_trace(pair):
+    """Per component: the sample bytes (signed zeros count), the gradients
+    and their presence, and the cached zero test against a fresh scan."""
+    fa, fb = pair
+    for a, b in ((fa, fb), (fb, fa)):
+        got, want = forms.trace_of_product(a, b), (a * b).trace()
+        assert list(got.comps) == list(want.comps)
+        for idx, ((y,),) in want.comps.items():
+            ((x,),) = got.comps[idx]
+            assert x.values.tobytes() == y.values.tobytes()
+            assert (x.grads is None) == (y.grads is None)
+            if y.grads is not None:
+                assert x.grads.tobytes() == y.grads.tobytes()
+            assert x.is_zero() == _fresh_is_zero(x)

@@ -102,6 +102,18 @@ MUTANTS = {
           "                            pass\n")],
         ["tests/test_poly_kernel.py"],
     ),
+    "scalar-id-flag-shared": (
+        "the kept answer of the slot test is one class-level value shared by "
+        "every form, so the first form tested answers for all",
+        [("src/ncgkit/forms.py", '"_packed", "_zeros", "_scalar_id")\n',
+          '"_packed", "_zeros")\n    _scalar_id = None\n'),
+         ("src/ncgkit/forms.py", "        self._scalar_id = None\n", ""),
+         ("src/ncgkit/forms.py", "        f._scalar_id = None\n", ""),
+         ("src/ncgkit/forms.py", "            self._scalar_id = self._scalar_id_test()",
+          "            MatrixForm._scalar_id = self._scalar_id_test()")],
+        ["tests/test_jet_product.py::test_kept_scalar_id_equals_a_fresh_test",
+         "tests/test_cyclic.py::test_chern_cyclic_keeps_its_terms"],
+    ),
     "no-interior-quotient": (
         "interior slots of a cyclic chain are not taken modulo the identity",
         [("src/ncgkit/cyclic.py", "        if pos >= 1:\n", "        if False:\n")],

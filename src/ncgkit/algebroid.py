@@ -172,7 +172,7 @@ class AlternatingForm:
                 sgn = perm_sign(perm)
                 prod = PolyScalar.const(chart, 1)
                 for (b, b2), idx in zip(seeds, perm):
-                    prod = prod * form_scalar((b * xs[idx].apply(b2)).trace())
+                    prod = prod * form_scalar(trace_of_product(b, xs[idx].apply(b2)))
                 total = total + (prod if sgn > 0 else -prod)
             return total
 

@@ -12,6 +12,7 @@ Exit status: 0 all checks passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -59,6 +60,11 @@ def _at_least(low: int):
     return f"an integer >= {low}", lambda v: _is_int(v) and v >= low
 
 
+def _between(low: int, high: int):
+    return (f"an integer from {low} to {high}",
+            lambda v: _is_int(v) and low <= v <= high)
+
+
 # What each scenario or command-line parameter must be.  A count below its
 # lower bound would run no trials and report a vacuous pass, or fail inside
 # a check as an internal error.
@@ -66,7 +72,10 @@ PARAM_RULES = {
     "trials": _at_least(1),
     "k_max": _at_least(1),
     "k_top": _at_least(1),
-    "refine": _at_least(0),
+    # each level multiplies the grid side by 1.5 and the peak memory by
+    # about 2.2: an index run peaks at 540 MiB at refine 7 and would pass
+    # 1 GiB at 8
+    "refine": _between(0, 7),
     "resolution": _at_least(1),
     "rephasings": _at_least(1),
     "vectors": _at_least(1),
@@ -389,7 +398,10 @@ def _run_list_checks(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="ncgkit",
         description="verification suites for the twisted-index toolkit",

@@ -271,11 +271,10 @@ def chern_cyclic(p: Projection, m: int) -> Chain:
     """
     coef = QQi(Fraction((-1) ** m * factorial(2 * m), factorial(m)))
     s = p.blocks
-    blocks = [
-        [[p.block(i, j) for j in range(s)] for i in range(s)]
-        for _ in range(2 * m + 1)
-    ]
-    return Chain(2 * m, _partial_trace_tensor(blocks, s, coef))
+    # every slot takes the same block forms, so each is built and
+    # slot-tested once
+    blocks = [[p.block(i, j) for j in range(s)] for i in range(s)]
+    return Chain(2 * m, _partial_trace_tensor([blocks] * (2 * m + 1), s, coef))
 
 
 def chern_bB(p: Projection, m: int) -> Chain:
@@ -286,16 +285,10 @@ def chern_bB(p: Projection, m: int) -> Chain:
     half_id = MatrixForm.identity(
         probe.chart, p.base_m, probe.backend, probe.nodes
     ).scale(Fraction(1, 2))
-    first = [
-        [
-            p.block(i, j) - half_id if i == j else p.block(i, j)
-            for j in range(s)
-        ]
-        for i in range(s)
-    ]
-    rest = [[[p.block(i, j) for j in range(s)] for i in range(s)]
-            for _ in range(2 * m)]
-    return Chain(2 * m, _partial_trace_tensor([first] + rest, s, coef))
+    rest = [[p.block(i, j) for j in range(s)] for i in range(s)]
+    first = [[b - half_id if i == j else b for j, b in enumerate(row)]
+             for i, row in enumerate(rest)]
+    return Chain(2 * m, _partial_trace_tensor([first] + [rest] * (2 * m), s, coef))
 
 
 class BlockMap:

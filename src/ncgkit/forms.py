@@ -309,7 +309,7 @@ class MatrixForm:
     """Mixed-degree matrix-valued differential form on a chart."""
 
     __slots__ = ("chart", "m", "backend", "nodes", "_comps", "_hash",
-                 "_packed", "_zeros")
+                 "_packed", "_zeros", "_scalar_id")
 
     def __init__(self, chart: Chart, m: int, comps: Dict[IdxTuple, tuple],
                  backend: str = "exact", nodes: Optional[int] = None):
@@ -332,6 +332,7 @@ class MatrixForm:
         self._hash = None
         self._packed = None
         self._zeros = None
+        self._scalar_id = None
 
     @classmethod
     def _built(cls, chart: Chart, m: int, comps: Optional[Dict[IdxTuple, tuple]],
@@ -354,6 +355,7 @@ class MatrixForm:
         f._hash = None
         f._packed = packed
         f._zeros = zeros
+        f._scalar_id = None
         return f
 
     @property
@@ -711,7 +713,15 @@ class MatrixForm:
         return (self - other).max_abs() <= tol
 
     def is_scalar_multiple_of_identity(self) -> bool:
-        """Degree-0 test: equals lambda * Id for a constant lambda."""
+        """Degree-0 test: equals lambda * Id for a constant lambda.  The
+        answer is kept in ``_scalar_id``, as a form is not changed after it
+        is built."""
+        if self._scalar_id is None:
+            self._scalar_id = self._scalar_id_test()
+        return self._scalar_id
+
+    def _scalar_id_test(self) -> bool:
+        """The test of ``is_scalar_multiple_of_identity``, made afresh."""
         if self.is_zero():
             return True
         if self.degrees() != [0]:

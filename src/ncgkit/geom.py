@@ -19,6 +19,7 @@ on the sphere gives twice its first Chern number.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, pi
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,6 +39,17 @@ CHERN_UNIT = -2j * pi
 
 class QuadratureError(ValueError):
     pass
+
+
+@cache
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule, computed once
+    per process for each n and returned read-only, as every caller
+    shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 class Geometry:
@@ -77,7 +89,7 @@ class Geometry:
         Nodes stay away from the poles.  Exact for integrands of the form
         sin(theta) * poly(cos theta, e^{i phi}) within the rule's degree.
         """
-        u, wu = np.polynomial.legendre.leggauss(n_theta)
+        u, wu = _gauss_legendre(n_theta)
         theta_1d = np.arccos(u)
         phi_1d = 2 * pi * np.arange(n_phi) / n_phi
         t_grid, p_grid = np.meshgrid(theta_1d, phi_1d, indexing="ij")

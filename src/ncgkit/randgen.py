@@ -59,15 +59,13 @@ def random_matrix_form(chart: Chart, m: int, rng: random.Random,
     """Random homogeneous exact form of the given degree."""
     import itertools
 
-    out = MatrixForm.zero(chart, m)
-    idxs = list(itertools.combinations(range(chart.dim), degree))
-    for idx in idxs:
-        mat = tuple(
+    return MatrixForm(chart, m, {
+        idx: tuple(
             tuple(random_poly(chart, rng, poly_deg, terms) for _ in range(m))
             for _ in range(m)
         )
-        out = out + MatrixForm(chart, m, {idx: mat})
-    return out
+        for idx in itertools.combinations(range(chart.dim), degree)
+    })
 
 
 def random_algebra_element(chart: Chart, m: int, rng: random.Random,

@@ -416,6 +416,38 @@ class TestRejectsBadInput:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv,params", [
+        (("index", "--refine", "8"), None),
+        (("index", "--geometry", "sphere2", "--projection", "bott", "--refine", "8"), None),
+        (("index", "--geometry", "torus2", "--projection", "zero", "--refine", "10"), None),
+        (("index",), {"refine": 8}),
+        (("index",), {"geometry": "sphere2", "projection": "bott", "refine": 10}),
+        # a flag above the bound is rejected over a valid scenario value
+        (("index", "--refine", "8"), {"geometry": "torus2", "projection": "zero",
+                                      "refine": 1}),
+    ])
+    def test_refine_above_its_bound_exit_2(self, tmp_path, capsys, monkeypatch,
+                                           argv, params):
+        """Each refine level multiplies the grid side by 1.5; a level above
+        7 exits 2 before any grid is built.  Building one raises here, so a
+        missed check fails at once instead of allocating the grid."""
+        from ncgkit.geom import Geometry
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a quadrature grid was built")
+
+        monkeypatch.setattr(Geometry, "sphere2", staticmethod(no_grid))
+        monkeypatch.setattr(Geometry, "torus2", staticmethod(no_grid))
+        if params is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({"kind": "index", "seed": 7, "params": params}))
+            argv += ("--scenario", str(path))
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "refine must be an integer from 0 to 7" in captured.err
+
     def test_unresolved_dilation_fails_with_its_residual(self, tmp_path, capsys):
         """A valid dilation that the grid cannot resolve is a failing
         check that reports its residual, not an internal error."""
@@ -461,6 +493,10 @@ class TestRejectsBadInput:
         (("spectral", "--seed", "11"), None),
         (("dd-class", "--scenario", "pauli-triangle"), None),
         (("dd-class", "--scenario", "scenarios/cech-rephasings.json"), None),
+        # the largest refine level, by flag and by scenario
+        (("index", "--refine", "7"), None),
+        (("index", "--geometry", "sphere2", "--projection", "bott", "--refine", "7"), None),
+        (("index",), {"kind": "index", "seed": 7, "params": {"refine": 7}}),
     ])
     def test_benchmark_requests_accepted(self, tmp_path, capsys, monkeypatch,
                                          argv, scenario):
@@ -480,3 +516,31 @@ class TestRejectsBadInput:
             argv += ("--scenario", str(path))
         code, _ = run_cli(capsys, *argv)
         assert code == 0
+
+
+@pytest.mark.parametrize("sequence", [
+    [("dd-class", "--seed", "11", "--format", "json"), ("dd-class", "--seed", "11")],
+    [("index", "--geometry", "torus2", "--projection", "zero", "--refine", "2"),
+     ("index", "--geometry", "torus2", "--projection", "zero")],
+], ids=["format", "refine"])
+def test_in_process_calls_leak_no_parser_state(capsys, monkeypatch, sequence):
+    """``main`` reuses one parser per process; a flag of one call does not
+    carry over to the next, so each call prints the bytes and exit status
+    of the same request in a fresh interpreter."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    monkeypatch.delenv("NCGKIT_OUT", raising=False)
+    got = [run_cli(capsys, *argv) for argv in sequence]
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "NCGKIT_OUT"}
+    env["PYTHONPATH"] = str(root / "src")
+    for argv, (code, out) in zip(sequence, got):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from ncgkit.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv], cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert (code, out) == (proc.returncode, proc.stdout)
+    assert got[0][1] != got[1][1]

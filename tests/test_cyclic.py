@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, given
@@ -21,6 +23,7 @@ from ncgkit.cyclic import (
     tensor_is_zero,
 )
 from ncgkit.forms import MatrixForm
+from ncgkit.geom import Geometry, bott_projection, constant_projection, kron_identity_right
 from ncgkit.randgen import (
     random_algebra_element,
     random_exact_projection,
@@ -162,6 +165,61 @@ class TestTensorIsZeroMetamorphic:
         ch = Chain(k, [(random_qqi(rng), tuple(entries))])
         assume(not ch.is_zero())
         assert not tensor_is_zero(ch)
+
+
+def _chern_terms_by_definition(p, m):
+    """The terms of chern_cyclic(p, m) from its definition: the index
+    cycles of blocks built afresh for every slot, less those with a zero
+    slot or an interior slot that a fresh test finds to be a scalar
+    multiple of the identity; exact like tensors merged in first-seen
+    order."""
+    k = 2 * m
+    coef = QQi(Fraction((-1) ** m * factorial(k), factorial(m)))
+    exact = p.form.backend == "exact"
+    merged, terms = {}, []
+    for idx in itertools.product(range(p.blocks), repeat=k + 1):
+        tensor = tuple(p.block(idx[t], idx[(t + 1) % (k + 1)]) for t in range(k + 1))
+        if any(a.is_zero() for a in tensor) or any(
+                a._scalar_id_test() for a in tensor[1:]):
+            continue
+        if not exact:
+            terms.append((coef, tensor))
+        elif tensor in merged:
+            merged[tensor] = merged[tensor] + coef
+        else:
+            merged[tensor] = coef
+    if exact:
+        terms = [(c, t) for t, c in merged.items() if not c.is_zero()]
+    return terms
+
+
+def _chern_projections():
+    out = [Projection(random_exact_projection(T2, size, random.Random(seed)), size, 1)
+           for seed, size in ((7, 2), (8, 3))]
+    geom = Geometry.sphere2(4, 8)
+    for p_form in (bott_projection(geom), constant_projection(geom, 1, 2)):
+        # as pairing_index forms its chains: each entry a 4 x 4 block
+        out.append(Projection(kron_identity_right(p_form, 4), 2, 4, check=False))
+    return out
+
+
+@pytest.mark.parametrize("which,scalar_blocks", [
+    (0, False), (1, False), (2, False), (3, True)],
+    ids=["exact-2", "exact-3", "jet-bott", "jet-constant"])
+def test_chern_cyclic_keeps_its_terms(which, scalar_blocks):
+    """Sharing the block forms between slots and keeping the slot test on
+    each form drops no term of the Chern cycle and keeps none too many.
+    The blocks of a constant projection are all scalar, so its cycles of
+    degree 2 and 4 are empty."""
+    p = _chern_projections()[which]
+    for m in (0, 1, 2):
+        got = chern_cyclic(p, m).terms
+        want = _chern_terms_by_definition(p, m)
+        assert len(got) == len(want)
+        assert bool(got) == (m == 0 or not scalar_blocks)
+        for (c, tensor), (c_want, tensor_want) in zip(got, want):
+            assert c == c_want
+            assert all(a == b for a, b in zip(tensor, tensor_want))
 
 
 class TestChernCharacters:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from ncgkit.randgen import (
     random_algebra_element,
     random_connection,
     random_matrix_form,
+    random_poly,
 )
 from ncgkit.scalars import Chart, JetScalar, PolyScalar, QQi
 
@@ -319,6 +321,39 @@ def test_d_squared_under_random_data(seed, m, deg):
     rng = random.Random(seed)
     a = random_matrix_form(AFF3, m, rng, deg, poly_deg=2)
     assert exterior_d(exterior_d(a)).is_zero()
+
+
+def _random_matrix_form_by_folding(chart, m, rng, degree, poly_deg, terms):
+    """The form of ``random_matrix_form`` as a sum of one form per component."""
+    out = MatrixForm.zero(chart, m)
+    for idx in itertools.combinations(range(chart.dim), degree):
+        mat = tuple(tuple(random_poly(chart, rng, poly_deg, terms) for _ in range(m))
+                    for _ in range(m))
+        out = out + MatrixForm(chart, m, {idx: mat})
+    return out
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from((Chart.affine(2), AFF3, Chart.torus(2))),
+       st.integers(1, 3), st.integers(0, 3), st.integers(0, 2), st.integers(1, 3))
+def test_random_matrix_form_matches_the_fold(seed, chart, m, degree, poly_deg, terms):
+    """One constructor call gives the form that summing one form per
+    component gives: the same components in the same order, the same
+    coefficients in the same key order, the same exponent bounds of zero
+    entries, and the generator left in the same state."""
+    degree = min(degree, chart.dim)
+    rng, rng_fold = random.Random(seed), random.Random(seed)
+    got = random_matrix_form(chart, m, rng, degree, poly_deg, terms)
+    want = _random_matrix_form_by_folding(chart, m, rng_fold, degree, poly_deg, terms)
+    assert rng.getstate() == rng_fold.getstate()
+    assert got == want
+    assert list(got.comps) == list(want.comps)
+    for idx, mat in want.comps.items():
+        for row, want_row in zip(got.comps[idx], mat):
+            for x, y in zip(row, want_row):
+                assert list(x.coeffs.items()) == list(y.coeffs.items())
+                assert (x._packed or x._pack())[2] == (y._packed or y._pack())[2]
+    assert got._numerators()[0] == want._numerators()[0]
+    assert got._zeros == want._zeros
 
 
 def test_amplify_and_blocks():

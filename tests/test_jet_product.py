@@ -9,6 +9,7 @@ pipeline built on it must return the same floats.  The fold is plain numpy,
 so it shares none of the shortcuts it checks.
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -27,7 +28,8 @@ from ncgkit.geom import (
     local_index,
     pairing_index,
 )
-from ncgkit.scalars import Chart, JetScalar
+from ncgkit.randgen import random_matrix_form
+from ncgkit.scalars import Chart, JetScalar, PolyScalar, QQi
 
 NODES = 5
 KINDS = (
@@ -664,3 +666,51 @@ def test_trace_of_product_matches_the_trace(pair):
             if y.grads is not None:
                 assert x.grads.tobytes() == y.grads.tobytes()
             assert x.is_zero() == _fresh_is_zero(x)
+
+
+# -- the kept answer of the slot test ---------------------------------------
+
+
+@st.composite
+def scalar_id_cases(draw):
+    """Exact and jet forms whose slot test may go either way: a degree-0
+    form of random entries (jet entries of the KINDS), a multiple of the
+    identity, results of ring operations built from them (``_built``), the
+    identity (a multiple) and a form of degree 1 (not one)."""
+    chart = draw(st.sampled_from(CHARTS))
+    n = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        rng = random.Random(seed)
+        a = random_matrix_form(chart, n, rng, 0)
+        lam = draw(st.sampled_from((PolyScalar.const(chart, 0), PolyScalar.const(chart, 1),
+                                    PolyScalar.const(chart, QQi(2, -1)),
+                                    PolyScalar.coordinate(chart, 0))))
+        lam = MatrixForm.from_scalar(lam, n)
+        one = MatrixForm.identity(chart, n)
+        top = forms.exterior_d(a) + MatrixForm.from_scalar(PolyScalar.const(chart, 1), n, (0,))
+    else:
+        rng = np.random.default_rng(seed)
+        shared = JetScalar.const(chart, 0.0, NODES)
+        kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n * n, max_size=n * n))
+        mat = tuple(tuple(_entry(kinds[i * n + j], chart, rng, shared) for j in range(n))
+                    for i in range(n))
+        a = MatrixForm(chart, n, {(): mat}, "jet", NODES)
+        lam = MatrixForm.from_scalar(_entry(draw(st.sampled_from(KINDS)), chart, rng, shared), n)
+        one = MatrixForm.identity(chart, n, "jet", NODES)
+        top = MatrixForm(chart, n, {(0,): linalg.mat_eye(n, shared, JetScalar.const(chart, 1, NODES))},
+                         "jet", NODES)
+    built = [a * lam, lam * lam, a + lam, lam - lam, -lam, lam.scale(2), (a * lam).degree_part(0)]
+    return [a, lam, *built, one, top]
+
+
+@given(scalar_id_cases())
+def test_kept_scalar_id_equals_a_fresh_test(cases):
+    """``is_scalar_multiple_of_identity`` keeps its answer on each form: the
+    first and the second call both equal the test made afresh, form by
+    form, so an answer kept anywhere but on its own form shows."""
+    assert cases[-2]._scalar_id_test() and not cases[-1]._scalar_id_test()
+    for form in cases:
+        fresh = form._scalar_id_test()
+        assert form.is_scalar_multiple_of_identity() == fresh
+        assert form.is_scalar_multiple_of_identity() == fresh  # the kept answer

@@ -114,6 +114,15 @@ MUTANTS = {
         ["tests/test_jet_product.py::test_kept_scalar_id_equals_a_fresh_test",
          "tests/test_cyclic.py::test_chern_cyclic_keeps_its_terms"],
     ),
+    "unused-param-accepted": (
+        "the dispatcher runs a request with a parameter that none of its "
+        "checks takes",
+        [("src/ncgkit/cli.py",
+          "        if name not in takes:\n"
+          "            raise SchemaViolation(f\"{command} takes no parameter {name}\")\n",
+          "")],
+        ["tests/test_cli.py::TestRejectsBadInput"],
+    ),
     "no-interior-quotient": (
         "interior slots of a cyclic chain are not taken modulo the identity",
         [("src/ncgkit/cyclic.py", "        if pos >= 1:\n", "        if False:\n")],

@@ -12,8 +12,8 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Dict, List, Tuple
+from math import factorial, inf, isfinite
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -518,6 +518,51 @@ def check_cech_suite(seed: int = 7, rephasings: int = 50) -> CheckResult:
     return CheckResult("cech-suite", passed, details)
 
 
+# The expected answers of the built-in dd-class scenarios; the verdict of
+# a built-in run is that every listed fact has its expected value.
+DD_BUILTIN_EXPECTED = {
+    # the spin lifts: mu(0,1,2) = i, and the unit-determinant lift is
+    # exact with mu_n^2 = 1
+    "pauli-triangle": {"mu_first": QQi(0, 1), "normalized_exact": True,
+                       "normalized_mu_squared": QQi(1)},
+    # lifts h_i h_j^* times unit phases: the class is zero for every seed,
+    # and a witness w with d w = rank * delta exists
+    "coboundary-s3": {"class_zero": True, "torsion_witness": True},
+}
+
+
+def check_dd_class_builtin(scenario: str, seed: int = 7) -> CheckResult:
+    """Named transition data with its full cocycle and class output."""
+    details: Dict[str, object] = {"scenario": scenario}
+    if scenario == "pauli-triangle":
+        data = cech.pauli_triangle()
+    else:
+        data = _coboundary_type_data(random.Random(seed), cech.boundary_of_4_simplex())
+    pc = cech.phase_cocycle(data)
+    first = data.nerve.k_simplices(2)[0]
+    for tri in data.nerve.k_simplices(2)[:4]:
+        details[f"mu[{','.join(map(str, tri))}]"] = pc.mu[tri]
+    details["delta"] = pc.delta_vector()
+    details["delta_residual"] = pc.residual
+    facts: Dict[str, object] = {"mu_first": pc.mu[first]}
+    if data.nerve.k_simplices(3):
+        cls = cech.h3_class(pc.delta_vector(), data.nerve)
+        details["class_invariants"] = cls.invariants
+        details["class_coordinates"] = cls.coordinates
+        witness = cech.torsion_witness(pc, data.rank)
+        details["torsion_witness_found"] = witness is not None
+        facts["class_zero"] = cls.is_zero
+        facts["torsion_witness"] = cech.is_torsion_witness(pc, witness, data.rank)
+    normalized = cech.normalize_determinant(data)
+    pc_n = cech.phase_cocycle(normalized)
+    details["determinant_normalized_exact"] = normalized.exact
+    details["mu_normalized_first"] = pc_n.mu[first]
+    facts["normalized_exact"] = normalized.exact
+    facts["normalized_mu_squared"] = pc_n.mu[first] ** 2
+    passed = all(facts.get(k) == v for k, v in DD_BUILTIN_EXPECTED[scenario].items())
+    return CheckResult(f"dd-class:{scenario}", passed, details)
+
+
 # ---------------------------------------------------------------------------
 # derivation cochain suite
 
@@ -767,13 +812,9 @@ def check_index_suite(seed: int = 7, refine: int = 2) -> CheckResult:
     ladders = {"standard": 0.0, "dilated": 0.5}
     floor = 1e-10
     trend_ok = True
-    resolutions = [(4, 8)]
-    for _ in range(refine):
-        a, b = resolutions[-1]
-        resolutions.append((a + a // 2, b + b // 2))
     for name, dil in ladders.items():
         residuals = []
-        for res in resolutions:
+        for res in _ladder((4, 8), refine):
             g = Geometry.sphere2(*res)
             out = local_index(g, bott_projection(g, dil), residual_tol=1.0)
             residuals.append(out["residual"])
@@ -796,6 +837,65 @@ def check_index_suite(seed: int = 7, refine: int = 2) -> CheckResult:
         and trend_ok
     )
     return CheckResult("index-suite", passed, details)
+
+
+def _ladder(start: Tuple[int, int], refine: int) -> List[Tuple[int, int]]:
+    """The grid sides of a refinement ladder: each level multiplies both by 1.5."""
+    resolutions = [start]
+    for _ in range(refine):
+        a, b = resolutions[-1]
+        resolutions.append((a + a // 2, b + b // 2))
+    return resolutions
+
+
+# The projections of the focus run built by the conformal flow: they take
+# a dilation and live on the sphere.
+BOTT_PROJECTIONS = ("bott", "bott-dilated")
+
+
+def check_index_focus(geometry: str = "sphere2", projection: str = "bott",
+                      refine: int = 0, dilation: float = 0.0) -> CheckResult:
+    """One geometry and projection: raw value, snapped integer and residual
+    on every grid of the refinement ladder, and the residual trend."""
+    if geometry == "torus2" and projection in BOTT_PROJECTIONS:
+        raise SchemaViolation("the reference projection lives on the sphere")
+
+    def build(geom):
+        if projection == "bott":
+            return bott_projection(geom, dilation)
+        if projection == "bott-dilated":
+            return bott_projection(geom, dilation or 0.5)
+        if projection == "constant":
+            return constant_projection(geom, 1, 2)
+        return MatrixForm.zero(geom.chart, 2, "jet", geom.n_nodes)
+
+    details: Dict[str, object] = {"geometry": geometry, "projection": projection}
+    passed = True
+    residuals = []
+    base = None  # the geometry and projection of the first resolution
+    for res in _ladder((24, 48) if geometry == "sphere2" else (32, 32), refine):
+        geom = (Geometry.sphere2(*res) if geometry == "sphere2"
+                else Geometry.torus2(res[0]))
+        p_form = build(geom)
+        base = base or (geom, p_form)
+        # no tolerance here: a residual the grid cannot resolve fails the
+        # check below and is reported
+        out = local_index(geom, p_form, residual_tol=inf)
+        residuals.append(out["residual"])
+        tag = f"{res[0]}x{res[1]}"
+        details[f"raw_{tag}"] = out["raw"]
+        details[f"integer_{tag}"] = out["integer"]
+        details[f"residual_{tag}"] = out["residual"]
+        passed = passed and out["residual"] < 1e-4
+    trend = all(b <= max(a, 1e-10) for a, b in zip(residuals, residuals[1:]))
+    details["residual_trend_nonincreasing"] = trend
+    passed = passed and trend
+    if projection in BOTT_PROJECTIONS:
+        cn = chern_number(*base, residual_tol=inf)
+        details["chern_integer"] = cn["integer"]
+        details["chern_residual"] = cn["residual"]
+        passed = passed and cn["residual"] < 1e-6
+    return CheckResult("index-focus", passed, details)
 
 
 def check_pairing_consistency(seed: int = 7) -> CheckResult:
@@ -1023,6 +1123,10 @@ CHECKS: List[CheckSpec] = [
     CheckSpec("cech-suite", "cech",
               "phase cocycle, integer class, torsion witness, rephasing invariance",
               check_cech_suite),
+    CheckSpec("dd-class-builtin", "cech",
+              "named transition data (pauli-triangle, coboundary-s3): cocycle, "
+              "class and determinant lift against their expected answers",
+              check_dd_class_builtin),
     CheckSpec("derivation-suite", "algebroid",
               "cochain differential squares to zero; chain character intertwines "
               "the suspension and vanishes on commuting inner derivations",
@@ -1042,6 +1146,10 @@ CHECKS: List[CheckSpec] = [
     CheckSpec("pairing-consistency", "geom",
               "assembled cocycle pairing equals the index and is degree-stable",
               check_pairing_consistency),
+    CheckSpec("index-focus", "geom",
+              "one geometry and projection: index, residual and its trend under "
+              "refinement, Chern number of the reference projection",
+              check_index_focus),
     CheckSpec("character-comparison", "characters",
               "the two character maps agree at class level on the flat torus",
               check_character_comparison),
@@ -1054,9 +1162,76 @@ CHECKS: List[CheckSpec] = [
 CHECKS_BY_ID = {c.check_id: c for c in CHECKS}
 
 
-def check_params(check_id: str) -> Tuple[str, ...]:
-    """Names of the parameters a check takes."""
-    return tuple(inspect.signature(CHECKS_BY_ID[check_id].runner).parameters)
+class SchemaViolation(ValueError):
+    pass
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+class Rule(NamedTuple):
+    """What a parameter must be, in words and as a test; a parameter with a
+    fixed set of values lists them, and the command line offers those."""
+    what: str
+    ok: Callable[[object], bool]
+    choices: Tuple[str, ...] = ()
+
+
+def _at_least(low: int) -> Rule:
+    return Rule(f"an integer >= {low}", lambda v: _is_int(v) and v >= low)
+
+
+def _between(low: int, high: int) -> Rule:
+    return Rule(f"an integer from {low} to {high}",
+                lambda v: _is_int(v) and low <= v <= high)
+
+
+def _one_of(*values: str) -> Rule:
+    return Rule(f"one of {', '.join(values)}", lambda v: v in values, values)
+
+
+# What each parameter of a check must be, by name, whether it comes from a
+# scenario or from the command line.  A count below its lower bound would
+# run no trials and report a vacuous pass, or fail inside a check as an
+# internal error.
+PARAM_RULES = {
+    "trials": _at_least(1),
+    "k_max": _at_least(1),
+    "k_top": _at_least(1),
+    # each level multiplies the grid side by 1.5 and the peak memory by
+    # about 2.2: an index run peaks at 540 MiB at refine 7 and would pass
+    # 1 GiB at 8
+    "refine": _between(0, 7),
+    "resolution": _at_least(1),
+    "rephasings": _at_least(1),
+    "vectors": _at_least(1),
+    "n_max": _at_least(1),
+    "times": Rule("a list of numbers",
+                  lambda v: isinstance(v, list) and all(map(_is_real, v))),
+    "geometry": _one_of("sphere2", "torus2"),
+    "projection": _one_of("bott", "constant", "zero", "bott-dilated"),
+    # |dilation| >= 1 degenerates the conformal flow: p is no projection
+    "dilation": Rule("a finite number with |dilation| < 1",
+                     lambda v: _is_real(v) and isfinite(v) and abs(v) < 1),
+    "scenario": _one_of(*DD_BUILTIN_EXPECTED),
+}
+
+
+def validate_param(name: str, value) -> None:
+    if not PARAM_RULES[name].ok(value):
+        raise SchemaViolation(
+            f"parameter {name} must be {PARAM_RULES[name].what}, got {value!r}")
+
+
+def check_params(check_id: str) -> Dict[str, object]:
+    """The parameters a check takes, each with its default."""
+    return {name: p.default for name, p in
+            inspect.signature(CHECKS_BY_ID[check_id].runner).parameters.items()}
 
 
 def run_check(check_id: str, **params) -> CheckResult:

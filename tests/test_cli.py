@@ -1,7 +1,10 @@
+import argparse
+import functools
 import json
 
 import pytest
 
+from ncgkit.checks import CheckResult
 from ncgkit.cli import (
     SchemaViolation,
     build_parser,
@@ -39,6 +42,38 @@ def test_list_checks_json(capsys):
     doc = json.loads(out)
     ids = {c["id"] for c in doc}
     assert "index-suite" in ids and "sobolev-suite" in ids
+    assert "index-focus" in ids and "dd-class-builtin" in ids
+
+
+def test_every_runner_parameter_has_one_rule():
+    from ncgkit.checks import CHECKS, PARAM_RULES, check_params
+
+    taken = set()
+    for spec in CHECKS:
+        names = set(check_params(spec.check_id)) - {"seed"}
+        assert names <= set(PARAM_RULES), spec.check_id
+        taken |= names
+    assert taken == set(PARAM_RULES)
+
+
+def test_every_parameter_flag_maps_to_its_rule():
+    """The flags that set a check parameter (all but --seed, --out, --format
+    and the catalog's --module) name a rule, and offer its values."""
+    from ncgkit.checks import PARAM_RULES
+
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = 0
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if not action.option_strings or action.dest in (
+                    "help", "seed", "out", "format", "module"):
+                continue
+            flags += 1
+            assert action.dest in PARAM_RULES, (command, action.dest)
+            if action.choices is not None:
+                assert tuple(action.choices) == PARAM_RULES[action.dest].choices
+    assert flags >= 5
 
 
 def test_dd_class_passes_and_is_byte_identical(capsys):
@@ -176,10 +211,10 @@ def test_index_focus_flags(capsys):
 def test_index_focus_fails_on_a_rising_residual_trend(capsys, monkeypatch):
     """Every residual under the 1e-4 gate, but rising with refinement: the
     verdict must agree with the reported trend."""
-    from ncgkit import geom
+    from ncgkit import checks
 
     residuals = iter([1e-7, 1e-6, 1e-5])
-    monkeypatch.setattr(geom, "local_index", lambda g, p, residual_tol: {
+    monkeypatch.setattr(checks, "local_index", lambda g, p, residual_tol: {
         "raw": -2.0, "integer": -2, "residual": next(residuals)})
     code, out = run_cli(capsys, "index", "--geometry", "torus2",
                         "--projection", "constant", "--refine", "2")
@@ -279,21 +314,31 @@ def test_ddclass_builtin_fails_on_a_planted_wrong_answer(capsys, monkeypatch,
     assert "status: fail" in out and "overall: fail" in out
 
 
+def _stub_runner(spec, passed, ran):
+    """A runner with the signature of ``spec.runner`` that records its call
+    and returns the given verdict."""
+    @functools.wraps(spec.runner)
+    def run(**params):
+        ran.append(spec.check_id)
+        return CheckResult(spec.check_id, passed, {"reason": "forced"})
+    return run
+
+
 def test_failing_check_exits_one(capsys, monkeypatch):
-    from ncgkit import cli as cli_mod
-    from ncgkit.checks import CheckResult
+    from ncgkit.checks import CHECKS_BY_ID
 
-    monkeypatch.setitem(
-        cli_mod.SUITE_OF_COMMAND, "dd-class", ["always-fails"],
-    )
-
-    def fake_run(check_id, **params):
-        return CheckResult(check_id, False, {"reason": "forced"})
-
-    monkeypatch.setattr(cli_mod, "run_check", fake_run)
-    code, out = run_cli(capsys, "dd-class")
-    assert code == 1
-    assert "overall: fail" in out
+    for argv, check_id in [
+        (("dd-class",), "cech-suite"),
+        (("dd-class", "--scenario", "coboundary-s3"), "dd-class-builtin"),
+        (("index", "--projection", "zero"), "index-focus"),
+    ]:
+        ran = []
+        spec = CHECKS_BY_ID[check_id]
+        monkeypatch.setattr(spec, "runner", _stub_runner(spec, False, ran))
+        code, out = run_cli(capsys, *argv)
+        assert ran == [check_id]
+        assert code == 1
+        assert "overall: fail" in out
 
 
 def test_verify_identities_fails_when_every_form_reads_zero(capsys, monkeypatch):
@@ -406,6 +451,26 @@ class TestRejectsBadInput:
         {"kind": "cech", "seed": 7, "params": {"trials": 3}},
         {"kind": "identities", "seed": 7, "params": {"refine": 1}},
         {"kind": "chkr-compare", "seed": 7, "params": {"vectors": 5}},
+        # a dilation that the run ignores: only the reference projections
+        # on the sphere take one
+        {"kind": "index", "seed": 7, "params": {
+            "geometry": "sphere2", "projection": "constant", "dilation": 0.5}},
+        {"kind": "index", "seed": 7, "params": {
+            "geometry": "sphere2", "projection": "zero", "dilation": 0.25}},
+        {"kind": "index", "seed": 7, "params": {
+            "geometry": "torus2", "projection": "constant", "dilation": 0.5}},
+        {"kind": "index", "seed": 7, "params": {
+            "geometry": "torus2", "projection": "zero", "dilation": 0.0}},
+        {"kind": "index", "seed": 7, "params": {"projection": "zero", "dilation": 0.5}},
+        # values outside the lists of geometries and projections, and the
+        # reference projection off the sphere
+        {"kind": "index", "seed": 7, "params": {"geometry": "plane"}},
+        {"kind": "index", "seed": 7, "params": {"projection": ""}},
+        {"kind": "index", "seed": 7, "params": {"geometry": "torus2"}},
+        {"kind": "index", "seed": 7, "params": {
+            "geometry": "torus2", "projection": "bott-dilated", "dilation": 0.5}},
+        # a seed is no parameter
+        {"kind": "cech", "seed": 7, "params": {"seed": 3}},
     ])
     def test_bad_scenario_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "scenario.json"
@@ -472,7 +537,7 @@ class TestRejectsBadInput:
         assert code == 2
         assert out == ""
 
-    # The request shapes of perfbench/workloads.py; the checks themselves are
+    # The request shapes of perfbench/workloads.py; the check runners are
     # stubbed, since only the parameter routing is under test.
     @pytest.mark.parametrize("argv,scenario", [
         (("verify-identities", "--scenario", "scenarios/identities-smoke.json"), None),
@@ -502,20 +567,19 @@ class TestRejectsBadInput:
                                          argv, scenario):
         import pathlib
 
-        from ncgkit import cli as cli_mod
-        from ncgkit.checks import CheckResult
+        from ncgkit.checks import CHECKS
 
         monkeypatch.chdir(pathlib.Path(__file__).parent.parent)
-        monkeypatch.setattr(cli_mod, "run_check",
-                            lambda check_id, **params: CheckResult(check_id, True, {}))
-        monkeypatch.setattr(cli_mod, "_run_index_focus", lambda args, seed, params: 0)
-        monkeypatch.setattr(cli_mod, "_run_ddclass_builtin", lambda args: 0)
+        ran = []
+        for spec in CHECKS:
+            monkeypatch.setattr(spec, "runner", _stub_runner(spec, True, ran))
         if scenario is not None:
             path = tmp_path / "scenario.json"
             path.write_text(json.dumps(scenario))
             argv += ("--scenario", str(path))
         code, _ = run_cli(capsys, *argv)
         assert code == 0
+        assert ran
 
 
 @pytest.mark.parametrize("sequence", [

@@ -37,6 +37,36 @@ MUTANTS = {
           "QQI_ZERO, QQi, _qqi, _qqi_raw\n")],
         ["tests/test_linalg.py"],
     ),
+    "fused-row-update-drops-entry": (
+        "the fused elimination step leaves the last nonzero column of the "
+        "pivot row out of each row update",
+        [("src/ncgkit/linalg.py", "for j, ya, yb, yd in nonzero:",
+          "for j, ya, yb, yd in nonzero[:-1]:")],
+        ["tests/test_linalg.py::test_fused_echelon_matches_the_textbook_update"],
+    ),
+    "heat-weights-short-batch": (
+        "the kept grading weights of the torus supertrace come from every "
+        "block but the last",
+        [("src/ncgkit/spectral.py", "vecs = np.linalg.eigh(self.blocks)[1]",
+          "vecs = np.linalg.eigh(self.blocks[:-1])[1]")],
+        ["tests/test_spectral.py::test_torus_fast_paths_match_the_per_block_loops"],
+    ),
+    "commutator-norm-no-initial": (
+        "the batched commutator norm takes the maximum of an empty set of "
+        "block differences when no mode has a neighbour",
+        [("src/ncgkit/spectral.py", "np.max(norms, initial=0.0)", "np.max(norms)")],
+        ["tests/test_spectral.py::test_torus_commutator_norm_without_neighbours_is_zero"],
+    ),
+    "lift-grading-unprojected": (
+        "the Morita lift checks that p commutes with the grading but returns "
+        "the amplified grading uncompressed",
+        [("src/ncgkit/spectral.py",
+          "            g_e = linalg.mat_mul(g_m, p)\n"
+          "            if not linalg.mat_eq(g_e, linalg.mat_mul(p, g_m)):\n",
+          "            g_e = g_m\n"
+          "            if not linalg.mat_eq(linalg.mat_mul(g_m, p), linalg.mat_mul(p, g_m)):\n")],
+        ["tests/test_spectral.py::TestMoritaLift::test_compressed_grading_is_p_g_p"],
+    ),
     "values-only-zero-test": (
         "a jet counts as zero when its values vanish, gradients or not",
         [("src/ncgkit/scalars.py",

@@ -273,8 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for --help
+        return exc.code
     try:
         if args.command == "list-checks":
             return _run_list_checks(args)

@@ -15,6 +15,7 @@ d o tr.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial, lcm as _lcm
 from typing import Dict, List, Optional, Tuple
@@ -850,11 +851,18 @@ class Connection:
         self.chart = theta.chart
         self.m = theta.m
         self.theta = theta
-        self.omega = exterior_d(theta) + theta * theta
-        if sigma is None:
-            residue = self.omega.trace().scale(Fraction(1, self.m))
-            sigma = self.omega - residue * self.identity()
-        self.sigma = sigma
+        if sigma is not None:
+            self.sigma = sigma
+
+    @functools.cached_property
+    def omega(self) -> MatrixForm:
+        return exterior_d(self.theta) + self.theta * self.theta
+
+    @functools.cached_property
+    def sigma(self) -> MatrixForm:
+        """Computed on first read; a value given or assigned wins."""
+        residue = self.omega.trace().scale(Fraction(1, self.m))
+        return self.omega - residue * self.identity()
 
     @staticmethod
     def flat(chart: Chart, m: int, backend: str = "exact",
@@ -868,11 +876,9 @@ class Connection:
         Used for geometries whose sigma acts trivially on the registered
         algebra (scalar-entried sections), where nabla reduces to d.
         """
-        conn = Connection(
-            MatrixForm.zero(sigma.chart, sigma.m, sigma.backend, sigma.nodes)
+        return Connection(
+            MatrixForm.zero(sigma.chart, sigma.m, sigma.backend, sigma.nodes), sigma
         )
-        conn.sigma = sigma
-        return conn
 
     def identity(self) -> MatrixForm:
         """The unit of the algebra the connection acts on."""
@@ -895,9 +901,7 @@ class Connection:
         return out
 
     def amplify(self, s: int) -> "Connection":
-        conn = Connection(self.theta.amplify(s))
-        conn.sigma = self.sigma.amplify(s)
-        return conn
+        return Connection(self.theta.amplify(s), self.sigma.amplify(s))
 
 
 def curvature_and_lift(theta: MatrixForm) -> Connection:

@@ -170,10 +170,18 @@ def qq_echelon(rows: Sequence[Sequence[QQi]],
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = rows[rank][col].inverse()
         prow = rows[rank] = [inv * x for x in rows[rank]]
+        nonzero = [(j, y.a, y.b, y.d) for j, y in enumerate(prow) if y.a or y.b]
         for r, row in enumerate(rows):
-            if r != rank and not row[col].is_zero():
-                f = row[col]
-                rows[r] = [x - f * y for x, y in zip(row, prow)]
+            f = row[col]
+            if r != rank and (f.a or f.b):
+                # x - f y over the denominator x.d f.d y.d, one gcd per entry
+                fa, fb, fd = f.a, f.b, f.d
+                for j, ya, yb, yd in nonzero:
+                    x = row[j]
+                    den = fd * yd
+                    pa, pb = fa * ya - fb * yb, fa * yb + fb * ya
+                    row[j] = _qqi(x.a * den - pa * x.d, x.b * den - pb * x.d,
+                                  x.d * den)
         pivots.append(col)
     return rows, pivots
 

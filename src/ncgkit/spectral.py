@@ -14,6 +14,7 @@ projection, D^E = p (D x Id_m) p.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -270,10 +271,10 @@ def morita_lift(triple: SpectralTriple, p, m: int,
         g_e = None
         if triple.grading is not None:
             g_m = _block_diag_exact(triple.grading, m)
-            comm = linalg.mat_sub(linalg.mat_mul(g_m, p), linalg.mat_mul(p, g_m))
-            if not linalg.mat_is_zero(comm):
+            # p is idempotent and commutes with g_m, so p g_m p = g_m p
+            g_e = linalg.mat_mul(g_m, p)
+            if not linalg.mat_eq(g_e, linalg.mat_mul(p, g_m)):
                 raise ValueError("projection does not preserve the grading")
-            g_e = linalg.mat_mul(p, linalg.mat_mul(g_m, p))
         return SpectralTriple(d_e, corner_algebra or {}, g_e, subspace=p,
                               exact=True, model=triple.model, check=False)
     p = _to_numpy(p)
@@ -319,13 +320,8 @@ def kernel_index_exact(triple: SpectralTriple) -> int:
     else:
         gamma_plus = linalg.mat_sub(triple.grading, eye)
         gamma_minus = linalg.mat_add(triple.grading, eye)
-    dim_plus = _stacked_nullity_exact(constraints + [gamma_plus])
-    dim_minus = _stacked_nullity_exact(constraints + [gamma_minus])
-    if triple.subspace is None:
-        return dim_plus - dim_minus
-    # vectors outside range(P) satisfy all constraints trivially only if
-    # x = Px is enforced, which it is; kernel of P contributes nothing
-    return dim_plus - dim_minus
+    return (_stacked_nullity_exact(constraints + [gamma_plus])
+            - _stacked_nullity_exact(constraints + [gamma_minus]))
 
 
 def mckean_singer(triple: SpectralTriple, t: float) -> float:
@@ -470,15 +466,13 @@ class FourierTorusTriple:
     def __init__(self, n_max: int):
         self.n_max = n_max
         ks = np.arange(-n_max, n_max + 1)
-        k1, k2 = np.meshgrid(ks, ks, indexing="ij")
-        self.k1 = k1.ravel()
-        self.k2 = k2.ravel()
-        m = len(self.k1)
-        a = np.zeros((m, 4, 4), dtype=complex)
-        a[:, 1, 0] = 1j * self.k1
-        a[:, 2, 0] = 1j * self.k2
-        a[:, 3, 1] = -1j * self.k2
-        a[:, 3, 2] = 1j * self.k1
+        # mode (k1, k2) is block (k1 + n_max) * (2 n_max + 1) + k2 + n_max
+        k1, k2 = (k.ravel() for k in np.meshgrid(ks, ks, indexing="ij"))
+        a = np.zeros((len(k1), 4, 4), dtype=complex)
+        a[:, 1, 0] = 1j * k1
+        a[:, 2, 0] = 1j * k2
+        a[:, 3, 1] = -1j * k2
+        a[:, 3, 2] = 1j * k1
         self.blocks = (a - np.conj(np.transpose(a, (0, 2, 1)))) @ self.FORM_SIGN
         g = np.zeros((4, 4), dtype=complex)
         g[3, 0] = -1j
@@ -491,9 +485,7 @@ class FourierTorusTriple:
         g = self.gamma
         sq = np.max(np.abs(g @ g - np.eye(4)))
         sa = np.max(np.abs(g - g.conj().T))
-        anti = max(
-            float(np.max(np.abs(g @ b + b @ g))) for b in self.blocks
-        )
+        anti = float(np.max(np.abs(g @ self.blocks + self.blocks @ g)))
         return {
             "square": sq <= tol,
             "selfadjoint": sa <= tol,
@@ -501,12 +493,19 @@ class FourierTorusTriple:
             "ok": sq <= tol and sa <= tol and anti <= tol,
         }
 
-    def mckean_singer(self, t: float) -> float:
+    @functools.cached_property
+    def _spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of every block and the grading weights <v, gamma v>
+        of their eigenvectors: the same for every t, so computed once."""
         vals = np.linalg.eigvalsh(self.blocks)
         vecs = np.linalg.eigh(self.blocks)[1]
         w = np.real(
             np.einsum("mij,ik,mkj->mj", vecs.conj(), self.gamma, vecs)
         )
+        return vals, w
+
+    def mckean_singer(self, t: float) -> float:
+        vals, w = self._spectrum
         return float(np.sum(w * np.exp(-t * vals ** 2)))
 
     def index(self) -> int:
@@ -518,20 +517,14 @@ class FourierTorusTriple:
         The shift moves mode k to k + e_axis, so the commutator acts as
         D_{k+e} - D_k on each block.
         """
-        k1, k2 = self.k1, self.k2
-        best = 0.0
-        for idx in range(len(k1)):
-            t1 = k1[idx] + (1 if axis == 0 else 0)
-            t2 = k2[idx] + (1 if axis == 1 else 0)
-            if abs(t1) > self.n_max or abs(t2) > self.n_max:
-                continue
-            tgt = (t1 + self.n_max) * (2 * self.n_max + 1) + (t2 + self.n_max)
-            diff = self.blocks[tgt] - self.blocks[idx]
-            best = max(best, float(np.linalg.norm(diff, 2)))
-        return best
+        side = 2 * self.n_max + 1
+        grid = self.blocks.reshape(side, side, 4, 4)
+        diff = np.diff(grid, axis=axis)
+        norms = np.linalg.norm(diff.reshape(-1, 4, 4), 2, axis=(1, 2))
+        return float(np.max(norms, initial=0.0))
 
     def dirac_eigenvalues(self) -> np.ndarray:
-        return np.sort(np.linalg.eigvalsh(self.blocks).ravel())
+        return np.sort(self._spectrum[0].ravel())
 
 
 # -- triple description files --------------------------------------------

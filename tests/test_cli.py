@@ -398,6 +398,27 @@ def test_parser_has_all_subcommands():
         assert cmd in text
 
 
+@pytest.mark.parametrize("argv, usage, error", [
+    (("index", "--geometry", "plane"), "usage: ncgkit index ",
+     "argument --geometry: invalid choice: 'plane'"),
+    (("index", "--refine", "x"), "usage: ncgkit index ",
+     "argument --refine: invalid int value: 'x'"),
+    (("index", "--no-such-flag"), "usage: ncgkit ",
+     "unrecognized arguments: --no-such-flag"),
+])
+def test_usage_errors_return_2_in_process(capsys, argv, usage, error):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(usage)
+    assert error in captured.err
+
+
+def test_help_returns_0_in_process(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ncgkit ")
+
+
 class TestRejectsBadInput:
     """Out-of-range counts, mistyped values and parameters that no check of
     the command takes exit 2 before any check runs."""

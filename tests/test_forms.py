@@ -180,6 +180,26 @@ class TestConnection:
             assert conn.nabla(conn.sigma).is_zero()
             assert conn.nabla(conn.omega).is_zero()
 
+    def test_lazy_curvature_equals_the_eager_formulas(self):
+        rng = random.Random(9)
+        for m in (1, 2, 3):
+            theta = random_matrix_form(AFF3, m, rng, 1)
+            conn = Connection(theta)
+            assert "omega" not in vars(conn) and "sigma" not in vars(conn)
+            omega = exterior_d(theta) + theta * theta
+            sigma = omega - omega.trace().scale(Fraction(1, m)) * MatrixForm.identity(AFF3, m)
+            assert conn.sigma == sigma and conn.omega == omega
+            assert conn.sigma is conn.sigma and conn.omega is conn.omega
+            # a sigma given, assigned or amplified wins over the formula
+            other = random_matrix_form(AFF3, m, rng, 2)
+            assert Connection(theta, other).sigma is other
+            assert Connection.with_sigma(other).sigma is other
+            conn.sigma = other
+            assert conn.sigma is other and conn.omega == omega
+            amp = conn.amplify(2)
+            assert amp.sigma == other.amplify(2)
+            assert amp.omega == exterior_d(theta.amplify(2)) + theta.amplify(2) * theta.amplify(2)
+
 
 class TestLiftRepresentative:
     def test_single_chart_vanishes(self):

@@ -4,7 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from ncgkit import intlinalg, linalg
@@ -280,3 +280,64 @@ def test_only_all_qqi_operands_take_the_fused_path(monkeypatch):
          [PolyScalar.const(chart, 3), t * t]]
     assert linalg.mat_mul(p, p) == reference_product(p, p)
     assert fused == [1]
+
+
+# -- the fused elimination step against the textbook row update -------------
+
+
+def reference_echelon(rows, ncols=None):
+    """Gauss-Jordan with the row update x - f * y, one ring operation at a
+    time."""
+    rows = [list(r) for r in rows]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        piv = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        prow = rows[rank] = [inv * x for x in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and not row[col].is_zero():
+                f = row[col]
+                rows[r] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(col)
+    return rows, pivots
+
+
+@st.composite
+def echelon_inputs(draw):
+    """A 0-6 x 1-7 matrix of mixed-denominator Gaussian entries with some
+    rows and columns zeroed, the last row optionally a combination of the
+    first two, and a pivot width from 0 to the full width."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    rows = [[draw(mixed_entries) for _ in range(m)] for _ in range(n)]
+    if n > 2 and draw(st.booleans()):
+        c1, c2 = draw(mixed_entries), draw(mixed_entries)
+        rows[-1] = [c1 * x + c2 * y for x, y in zip(rows[0], rows[1])]
+    zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, m - 1)))
+    rows = [[QQI_ZERO if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return rows, draw(st.one_of(st.none(), st.integers(0, m)))
+
+
+@settings(max_examples=200)
+@given(echelon_inputs())
+@example(([[QQi(1), QQi(2)], [QQi(3), QQi(4)]], None))
+def test_fused_echelon_matches_the_textbook_update(case):
+    a, ncols = case
+    rows, pivots = linalg.qq_echelon(a, ncols)
+    want_rows, want_pivots = reference_echelon(a, ncols)
+    assert pivots == want_pivots
+    assert len(rows) == len(want_rows)
+    for grow, wrow in zip(rows, want_rows):
+        assert len(grow) == len(wrow)
+        for x, y in zip(grow, wrow):
+            assert type(x) is QQi and is_canonical(x)
+            assert (x.a, x.b, x.d) == (y.a, y.b, y.d)

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from ncgkit import linalg
+from ncgkit.checks import _graded_projection_exact
 from ncgkit.scalars import QQi
 from ncgkit.spectral import (
     FourierTorusTriple,
@@ -159,6 +162,26 @@ class TestMoritaLift:
         )
         assert linalg.mat_is_zero(anti)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3))
+    def test_compressed_grading_is_p_g_p(self, seed, m, c):
+        t = finite_triple_exact([[0, c], [c, 0]], grading_diag=[1, -1])
+        p = _graded_projection_exact(random.Random(seed), m, 2)
+        zero = QQi(0)
+        g_m = tuple(tuple(t.grading[i % 2][j % 2] if i // 2 == j // 2 else zero
+                          for j in range(2 * m)) for i in range(2 * m))
+        lift = morita_lift(t, p, m)
+        assert lift.grading == linalg.mat_mul(p, linalg.mat_mul(g_m, p))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rejects_projection_that_mixes_the_grading(self, m):
+        t = finite_triple_exact([[0, 1], [1, 0]], grading_diag=[1, -1])
+        half, zero = QQi(Fraction(1, 2)), QQi(0)
+        p = tuple(tuple(half if i // 2 == j // 2 else zero for j in range(2 * m))
+                  for i in range(2 * m))  # Id_m (x) [[1, 1], [1, 1]] / 2
+        with pytest.raises(ValueError, match="does not preserve the grading"):
+            morita_lift(t, p, m)
+
     def test_mckean_singer_matches_kernel_count(self):
         # numeric supertrace against the exact kernel index on the same data
         rng = random.Random(2)
@@ -280,6 +303,66 @@ class TestFourierTorus:
             for k2 in range(-2, 3):
                 assert np.allclose(blk(k1 + 1, k2) - blk(k1, k2), 1j * cr[0])
                 assert np.allclose(blk(k1, k2 + 1) - blk(k1, k2), 1j * cr[1])
+
+
+def reference_supertrace(ft, t):
+    """The heat supertrace with both eigendecompositions redone per call."""
+    vals = np.linalg.eigvalsh(ft.blocks)
+    vecs = np.linalg.eigh(ft.blocks)[1]
+    w = np.real(np.einsum("mij,ik,mkj->mj", vecs.conj(), ft.gamma, vecs))
+    return float(np.sum(w * np.exp(-t * vals ** 2)))
+
+
+def reference_commutator_norm(ft, axis):
+    """Largest 2-norm of D_{k+e} - D_k, one block pair at a time."""
+    n = ft.n_max
+    best = 0.0
+    for k1 in range(-n, n + 1):
+        for k2 in range(-n, n + 1):
+            t1, t2 = k1 + (axis == 0), k2 + (axis == 1)
+            if abs(t1) > n or abs(t2) > n:
+                continue
+            diff = (ft.blocks[(t1 + n) * (2 * n + 1) + t2 + n]
+                    - ft.blocks[(k1 + n) * (2 * n + 1) + k2 + n])
+            best = max(best, float(np.linalg.norm(diff, 2)))
+    return best
+
+
+def reference_grading_report(ft, tol=1e-12):
+    g = ft.gamma
+    sq = np.max(np.abs(g @ g - np.eye(4)))
+    sa = np.max(np.abs(g - g.conj().T))
+    anti = max(float(np.max(np.abs(g @ b + b @ g))) for b in ft.blocks)
+    return {"square": sq <= tol, "selfadjoint": sa <= tol,
+            "anticommutes_d": anti <= tol,
+            "ok": sq <= tol and sa <= tol and anti <= tol}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12), st.lists(
+    st.one_of(st.floats(0.01, 5.0), st.sampled_from(["axis0", "axis1", "eig", "grading"])),
+    min_size=1, max_size=6))
+def test_torus_fast_paths_match_the_per_block_loops(n_max, calls):
+    """Bitwise: one spectrum serves every t, in any order of calls."""
+    ft = FourierTorusTriple(n_max)
+    ref = FourierTorusTriple(n_max)
+    for call in calls:
+        if call in ("axis0", "axis1"):
+            axis = int(call[-1])
+            got, want = ft.commutator_norm_shift(axis), reference_commutator_norm(ref, axis)
+            assert got.hex() == want.hex()
+        elif call == "eig":
+            want = np.sort(np.linalg.eigvalsh(ref.blocks).ravel())
+            assert ft.dirac_eigenvalues().tobytes() == want.tobytes()
+        elif call == "grading":
+            assert ft.grading_report() == reference_grading_report(ref)
+        else:
+            assert ft.mckean_singer(call).hex() == reference_supertrace(ref, call).hex()
+
+
+def test_torus_commutator_norm_without_neighbours_is_zero():
+    ft = FourierTorusTriple(0)
+    assert ft.commutator_norm_shift(0) == ft.commutator_norm_shift(1) == 0.0
 
 
 class TestSmoothnessCriterion:

@@ -37,6 +37,14 @@ MUTANTS = {
           "QQI_ZERO, QQi, _qqi, _qqi_raw\n")],
         ["tests/test_linalg.py"],
     ),
+    "block-transposed": (
+        "the block routine of the one block layout returns block (j, i) "
+        "for block (i, j)",
+        [("src/ncgkit/linalg.py",
+          "return tuple(row[j * n:(j + 1) * n] for row in a[i * n:(i + 1) * n])",
+          "return tuple(row[i * n:(i + 1) * n] for row in a[j * n:(j + 1) * n])")],
+        ["tests/test_block_layout.py"],
+    ),
     "fused-row-update-drops-entry": (
         "the fused elimination step leaves the last nonzero column of the "
         "pivot row out of each row update",

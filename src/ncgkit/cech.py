@@ -18,7 +18,6 @@ rank-n torsion relation n*[delta] = 0.
 from __future__ import annotations
 
 import cmath
-import json
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
@@ -96,22 +95,6 @@ class Nerve:
         for s in self._simplices:
             counts[len(s) - 1] = counts.get(len(s) - 1, 0) + 1
         return f"Nerve<{dict(sorted(counts.items()))}>"
-
-
-def simplex_boundary_check(nerve: Nerve) -> bool:
-    """Coboundary of coboundary vanishes on every degree present."""
-    top = max((len(s) - 1 for s in nerve.simplices), default=0)
-    for k in range(top - 1):
-        d1 = nerve.coboundary_matrix(k)
-        d2 = nerve.coboundary_matrix(k + 1)
-        n = len(d1)
-        m = len(d1[0]) if d1 else 0
-        for j in range(m):
-            col = [d1[i][j] for i in range(n)]
-            image = [sum(d2[r][i] * col[i] for i in range(n)) for r in range(len(d2))]
-            if any(image):
-                return False
-    return True
 
 
 class TransitionData:
@@ -547,7 +530,7 @@ def normalize_determinant(data: TransitionData) -> TransitionData:
     return TransitionData(data.nerve, n, converted, False)
 
 
-# -- scenario files -----------------------------------------------------
+# -- built-in scenarios ------------------------------------------------
 
 
 def pauli_triangle() -> TransitionData:
@@ -566,29 +549,3 @@ def boundary_of_4_simplex() -> Nerve:
 
     faces = list(itertools.combinations(range(5), 4))
     return Nerve(faces)
-
-
-def transition_data_from_json(text: str) -> TransitionData:
-    doc = json.loads(text)
-    nerve = Nerve([tuple(s) for s in doc["simplices"]])
-    rank = int(doc["rank"])
-    edges = {}
-    for key, rows in doc["edges"].items():
-        i, j = (int(x) for x in key.split("-"))
-        mat = linalg.mat_from_rows(
-            [[QQi.parse(x) for x in row] for row in rows]
-        )
-        edges[(i, j)] = mat
-    return TransitionData(nerve, rank, edges, True)
-
-
-def transition_data_to_json(data: TransitionData) -> str:
-    doc = {
-        "simplices": sorted(map(list, data.nerve.simplices)),
-        "rank": data.rank,
-        "edges": {
-            f"{i}-{j}": [[str(x) for x in row] for row in mat]
-            for (i, j), mat in sorted(data.edges.items())
-        },
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)

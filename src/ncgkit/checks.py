@@ -686,18 +686,19 @@ def _random_exact_projection_matrix(rng: random.Random, n: int):
 
 
 def _graded_projection_exact(rng: random.Random, m: int, n: int):
-    """Projection on C^(m*n) commuting with Id_m (x) diag(1,-1,...)."""
-    per_sign = {}
-    for sign in (0, 1):
-        positions = [b * n + i for b in range(m) for i in range(n) if i % 2 == sign]
-        per_sign[sign] = (positions, _random_exact_projection_matrix(rng, len(positions)))
-    total = m * n
-    out = [[QQi(0)] * total for _ in range(total)]
-    for positions, block in per_sign.values():
-        for a, pa in enumerate(positions):
-            for b, pb in enumerate(positions):
-                out[pa][pb] = block[a][b]
-    return tuple(tuple(row) for row in out)
+    """Projection on C^(m*n) commuting with Id_m (x) diag(1,-1,...): a
+    random projection on the m*k coordinates of each sign, k of them in
+    each of the m blocks."""
+    parts = [(k, _random_exact_projection_matrix(rng, m * k))
+             for k in (len(range(0, n, 2)), len(range(1, n, 2)))]
+    zero = QQi(0)
+
+    def block(b, c):
+        subs = [linalg.mat_block(part, b, c, k) for k, part in parts]
+        return tuple(tuple(subs[i % 2][i // 2][j // 2] if i % 2 == j % 2 else zero
+                           for j in range(n)) for i in range(n))
+
+    return linalg.mat_from_blocks([[block(b, c) for c in range(m)] for b in range(m)])
 
 
 def check_morita_suite(seed: int = 7, trials: int = 50) -> CheckResult:
@@ -954,14 +955,14 @@ def check_character_comparison(seed: int = 7, resolution: int = 64) -> CheckResu
     """
     rng = random.Random(seed)
     chart = Chart.torus(2)
-    from .characters import compare_class_integrals, require_torsion_twist
+    from .characters import NonTorsionTwist, compare_class_integrals, require_torsion_twist
 
-    # torsion gate refuses an undeclared twist
+    # torsion gate refuses an undeclared twist; any other error is a fault
     gate_ok = True
     try:
         require_torsion_twist("non-torsion")
         gate_ok = False
-    except Exception:
+    except NonTorsionTwist:
         pass
 
     # sigma = 0: scalar-multiple gauge form, exact pointwise agreement

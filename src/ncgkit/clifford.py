@@ -72,10 +72,6 @@ class CliffordElement:
         return CliffordElement(n, {(): QQi.coerce(c)})
 
     @staticmethod
-    def generator(n: int, i: int) -> "CliffordElement":
-        return CliffordElement(n, {(i,): QQI_ONE})
-
-    @staticmethod
     def blade(n: int, blade: Blade, c=1) -> "CliffordElement":
         return CliffordElement(n, {tuple(blade): QQi.coerce(c)})
 
@@ -160,10 +156,6 @@ class CliffordElement:
         return "Cl<" + " + ".join(parts) + ">"
 
 
-def clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    return a * b
-
-
 @dataclass(frozen=True)
 class Chirality:
     n: int
@@ -195,13 +187,8 @@ _SIGMA_Z = linalg.mat_from_rows([[QQI_ONE, QQI_ZERO], [QQI_ZERO, -QQI_ONE]])
 
 
 def _kron(a, b):
-    n1, m1 = linalg.mat_shape(a)
-    n2, m2 = linalg.mat_shape(b)
-    return tuple(
-        tuple(a[i1][j1] * b[i2][j2] for j1 in range(m1) for j2 in range(m2))
-        for i1 in range(n1)
-        for i2 in range(n2)
-    )
+    """a (x) b: block (i, j) is a_ij b."""
+    return linalg.mat_from_blocks([[linalg.mat_scale(x, b) for x in row] for row in a])
 
 
 def _gamma_matrices(n: int):
@@ -263,10 +250,6 @@ class SpinorRep:
 
     def chirality_matrix(self):
         return self.of(chirality(self.n).element)
-
-
-def spinor_rep(n: int) -> SpinorRep:
-    return SpinorRep(n)
 
 
 # -- left/right Clifford actions on the exterior algebra ----------------

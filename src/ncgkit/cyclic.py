@@ -132,21 +132,6 @@ def cyclic_permute(ch: Chain) -> Chain:
     return Chain(k, [(c * sign, (t[-1],) + t[:-1]) for c, t in ch.terms])
 
 
-def cyclic_project(ch: Chain) -> Chain:
-    """Average over signed cyclic rotations.
-
-    This is the projection onto lambda-invariants along the image of
-    (1 - lambda); a chain vanishes in the cyclic quotient complex exactly
-    when its projection is zero.
-    """
-    out = ch
-    rotated = ch
-    for _ in range(ch.degree):
-        rotated = cyclic_permute(rotated)
-        out = out + rotated
-    return out.scale(Fraction(1, ch.degree + 1))
-
-
 def _form_coordinates(a: MatrixForm) -> dict:
     """Finite QQi-coordinate vector of an exact degree-0 form."""
     out = {}
@@ -209,10 +194,6 @@ def tensor_is_zero(ch: Chain) -> bool:
             else:
                 cells[cell] = s
     return not cells
-
-
-def tensor_eq(a: Chain, b: Chain) -> bool:
-    return tensor_is_zero(a - b)
 
 
 class Projection:
@@ -376,26 +357,19 @@ def find_boundary_witness(target: Chain,
         return None if not target.is_zero() else Chain(target.degree + 1, [])
     cand_chains = [Chain(target.degree + 1, [(QQi(1), tuple(t))]) for t in candidates]
     boundaries = [hochschild_b(c) for c in cand_chains]
-    basis: List[tuple] = []
-    index = {}
-
-    def key_of(tensor):
-        return tuple(hash(a) for a in tensor), tensor
-
+    # row of each tensor, keyed by the tensor: exact forms compare and hash
+    # canonically
+    index: dict = {}
     for b in boundaries + [target]:
         for _, tensor in b.terms:
-            k = key_of(tensor)[0]
-            if k not in index:
-                index[k] = len(basis)
-                basis.append(tensor)
-    rows = len(basis)
-    a_mat = [[QQi(0)] * len(boundaries) for _ in range(rows)]
+            index.setdefault(tensor, len(index))
+    a_mat = [[QQi(0)] * len(boundaries) for _ in range(len(index))]
     for cidx, b in enumerate(boundaries):
         for coef, tensor in b.terms:
-            a_mat[index[key_of(tensor)[0]]][cidx] = coef
-    rhs = [QQi(0)] * rows
+            a_mat[index[tensor]][cidx] = coef
+    rhs = [QQi(0)] * len(index)
     for coef, tensor in target.terms:
-        rhs[index[key_of(tensor)[0]]] = coef
+        rhs[index[tensor]] = coef
     x = linalg.qq_solve(a_mat, rhs)
     if x is None:
         return None
@@ -403,18 +377,3 @@ def find_boundary_witness(target: Chain,
         target.degree + 1,
         [(xi, tuple(t)) for xi, t in zip(x, candidates)],
     )
-
-
-def chain_to_text(ch: Chain) -> str:
-    """Stable text rendering for golden-file tests (exact backend)."""
-    from .forms import matrixform_to_text
-
-    lines = [f"chain v1 degree {ch.degree} terms {len(ch.terms)}"]
-    rendered = []
-    for coef, tensor in ch.terms:
-        body = "|".join(
-            matrixform_to_text(a).replace("\n", "~") for a in tensor
-        )
-        rendered.append(f"term {coef} : {body}")
-    lines.extend(sorted(rendered))
-    return "\n".join(lines) + "\n"

@@ -24,8 +24,6 @@ import numpy as np
 
 from . import linalg
 from .scalars import (
-    AFFINE,
-    PERIODIC,
     Chart,
     JetScalar,
     PolyScalar,
@@ -307,7 +305,11 @@ def _zero_entry(chart: Chart, backend: str, nodes: Optional[int]):
 
 
 class MatrixForm:
-    """Mixed-degree matrix-valued differential form on a chart."""
+    """Mixed-degree matrix-valued differential form on a chart.
+
+    ``MatrixForm(...)`` checks its index tuples and matrix shapes and is
+    for outside input; every operation builds its result with ``_built``.
+    """
 
     __slots__ = ("chart", "m", "backend", "nodes", "_comps", "_hash",
                  "_packed", "_zeros", "_scalar_id")
@@ -609,64 +611,41 @@ class MatrixForm:
         out = {}
         for idx, mat in self.comps.items():
             out[idx] = ((linalg.mat_trace(mat),),)
-        return MatrixForm(self.chart, 1, out, self.backend, self.nodes)
+        return MatrixForm._built(self.chart, 1, out, self.backend, self.nodes)
 
     def conj_transpose(self) -> "MatrixForm":
         """Entrywise conjugate transpose per component (degree-0 adjoint)."""
         out = {
             idx: linalg.mat_conj_transpose(mat) for idx, mat in self.comps.items()
         }
-        return MatrixForm(self.chart, self.m, out, self.backend, self.nodes)
+        return MatrixForm._built(self.chart, self.m, out, self.backend, self.nodes)
 
     def amplify(self, s: int) -> "MatrixForm":
         """Block-diagonal amplification Id_s (x) A."""
-        z = self._zero_scalar()
-        out = {}
-        for idx, mat in self.comps.items():
-            big = [[z] * (s * self.m) for _ in range(s * self.m)]
-            for b in range(s):
-                for i in range(self.m):
-                    for j in range(self.m):
-                        big[b * self.m + i][b * self.m + j] = mat[i][j]
-            out[idx] = tuple(tuple(row) for row in big)
-        return MatrixForm(self.chart, s * self.m, out, self.backend, self.nodes)
+        zero = MatrixForm.zero(self.chart, self.m, self.backend, self.nodes)
+        return MatrixForm.from_blocks(
+            [[self if i == j else zero for j in range(s)] for i in range(s)])
 
     def block(self, i: int, j: int, mb: int) -> "MatrixForm":
         """The (i, j) block of size mb when the form is s*mb x s*mb."""
-        out = {}
-        for idx, mat in self.comps.items():
-            sub = tuple(
-                tuple(mat[i * mb + a][j * mb + b] for b in range(mb))
-                for a in range(mb)
-            )
-            out[idx] = sub
-        return MatrixForm(self.chart, mb, out, self.backend, self.nodes)
+        out = {idx: linalg.mat_block(mat, i, j, mb) for idx, mat in self.comps.items()}
+        return MatrixForm._built(self.chart, mb, out, self.backend, self.nodes)
 
     @staticmethod
     def from_blocks(blocks) -> "MatrixForm":
-        """Assemble an s x s grid of equal-size forms into one form."""
-        s = len(blocks)
+        """Assemble an s x s grid of equal-size forms into one form, per
+        component, the components in order of first appearance."""
         probe = blocks[0][0]
         mb = probe.m
-        chart, backend, nodes = probe.chart, probe.backend, probe.nodes
-        z = probe._zero_scalar()
-        idxs = set()
-        for row in blocks:
-            for blk in row:
-                idxs |= set(blk.comps)
-        out = {}
-        for idx in idxs:
-            big = [[z] * (s * mb) for _ in range(s * mb)]
-            for bi, row in enumerate(blocks):
-                for bj, blk in enumerate(row):
-                    mat = blk.comps.get(idx)
-                    if mat is None:
-                        continue
-                    for a in range(mb):
-                        for b in range(mb):
-                            big[bi * mb + a][bj * mb + b] = mat[a][b]
-            out[idx] = tuple(tuple(r) for r in big)
-        return MatrixForm(chart, s * mb, out, backend, nodes)
+        zero = linalg.mat_zero(mb, mb, probe._zero_scalar())
+        idxs = dict.fromkeys(idx for row in blocks for blk in row for idx in blk.comps)
+        out = {
+            idx: linalg.mat_from_blocks(
+                [[blk.comps.get(idx, zero) for blk in row] for row in blocks])
+            for idx in idxs
+        }
+        return MatrixForm._built(probe.chart, len(blocks) * mb, out, probe.backend,
+                                 probe.nodes)
 
     # -- predicates -------------------------------------------------------
 
@@ -751,11 +730,6 @@ class MatrixForm:
         return f"MatrixForm<m={self.m}, deg={degs}, {self.backend}>"
 
 
-def wedge(a: MatrixForm, b: MatrixForm) -> MatrixForm:
-    """Graded product (A dx_I)(B dx_J) = (A B) dx_I^dx_J."""
-    return a * b
-
-
 def trace_of_product(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     """tr(a b) of forms of one size, equal to ``(a * b).trace()``, from the
     diagonal of the product only.
@@ -800,7 +774,7 @@ def trace_of_product(a: MatrixForm, b: MatrixForm) -> MatrixForm:
                     merge_sign(i_idx, j_idx) < 0)
     for k, (diagonal,) in diagonals.items():
         out[k] = ((sum(diagonal[1:], diagonal[0]),),)  # linalg.mat_trace order
-    return MatrixForm(chart, 1, out, "jet", a.nodes)
+    return MatrixForm._built(chart, 1, out, "jet", a.nodes)
 
 
 def exterior_d(a: MatrixForm) -> MatrixForm:
@@ -904,11 +878,6 @@ class Connection:
         return Connection(self.theta.amplify(s), self.sigma.amplify(s))
 
 
-def curvature_and_lift(theta: MatrixForm) -> Connection:
-    """Curvature omega = d theta + theta^theta and its traceless lift."""
-    return Connection(theta)
-
-
 def dd_representative(conn: Connection, beta: Optional[MatrixForm] = None,
                       check: bool = True) -> MatrixForm:
     """Closed scalar 3-form representing the obstruction class of a lift.
@@ -972,69 +941,3 @@ def exp_beta_intertwiner(beta: MatrixForm, w: MatrixForm) -> MatrixForm:
     if beta.m != 1 or (not beta.is_zero() and beta.degrees() != [2]):
         raise ValueError("shift must be a scalar 2-form")
     return w * exp_form(beta)
-
-
-# -- serialization ------------------------------------------------------
-
-_KIND_CODE = {AFFINE: "a", PERIODIC: "p"}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
-
-
-def matrixform_to_text(a: MatrixForm) -> str:
-    """Stable text rendering of an exact form for golden-file comparison."""
-    if a.backend != "exact":
-        raise ValueError("only exact forms serialize to text")
-    lines = ["matrixform v1"]
-    lines.append("chart " + ",".join(_KIND_CODE[k] for k in a.chart.kinds))
-    lines.append(f"m {a.m}")
-    for idx in sorted(a.comps):
-        lines.append("comp " + (",".join(map(str, idx)) if idx else "-"))
-        mat = a.comps[idx]
-        for i in range(a.m):
-            for j in range(a.m):
-                entry = mat[i][j]
-                if entry.is_zero():
-                    continue
-                terms = " ; ".join(
-                    "(" + ",".join(map(str, mono)) + ")=" + str(c)
-                    for mono, c in sorted(entry.coeffs.items())
-                )
-                lines.append(f"e {i} {j} : {terms}")
-    return "\n".join(lines) + "\n"
-
-
-def matrixform_from_text(text: str) -> MatrixForm:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "matrixform v1":
-        raise ValueError("not a matrixform v1 document")
-    chart = Chart(tuple(_CODE_KIND[c] for c in lines[1].split()[1].split(",")))
-    m = int(lines[2].split()[1])
-    comps: Dict[IdxTuple, list] = {}
-    idx: IdxTuple = ()
-    for ln in lines[3:]:
-        if ln.startswith("comp"):
-            tok = ln.split()[1]
-            idx = () if tok == "-" else tuple(int(x) for x in tok.split(","))
-            comps[idx] = [
-                [PolyScalar.const(chart, 0) for _ in range(m)] for _ in range(m)
-            ]
-        elif ln.startswith("e "):
-            head, terms = ln.split(":", 1)
-            _, i, j = head.split()
-            coeffs = {}
-            for term in terms.split(";"):
-                term = term.strip()
-                if not term:
-                    continue
-                mono_s, c_s = term.split("=")
-                mono = tuple(
-                    int(x) for x in mono_s.strip()[1:-1].split(",") if x != ""
-                )
-                if not mono:
-                    mono = ()
-                coeffs[mono] = QQi.parse(c_s)
-            comps[idx][int(i)][int(j)] = PolyScalar(chart, coeffs)
-    final = {
-        k: tuple(tuple(row) for row in v) for k, v in comps.items()
-    }
-    return MatrixForm(chart, m, final, "exact", None)

@@ -21,11 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, pi
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from . import clifford
+from . import clifford, linalg
 from .cyclic import Chain, Projection, chern_cyclic
 from .characters import rho
 from .forms import Connection, MatrixForm, exp_form, exterior_d, trace_of_product
@@ -149,25 +149,6 @@ class Geometry:
             return complex(np.sum(self.weights * mat[0][0].values))
         return 0.0
 
-    def integrate_exact_torus(self, a: MatrixForm, degree: int = 2) -> QQi:
-        """Symbolic torus integral (mean coefficient); exact backend only.
-
-        The result is the rational (Gaussian-rational) multiple of
-        (2*pi)^2.
-        """
-        if self.kind != "torus2" or a.backend != "exact":
-            raise ValueError("symbolic integration needs an exact torus form")
-        if degree == 0:
-            mat = a.comps.get(())
-        else:
-            mat = a.comps.get((0, 1))
-        if mat is None:
-            return QQi(0)
-        return mat[0][0].mean_value()
-
-    def volume(self) -> float:
-        return float(np.sum(self.weights * self.frame_density))
-
     # -- curvature and Clifford data ---------------------------------------
 
     def left_curvature_matrix(self) -> np.ndarray:
@@ -210,15 +191,6 @@ class Geometry:
 
 
 # -- formal A-hat from curvature matrices ---------------------------------
-
-
-def formal_chart(dim: int = 4) -> Chart:
-    """Exact affine chart for formal characteristic-class computations.
-
-    No quadrature is attached: curvature matrices over this chart are
-    evaluated purely symbolically.
-    """
-    return Chart.affine(dim)
 
 
 def a_hat_from_curvature(r_form: MatrixForm) -> MatrixForm:
@@ -353,16 +325,11 @@ def kron_identity_right(a: MatrixForm, k: int) -> MatrixForm:
     if a.backend == "jet" and all(x.grads is None for mat in a.comps.values()
                                   for row in mat for x in row):
         z = JetScalar.zero(a.chart, a.nodes, grads=False)
-    out = {}
-    m = a.m
-    for idx, mat in a.comps.items():
-        big = [[z] * (m * k) for _ in range(m * k)]
-        for i in range(m):
-            for j in range(m):
-                for t in range(k):
-                    big[i * k + t][j * k + t] = mat[i][j]
-        out[idx] = tuple(tuple(row) for row in big)
-    return MatrixForm(a.chart, m * k, out, a.backend, a.nodes)
+    out = {
+        idx: linalg.mat_from_blocks([[linalg.mat_eye(k, z, x) for x in row] for row in mat])
+        for idx, mat in a.comps.items()
+    }
+    return MatrixForm._built(a.chart, a.m * k, out, a.backend, a.nodes)
 
 
 def twisting_curvature(geom: Geometry, p_form: MatrixForm) -> Tuple[MatrixForm, MatrixForm]:
@@ -437,22 +404,6 @@ def local_index(geom: Geometry, p_form: MatrixForm,
             f"index quadrature residual too large: {residual:.3e}"
         )
     return {"raw": raw, "integer": int(snapped), "residual": float(residual)}
-
-
-def index_refinement(p_builder: Callable[[Geometry], MatrixForm],
-                     resolutions: Sequence[Tuple[int, int]],
-                     kind: str = "sphere2",
-                     residual_tol: float = 1.0) -> List[Dict[str, object]]:
-    """Index runs across a resolution ladder; coarse levels may carry a
-    large residual, which is the point of the trend study."""
-    out = []
-    for res in resolutions:
-        geom = Geometry.sphere2(*res) if kind == "sphere2" else Geometry.torus2(res[0])
-        out.append(
-            local_index(geom, p_builder(geom), residual_tol=residual_tol)
-            | {"resolution": res}
-        )
-    return out
 
 
 def character_pairing(geom: Geometry, chain: Chain,

@@ -144,33 +144,3 @@ def integer_kernel_basis(a) -> List[List[int]]:
     for j in range(r, m):
         basis.append([v[i][j] for i in range(m)])
     return basis
-
-
-def is_unimodular(a) -> bool:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        return False
-    return abs(_int_det(a)) == 1
-
-
-def _int_det(a) -> int:
-    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
-    m = [list(map(int, row)) for row in a]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -33,6 +33,20 @@ def mat_eye(n: int, zero, one) -> Matrix:
     )
 
 
+def mat_from_blocks(grid: Sequence[Sequence[Matrix]]) -> Matrix:
+    """The matrix of an r x r grid of equal n x n blocks: entry
+    (b n + i, b' n + j) is entry (i, j) of block (b, b').  This and
+    ``mat_block`` are the one statement of that layout."""
+    n = len(grid[0][0])
+    return tuple(tuple(x for blk in row for x in blk[i])
+                 for row in grid for i in range(n))
+
+
+def mat_block(a: Matrix, i: int, j: int, n: int) -> Matrix:
+    """Block (i, j) of size n x n of ``a``, as laid out by ``mat_from_blocks``."""
+    return tuple(row[j * n:(j + 1) * n] for row in a[i * n:(i + 1) * n])
+
+
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)

@@ -171,32 +171,6 @@ def random_exact_projection(chart: Chart, size: int, rng: random.Random,
     return u * q * u.conj_transpose()
 
 
-def torus_pullback_projection(chart: Chart) -> MatrixForm:
-    """Exact rank-one projection (1 + n.sigma)/2 pulled back to the torus.
-
-    n = (sin t1 cos t2, sin t1 sin t2, cos t1) has unit length as a trig
-    identity, so idempotence and Hermiticity hold exactly over the
-    Gaussian rationals.  The class is trivial (the map has degree zero)
-    but the entries are genuinely nonconstant.
-    """
-    if chart.kinds != (PERIODIC, PERIODIC):
-        raise ValueError("pullback projection lives on the 2-torus chart")
-    half = Fraction(1, 2)
-    s1 = PolyScalar.sin(chart, 0)
-    c1 = PolyScalar.cos(chart, 0)
-    c2 = PolyScalar.cos(chart, 1)
-    s2 = PolyScalar.sin(chart, 1)
-    n1 = s1 * c2
-    n2 = s1 * s2
-    n3 = c1
-    i = QQi(0, 1)
-    e11 = (n3 + 1) * half
-    e22 = (PolyScalar.const(chart, 1) - n3) * half
-    e12 = (n1 - n2 * i) * half
-    e21 = (n1 + n2 * i) * half
-    return MatrixForm.from_entries(chart, (), [[e11, e12], [e21, e22]])
-
-
 def random_commuting_family(size: int, count: int, rng: random.Random) -> List[tuple]:
     """Simultaneously diagonalizable exact Hermitian-free matrices."""
     u = random_exact_unitary(size, rng)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -175,9 +175,6 @@ class QQi:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_real(self) -> bool:
-        return self.b == 0
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.d == 1 and self.b == 0 and self.a == other
@@ -204,31 +201,6 @@ class QQi:
             return im
         sign = "+" if self.im > 0 else ""
         return f"{self.re}{sign}{im}"
-
-    @staticmethod
-    def parse(text: str) -> "QQi":
-        """Parse strings like ``"3/2"``, ``"-i"``, ``"1/2+3/4i"``."""
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ValueError("empty scalar string")
-        if not s.endswith("i"):
-            return QQi(Fraction(s))
-        body = s[:-1]
-        # split off a real part if one precedes the imaginary term
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
-                re_part, im_part = body[:k], body[k:]
-                break
-        else:
-            re_part, im_part = "", body
-        if im_part in ("", "+"):
-            im = Fraction(1)
-        elif im_part == "-":
-            im = Fraction(-1)
-        else:
-            im = Fraction(im_part)
-        re = Fraction(re_part) if re_part else Fraction(0)
-        return QQi(re, im)
 
 
 QQI_ZERO = QQi(0)
@@ -265,10 +237,6 @@ class Chart:
     @staticmethod
     def torus(dim: int) -> "Chart":
         return Chart((PERIODIC,) * dim)
-
-    @staticmethod
-    def point() -> "Chart":
-        return Chart(())
 
 
 # Packed form of a PolyScalar (Monagan & Pearce, ISSAC 2009).  A monomial
@@ -735,14 +703,6 @@ class PolyScalar:
             out[m] = s
         return PolyScalar._raw(self.chart, {m: c for m, c in out.items() if not (c.a == 0 and c.b == 0)})
 
-    def mean_value(self) -> QQi:
-        """Coefficient of the constant monomial.
-
-        For an all-periodic chart this equals the average over the torus,
-        so the exact integral is ``mean_value() * (2*pi)**dim``.
-        """
-        return self.coeffs.get((0,) * self.chart.dim, QQI_ZERO)
-
     # -- predicates and interop ----------------------------------------
 
     def is_zero(self) -> bool:
@@ -768,19 +728,6 @@ class PolyScalar:
 
     def key(self):
         return tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))
-
-    def eval_numeric(self, point: Iterable[float]) -> complex:
-        pt = list(point)
-        total = 0j
-        for mono, c in self.coeffs.items():
-            term = complex(c)
-            for e, kind, x in zip(mono, self.chart.kinds, pt):
-                if kind == AFFINE:
-                    term *= x ** e
-                else:
-                    term *= np.exp(1j * e * x)
-            total += term
-        return total
 
     def __repr__(self):
         if not self.coeffs:

@@ -15,7 +15,6 @@ projection, D^E = p (D x Id_m) p.
 from __future__ import annotations
 
 import functools
-import json
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -240,14 +239,10 @@ def spectral_dimension_probe(triple: SpectralTriple, d: float) -> dict:
 
 
 def _block_diag_exact(mat, m: int):
-    n = len(mat)
-    zero = QQi(0)
-    out = [[zero] * (m * n) for _ in range(m * n)]
-    for b in range(m):
-        for i in range(n):
-            for j in range(n):
-                out[b * n + i][b * n + j] = mat[i][j]
-    return tuple(tuple(row) for row in out)
+    """Id_m (x) mat for an exact square matrix."""
+    zero = linalg.mat_zero(len(mat), len(mat), QQi(0))
+    return linalg.mat_from_blocks([[mat if i == j else zero for j in range(m)]
+                                   for i in range(m)])
 
 
 def morita_lift(triple: SpectralTriple, p, m: int,
@@ -324,52 +319,6 @@ def kernel_index_exact(triple: SpectralTriple) -> int:
             - _stacked_nullity_exact(constraints + [gamma_minus]))
 
 
-def mckean_singer(triple: SpectralTriple, t: float) -> float:
-    """Supertrace of the heat semigroup at time t on the effective space."""
-    if triple.grading is None:
-        raise ValueError("supertrace needs a grading")
-    d = _to_numpy(triple.d)
-    g = _to_numpy(triple.grading)
-    vals, vecs = np.linalg.eigh(d)
-    weights = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), g, vecs))
-    if triple.subspace is None:
-        return float(np.sum(weights * np.exp(-t * vals ** 2)))
-    p = _to_numpy(triple.subspace)
-    # modes in ker P have e^{-t*0} - 1 = 0 contribution; start from str(P gamma)
-    base = float(np.real(np.trace(g @ p)))
-    return base + float(np.sum(weights * (np.exp(-t * vals ** 2) - 1.0)))
-
-
-def index_pairing(triple: SpectralTriple, p, m: int) -> int:
-    """Index of the compressed amplified Dirac operator.
-
-    Exact models count kernels exactly; numeric models evaluate the
-    supertrace at t = 1 and snap, reporting drift if t-dependence shows.
-    """
-    lifted = morita_lift(triple, p, m)
-    if lifted.exact:
-        return kernel_index_exact(lifted)
-    vals = [mckean_singer(lifted, t) for t in (0.5, 1.0, 2.0)]
-    snapped = round(vals[1])
-    if max(abs(v - snapped) for v in vals) > 1e-6:
-        raise ValueError(f"supertrace is not settling to an integer: {vals}")
-    return int(snapped)
-
-
-def amplified_projection_exact(blocks) -> tuple:
-    """Assemble an r x r grid of equal-size exact blocks into one matrix."""
-    r = len(blocks)
-    nb = len(blocks[0][0])
-    out = [[QQi(0)] * (r * nb) for _ in range(r * nb)]
-    for bi in range(r):
-        for bj in range(r):
-            blk = blocks[bi][bj]
-            for i in range(nb):
-                for j in range(nb):
-                    out[bi * nb + i][bj * nb + j] = blk[i][j]
-    return tuple(tuple(row) for row in out)
-
-
 def pairing_functoriality_check(triple: SpectralTriple, p, m: int,
                                 q_small, r: int) -> dict:
     """Commutation of the index pairing with a module change of algebra.
@@ -381,7 +330,7 @@ def pairing_functoriality_check(triple: SpectralTriple, p, m: int,
     """
     blocks = [[linalg.mat_scale(q_small[i][j], p) for j in range(r)]
               for i in range(r)]
-    q_big = amplified_projection_exact(blocks)
+    q_big = linalg.mat_from_blocks(blocks)
     pushed_side = kernel_index_exact(morita_lift(triple, q_big, m * r))
     lifted = morita_lift(triple, p, m)
     lifted_side = kernel_index_exact(morita_lift(lifted, q_big, r))
@@ -420,34 +369,6 @@ def spectra_equal(t1: SpectralTriple, t2: SpectralTriple, tol: float = 1e-9) -> 
     if len(v1) != len(v2):
         return False
     return bool(np.max(np.abs(v1 - v2)) <= tol)
-
-
-def smoothness_criterion_probe(triple: SpectralTriple, t_matrix,
-                               s: float, r_grid=(0.5, 1.0, 2.0, 4.0),
-                               c_cap: float = 1e3) -> dict:
-    """Column-norm criterion for operators preserving the smooth domain.
-
-    For T with block entries t_ij the criterion asks, for the given s,
-    for some C and r with ||sum_i mu_i^{-s} t_ij|| < C + mu_j^{-r} for
-    every j.  On a truncation this is probed over a grid of r values with
-    a capped C; mode-local (banded) operators pass with small r, while
-    operators that throw low modes exponentially high fail every tested
-    exponent.
-    """
-    t = _to_numpy(t_matrix)
-    lam = np.real(np.linalg.eigvalsh(_to_numpy(triple.d)))
-    order = np.argsort(-1.0 / (lam ** 2 + 1.0))
-    mu = 1.0 / (lam[order] ** 2 + 1.0)
-    t = t[np.ix_(order, order)]
-    col_norms = np.array([
-        np.linalg.norm(mu ** (-s) * np.abs(t[:, j])) for j in range(len(mu))
-    ])
-    for r in r_grid:
-        c_needed = float(np.max(col_norms - mu ** (-r)))
-        if c_needed < c_cap:
-            return {"holds": True, "r": float(r), "c": max(c_needed, 0.0)}
-    return {"holds": False, "r": None,
-            "worst_excess": float(np.max(col_norms - mu ** (-max(r_grid))))}
 
 
 # -- Fourier-truncated flat torus model ----------------------------------
@@ -525,43 +446,3 @@ class FourierTorusTriple:
 
     def dirac_eigenvalues(self) -> np.ndarray:
         return np.sort(self._spectrum[0].ravel())
-
-
-# -- triple description files --------------------------------------------
-
-
-def triple_to_json(triple: SpectralTriple) -> str:
-    def render(mat):
-        if triple.exact:
-            return [[str(x) for x in row] for row in mat]
-        return [[f"{complex(x).real!r}{complex(x).imag:+}j" for x in row] for row in mat]
-
-    mu, counts = triple.resolvent_weights()
-    doc = {
-        "exact": triple.exact,
-        "model": triple.model,
-        "dirac": render(triple.d),
-        "algebra": {k: render(v) for k, v in sorted(triple.algebra.items())},
-        # informational eigendata (decimal): resolvent weights, decreasing
-        "resolvent_spectrum": [
-            {"mu": float(m), "multiplicity": int(c)}
-            for m, c in zip(mu, counts)
-        ],
-    }
-    if triple.grading is not None:
-        doc["grading"] = render(triple.grading)
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def triple_from_json(text: str) -> SpectralTriple:
-    doc = json.loads(text)
-    if not doc.get("exact", True):
-        raise ValueError("only exact triple files are supported")
-
-    def parse(rows):
-        return linalg.mat_from_rows([[QQi.parse(x) for x in row] for row in rows])
-
-    d = parse(doc["dirac"])
-    alg = {k: parse(v) for k, v in doc.get("algebra", {}).items()}
-    g = parse(doc["grading"]) if "grading" in doc else None
-    return SpectralTriple(d, alg, g, exact=True, model=doc.get("model", "finite"))

@@ -31,7 +31,7 @@ from ncgkit.scalars import Chart, PolyScalar, QQi
 
 AFF2 = Chart.affine(2)
 T2 = Chart.torus(2)
-POINT = Chart.point()
+POINT = Chart(())
 
 
 def make_deriv(conn, rng):

@@ -345,6 +345,23 @@ class TestComparison:
         with pytest.raises(NonTorsionTwist):
             require_torsion_twist("non-torsion")
 
+    def test_torsion_gate_check_lets_other_errors_through(self, monkeypatch):
+        """The gate of ``character-comparison`` counts only a refusal: a gate
+        that fails for another reason does not read as torsion_gate true."""
+        from ncgkit import characters
+        from ncgkit.checks import check_character_comparison
+
+        gate = characters.require_torsion_twist
+
+        def broken_gate(declaration):
+            if declaration == "non-torsion":
+                raise TypeError("broken gate")
+            gate(declaration)
+
+        monkeypatch.setattr(characters, "require_torsion_twist", broken_gate)
+        with pytest.raises(TypeError, match="broken gate"):
+            check_character_comparison(seed=7, resolution=8)
+
     def test_flat_exact_agreement_on_torus(self):
         rng = random.Random(15)
         theta = MatrixForm.from_scalar(random_poly(T2, rng), 1, (0,))
@@ -370,7 +387,8 @@ class TestComparison:
             mat = part.comps.get((0, 1) if k == 2 else ())
             if mat is None:
                 return 0.0
-            return complex(mat[0][0].mean_value())
+            # the constant coefficient: the mean over the torus
+            return complex(mat[0][0].coeffs.get((0, 0), 0))
 
         report = compare_class_integrals(conn, p, integrate)
         assert report["agree"]

@@ -8,8 +8,8 @@ from ncgkit.clifford import (
     Chirality,
     CliffordElement,
     DimensionMismatch,
+    SpinorRep,
     chirality,
-    clifford_mul,
     clifford_trace,
     degree_sign_matrix,
     fiber_basis,
@@ -19,13 +19,12 @@ from ncgkit.clifford import (
     right_action,
     right_generator_action,
     right_matrix,
-    spinor_rep,
 )
 from ncgkit.scalars import QQi
 
 
 def gens(n):
-    return [CliffordElement.generator(n, i) for i in range(1, n + 1)]
+    return [CliffordElement.blade(n, (i,)) for i in range(1, n + 1)]
 
 
 def random_element(n, rng, terms=3):
@@ -53,7 +52,7 @@ def test_unit_law_and_dimension_mismatch():
     one = CliffordElement.scalar(3, 1)
     assert one * x == x and x * one == x
     with pytest.raises(DimensionMismatch):
-        clifford_mul(CliffordElement.generator(2, 1), CliffordElement.generator(3, 1))
+        CliffordElement.blade(2, (1,)) * CliffordElement.blade(3, (1,))
 
 
 def test_associativity_random():
@@ -95,7 +94,7 @@ def test_chirality_square_via_spinor_matrices():
     # independent oracle: the represented volume element squares to the
     # identity matrix
     for n in (1, 2, 3, 4, 5, 6):
-        rep = spinor_rep(n)
+        rep = SpinorRep(n)
         m = rep.chirality_matrix()
         assert linalg.mat_eq(
             linalg.mat_mul(m, m), linalg.mat_eye(rep.dim, QQi(0), QQi(1))
@@ -104,7 +103,7 @@ def test_chirality_square_via_spinor_matrices():
 
 def test_spinor_rep_defining_relations():
     for n in (1, 2, 3, 4, 5):
-        rep = spinor_rep(n)
+        rep = SpinorRep(n)
         assert rep.dim == 2 ** (n // 2)
         eye = linalg.mat_eye(rep.dim, QQi(0), QQi(1))
         for i in range(n):
@@ -121,7 +120,7 @@ def test_spinor_rep_defining_relations():
 def test_spinor_rep_homomorphism_random_pairs():
     rng = random.Random(3)
     for n in (2, 3, 4):
-        rep = spinor_rep(n)
+        rep = SpinorRep(n)
         for _ in range(67):
             a = random_element(n, rng)
             b = random_element(n, rng)
@@ -131,12 +130,12 @@ def test_spinor_rep_homomorphism_random_pairs():
 
 
 def test_chirality_matrix_is_diag_pm_one():
-    rep = spinor_rep(2)
+    rep = SpinorRep(2)
     assert linalg.mat_eq(
         rep.chirality_matrix(),
         linalg.mat_from_rows([[QQi(1), QQi(0)], [QQi(0), QQi(-1)]]),
     )
-    rep4 = spinor_rep(4)
+    rep4 = SpinorRep(4)
     m = rep4.chirality_matrix()
     for i in range(4):
         for j in range(4):
@@ -148,7 +147,7 @@ def test_chirality_matrix_is_diag_pm_one():
 
 def test_even_part_representation_n3():
     # c(w3 e1 e2) and c(w3 e2 e3) generate the full 2x2 matrix algebra
-    rep = spinor_rep(3)
+    rep = SpinorRep(3)
     w = chirality(3).element
     e1, e2, e3 = gens(3)
     a = rep.of(w * e1 * e2)
@@ -168,7 +167,7 @@ def test_clifford_trace_values():
 def test_clifford_trace_matches_matrix_trace_even():
     rng = random.Random(5)
     for n in (2, 4):
-        rep = spinor_rep(n)
+        rep = SpinorRep(n)
         for _ in range(40):
             a = random_element(n, rng)
             assert clifford_trace(a) == linalg.mat_trace(rep.of(a))
@@ -185,11 +184,11 @@ def test_clifford_trace_cyclic():
 class TestFiberActions:
     def test_left_action_on_scalar_fiber(self):
         one = CliffordElement.scalar(2, 1)
-        e1 = CliffordElement.generator(2, 1)
+        e1 = CliffordElement.blade(2, (1,))
         assert left_action(e1, one) == e1
 
     def test_left_action_contraction_sign(self):
-        e1 = CliffordElement.generator(2, 1)
+        e1 = CliffordElement.blade(2, (1,))
         assert left_action(e1, e1) == CliffordElement.scalar(2, -1)
 
     def test_left_action_equals_clifford_multiplication(self):

@@ -11,15 +11,13 @@ from ncgkit.cyclic import (
     BlockMap,
     Chain,
     Projection,
-    chain_to_text,
     chern_bB,
     chern_cyclic,
     connes_B,
-    cyclic_project,
+    cyclic_permute,
     find_boundary_witness,
     hochschild_b,
     pushforward_chain,
-    tensor_eq,
     tensor_is_zero,
 )
 from ncgkit.forms import MatrixForm
@@ -30,7 +28,7 @@ from ncgkit.randgen import (
     random_exact_unitary,
     random_qqi,
 )
-from ncgkit.scalars import Chart, QQi
+from ncgkit.scalars import PERIODIC, Chart, PolyScalar, QQi
 
 T2 = Chart.torus(2)
 T1 = Chart.torus(1)
@@ -46,6 +44,46 @@ def rand_chain(rng, k, m=2, chart=T2, terms=2):
 
 def reduced_zero(ch):
     return ch.is_zero() or tensor_is_zero(ch)
+
+
+def cyclic_project(ch: Chain) -> Chain:
+    """Average over signed cyclic rotations.
+
+    This is the projection onto lambda-invariants along the image of
+    (1 - lambda); a chain vanishes in the cyclic quotient complex exactly
+    when its projection is zero.
+    """
+    out = ch
+    rotated = ch
+    for _ in range(ch.degree):
+        rotated = cyclic_permute(rotated)
+        out = out + rotated
+    return out.scale(Fraction(1, ch.degree + 1))
+
+
+def torus_pullback_projection(chart: Chart) -> MatrixForm:
+    """Exact rank-one projection (1 + n.sigma)/2 pulled back to the torus.
+
+    n = (sin t1 cos t2, sin t1 sin t2, cos t1) has unit length as a trig
+    identity, so idempotence and Hermiticity hold exactly over the
+    Gaussian rationals.  The class is trivial (the map has degree zero)
+    but the entries are genuinely nonconstant.
+    """
+    assert chart.kinds == (PERIODIC, PERIODIC)
+    half = Fraction(1, 2)
+    s1 = PolyScalar.sin(chart, 0)
+    c1 = PolyScalar.cos(chart, 0)
+    c2 = PolyScalar.cos(chart, 1)
+    s2 = PolyScalar.sin(chart, 1)
+    n1 = s1 * c2
+    n2 = s1 * s2
+    n3 = c1
+    i = QQi(0, 1)
+    e11 = (n3 + 1) * half
+    e22 = (PolyScalar.const(chart, 1) - n3) * half
+    e12 = (n1 - n2 * i) * half
+    e21 = (n1 + n2 * i) * half
+    return MatrixForm.from_entries(chart, (), [[e11, e12], [e21, e22]])
 
 
 def test_boundary_degree_one_is_commutator():
@@ -256,8 +294,6 @@ class TestChernCharacters:
         assert (c0 - want).is_zero()
 
     def test_reference_pullback_mixed_cycle_degrees_0_to_2(self):
-        from ncgkit.randgen import torus_pullback_projection
-
         p = Projection(torus_pullback_projection(T2), 2, 1)
         c0, c1 = chern_bB(p, 0), chern_bB(p, 1)
         assert tensor_is_zero(hochschild_b(c1) + connes_B(c0))
@@ -321,7 +357,7 @@ class TestPushforward:
         blocks = [[alpha.apply(q.block(i, j)) for j in range(2)] for i in range(2)]
         aq = MatrixForm.from_blocks(blocks)
         direct = chern_cyclic(Projection(aq, 4, 1, check=False), 1)
-        assert tensor_eq(pushed, direct)
+        assert tensor_is_zero(pushed - direct)
 
 
 class TestBoundaryWitness:
@@ -333,6 +369,17 @@ class TestBoundaryWitness:
         assert w is not None
         assert (hochschild_b(w) - target).is_zero()
 
+    def test_equal_hashes_keep_distinct_rows(self, monkeypatch):
+        """Rows are keyed by the tensors themselves: with every form hashing
+        alike, each seeded two-candidate boundary still finds its witness."""
+        monkeypatch.setattr(MatrixForm, "__hash__", lambda self: 0)
+        for seed in range(20):
+            ch = rand_chain(random.Random(seed), 2, m=1, chart=T1, terms=2)
+            target = hochschild_b(ch)
+            w = find_boundary_witness(target, [t for _, t in ch.terms])
+            assert w is not None, seed
+            assert (hochschild_b(w) - target).is_zero()
+
     def test_rejects_non_boundary(self):
         rng = random.Random(13)
         ch = rand_chain(rng, 2, m=1, chart=T1)
@@ -341,11 +388,3 @@ class TestBoundaryWitness:
         w = find_boundary_witness(ch, cand)
         if w is not None:
             assert (hochschild_b(w) - ch).is_zero()
-
-
-def test_chain_serialization_stable():
-    rng = random.Random(14)
-    ch = rand_chain(rng, 1, m=1, chart=T1)
-    text = chain_to_text(ch)
-    assert text == chain_to_text(ch)
-    assert text.startswith("chain v1 degree 1")

@@ -19,7 +19,6 @@ from ncgkit.geom import (
     character_pairing,
     cocycle_cyclicity_residual,
     constant_projection,
-    index_refinement,
     kron_identity_right,
     local_index,
     pairing_index,
@@ -33,11 +32,11 @@ from ncgkit.scalars import Chart, JetScalar, PolyScalar, QQi
 class TestQuadrature:
     def test_sphere_volume(self):
         g = Geometry.sphere2(12, 24)
-        assert abs(g.volume() - 4 * pi) < 1e-10
+        assert abs(np.sum(g.weights * g.frame_density) - 4 * pi) < 1e-10
 
     def test_torus_volume(self):
         g = Geometry.torus2(16)
-        assert abs(g.volume() - (2 * pi) ** 2) < 1e-10
+        assert abs(np.sum(g.weights * g.frame_density) - (2 * pi) ** 2) < 1e-10
 
     def test_sphere_low_moments(self):
         # integral of cos^2(theta) over the sphere = 4 pi / 3
@@ -50,20 +49,10 @@ class TestQuadrature:
         g = Geometry.sphere2(8, 16)
         assert np.min(np.sin(g.theta)) > 1e-3
 
-    def test_exact_torus_integral(self):
-        g = Geometry.torus2(8)
-        chart = Chart.torus(2)
-        f = PolyScalar.cos(chart, 0) * PolyScalar.cos(chart, 0)
-        form = MatrixForm.from_scalar(f, 1, (0, 1))
-        mean = g.integrate_exact_torus(form, 2)
-        assert mean == QQi(Fraction(1, 2))
-
 
 class TestAHat:
     def test_zero_curvature(self):
-        from ncgkit.geom import formal_chart
-
-        chart = formal_chart(4)
+        chart = Chart.affine(4)
         r = MatrixForm.zero(chart, 2)
         out = a_hat_from_curvature(r)
         assert (out - MatrixForm.identity(chart, 1)).is_zero()
@@ -352,9 +341,11 @@ class TestLocalIndex:
         assert out["integer"] == 0
 
     def test_refinement_trend_dilated(self):
-        trend = index_refinement(
-            lambda g: bott_projection(g, 0.5), [(4, 8), (6, 12), (9, 18)]
-        )
+        # coarse levels may carry a large residual: that is the trend studied
+        trend = []
+        for res in [(4, 8), (6, 12), (9, 18)]:
+            g = Geometry.sphere2(*res)
+            trend.append(local_index(g, bott_projection(g, 0.5), residual_tol=1.0))
         residuals = [t["residual"] for t in trend]
         assert residuals[0] > residuals[1] > residuals[2]
         assert all(t["integer"] == -2 for t in trend)

@@ -2,8 +2,8 @@
 
 The references below are the coefficient-wise dict-of-QQi loops the packed
 kernel replaced.  Results must agree in value and in the key order of
-``coeffs``, because float sums over ``coeffs`` (``eval_numeric``, grid
-evaluation) follow that order.
+``coeffs``, because float sums over ``coeffs`` (grid evaluation in
+``checks``) follow that order.
 """
 
 from fractions import Fraction

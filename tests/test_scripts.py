@@ -1,5 +1,7 @@
-"""Smoke runs of the scripts under ``scripts/`` as a user would start them."""
+"""Smoke runs of the scripts under ``scripts/`` as a user would start them,
+and a guard against library code that only tests reach."""
 
+import ast
 import importlib.util
 import os
 import pathlib
@@ -93,3 +95,58 @@ def test_mutants_rejects_an_unknown_name():
     proc = run_script("scripts/mutants.py", "no-such-mutant")
     assert proc.returncode == 2
     assert "unknown mutant no-such-mutant" in proc.stderr
+
+
+# Paper objects that only tests check: the A-hat form, the (b, B) Chern
+# cycle, the spinor module and the Clifford bimodule actions, and the
+# Dirac spectrum of the torus triple.
+PAPER_OBJECTS_CHECKED_BY_TESTS = frozenset((
+    "a_hat_from_curvature", "chern_bB", "SpinorRep", "chirality_matrix",
+    "clifford_trace", "left_action", "right_action", "right_matrix",
+    "degree_sign_matrix", "dirac_eigenvalues",
+))
+
+
+def _names_used(path):
+    """(name, line) of every identifier, attribute, imported name and string
+    constant in a file; strings count because ``perfbench/tracer.py`` binds
+    functions by name."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.rsplit(".", 1)[-1], node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, node.lineno))
+    return out
+
+
+def test_no_library_code_that_only_tests_reach():
+    """Every public function, class and method of ``src/ncgkit`` is named
+    somewhere in ``src/``, ``scripts/`` or ``perfbench/`` outside its own
+    definition, except the paper objects above."""
+    files = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    used = {path: _names_used(path) for path in files}
+    unreached = set()
+    for path in sorted((ROOT / "src" / "ncgkit").glob("*.py")):
+        defs = []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(node)
+            if isinstance(node, ast.ClassDef):
+                defs += [n for n in node.body if isinstance(n, ast.FunctionDef)]
+        for d in defs:
+            if d.name.startswith("_"):
+                continue
+            if not any(name == d.name and not (where == path and d.lineno <= line <= d.end_lineno)
+                       for where, names in used.items() for name, line in names):
+                unreached.add(f"{path.stem}.{d.name}")
+    stray = sorted(n for n in unreached if n.split(".")[1] not in PAPER_OBJECTS_CHECKED_BY_TESTS)
+    assert not stray, "only tests reach these; delete them or move them into the tests: " + ", ".join(stray)
+    # a listed paper object that a command now reaches leaves the list
+    assert sorted(n.split(".")[1] for n in unreached if n not in stray) == sorted(
+        PAPER_OBJECTS_CHECKED_BY_TESTS)

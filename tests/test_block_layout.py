@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from ncgkit import linalg
-from ncgkit.forms import MatrixForm
+from ncgkit.forms import MatrixForm, trace_of_product
 from ncgkit.geom import kron_identity_right
 from ncgkit.randgen import random_poly, random_qqi
 from ncgkit.scalars import Chart, JetScalar, PolyScalar
@@ -206,3 +206,26 @@ def test_block_and_from_blocks_match_the_index_loops(seed, backend, mb, s):
 def test_kron_identity_right_matches_the_index_loop(seed, backend, m, k, grads):
     a = random_form(random.Random(seed), backend, m, grads)
     assert_same_form(kron_identity_right(a, k), kron_by_index(a, k))
+
+
+# -- operation results are well formed -----------------------------------------
+
+
+@settings(max_examples=60)
+@given(seeds, backends, st.integers(1, 3), st.integers(1, 2))
+def test_built_results_pass_the_input_checks(seed, backend, m, s):
+    """Every operation builds its result without the constructor's index and
+    shape checks; rebuilt through ``MatrixForm(...)`` it is the same form."""
+    rng = random.Random(seed)
+    a = random_form(rng, backend, m)
+    b = random_form(rng, backend, m)
+    if backend == "exact":  # the exact trace of a product takes degree 0
+        a0, b0 = a.degree_part(0), b.degree_part(0)
+    else:
+        a0, b0 = a, b
+    big = a.amplify(s)
+    results = [a.conj_transpose(), a.trace(), trace_of_product(a0, b0), big,
+               big.block(s - 1, 0, m), MatrixForm.from_blocks([[a, b], [b, a]]),
+               kron_identity_right(a, s + 1)]
+    for r in results:
+        assert_same_form(MatrixForm(r.chart, r.m, r.comps, r.backend, r.nodes), r)

@@ -38,6 +38,16 @@ class TestQuadrature:
         g = Geometry.torus2(16)
         assert abs(np.sum(g.weights * g.frame_density) - (2 * pi) ** 2) < 1e-10
 
+    def test_exact_torus_integral(self):
+        # the uniform torus grid integrates cos^2(theta) exactly: (2 pi)^2
+        # times its constant Fourier coefficient 1/2
+        g = Geometry.torus2(8)
+        f = PolyScalar.cos(g.chart, 0) * PolyScalar.cos(g.chart, 0)
+        assert f.coeffs[(0, 0)] == QQi(Fraction(1, 2))
+        jet = JetScalar(g.chart, np.cos(g.theta) ** 2, None)
+        form = MatrixForm(g.chart, 1, {(): ((jet,),)}, "jet", g.n_nodes)
+        assert abs(g.integrate_form(form, 0) - (2 * pi) ** 2 / 2) < 1e-10
+
     def test_sphere_low_moments(self):
         # integral of cos^2(theta) over the sphere = 4 pi / 3
         g = Geometry.sphere2(12, 24)

@@ -30,6 +30,17 @@ def eval_numeric(f: PolyScalar, point) -> complex:
     return total
 
 
+def parse_qqi(text: str) -> QQi:
+    """The inverse of ``str(QQi)``, the form in which reports print QQi."""
+    if not text.endswith("i"):
+        return QQi(Fraction(text))
+    body = text[:-1]
+    k = max(body.rfind("+"), body.rfind("-"))
+    re, im = (body[:k], body[k:]) if k > 0 else ("0", body)
+    im = {"": "1", "+": "1", "-": "-1"}.get(im, im)
+    return QQi(Fraction(re), Fraction(im))
+
+
 @given(qqis, qqis, qqis)
 def test_qqi_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -47,6 +58,20 @@ def test_qqi_inverse_and_conj(a):
     assert a.conj().conj() == a
     assert (a * a.conj()).im == 0
     assert a.abs2() == (a * a.conj()).re
+
+
+@given(qqis)
+def test_qqi_str_is_lossless(a):
+    assert parse_qqi(str(a)) == a
+
+
+def test_qqi_str_forms():
+    assert str(QQi(0)) == "0"
+    assert str(QQi(0, 1)) == "i"
+    assert str(QQi(0, -1)) == "-i"
+    assert str(QQi(Fraction(3, 2))) == "3/2"
+    assert str(QQi(Fraction(1, 2), Fraction(3, 4))) == "1/2+3/4i"
+    assert str(QQi(Fraction(-1, 2), Fraction(-3))) == "-1/2-3i"
 
 
 def test_qqi_pow_and_complex():
@@ -91,6 +116,16 @@ class TestPolyScalar:
     def test_negative_affine_power_rejected(self):
         with pytest.raises(ValueError):
             PolyScalar(self.chart, {(-1, 0): QQi(1)})
+
+    def test_mean_value(self):
+        # the torus mean is the constant Fourier coefficient, which a uniform
+        # grid finer than the frequencies averages to exactly
+        t = Chart.torus(2)
+        f = PolyScalar.cos(t, 0) * PolyScalar.cos(t, 0)
+        assert f.coeffs[(0, 0)] == QQi(Fraction(1, 2))
+        grid = 2 * np.pi * np.arange(5) / 5
+        mean = np.mean([eval_numeric(f, [a, b]) for a in grid for b in grid])
+        assert abs(mean - 0.5) < 1e-12
 
     def test_eval_matches_numeric(self):
         t = Chart.torus(1)

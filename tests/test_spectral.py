@@ -371,3 +371,11 @@ def test_torus_fast_paths_match_the_per_block_loops(n_max, calls):
 def test_torus_commutator_norm_without_neighbours_is_zero():
     ft = FourierTorusTriple(0)
     assert ft.commutator_norm_shift(0) == ft.commutator_norm_shift(1) == 0.0
+
+
+def test_amplified_projection_layout():
+    blk = linalg.mat_from_rows([[QQi(1), QQi(0)], [QQi(0), QQi(0)]])
+    zero = linalg.mat_zero(2, 2, QQi(0))
+    big = linalg.mat_from_blocks([[blk, zero], [zero, blk]])
+    assert big[0][0] == QQi(1) and big[2][2] == QQi(1)
+    assert big[1][1] == QQi(0) and big[3][3] == QQi(0)

@@ -37,6 +37,11 @@ MUTANTS = {
           "QQI_ZERO, QQi, _qqi, _qqi_raw\n")],
         ["tests/test_linalg.py"],
     ),
+    "eager-numpy": (
+        "numpy is imported with ncgkit instead of on first use",
+        [("src/ncgkit/_numpy.py", 'np = _lazy("numpy")', "import numpy as np")],
+        ["tests/test_cli.py::test_exact_commands_never_load_numpy"],
+    ),
     "block-transposed": (
         "the block routine of the one block layout returns block (j, i) "
         "for block (i, j)",

@@ -23,6 +23,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from . import intlinalg, linalg
+from ._numpy import np
 from .scalars import QQI_ONE, QQI_ZERO, QQi, _qqi
 
 Simplex = Tuple[int, ...]
@@ -495,8 +496,6 @@ def normalize_determinant(data: TransitionData) -> TransitionData:
     snap to exact Gaussian rationals keep the exact backend; otherwise
     the result degrades to the numeric backend.
     """
-    import numpy as _np
-
     n = data.rank
     new_edges = {}
     all_exact = data.exact
@@ -510,21 +509,21 @@ def normalize_determinant(data: TransitionData) -> TransitionData:
                 continue
             all_exact = False
             new_edges[(i, j)] = tuple(
-                tuple(_np.complex128(complex(x) / root_num) for x in row)
+                tuple(np.complex128(complex(x) / root_num) for x in row)
                 for row in mat
             )
         else:
             work = [list(map(complex, row)) for row in mat]
-            det = complex(_np.linalg.det(_np.array(work)))
+            det = complex(np.linalg.det(np.array(work)))
             root_num = det ** (1.0 / n)
             new_edges[(i, j)] = tuple(
-                tuple(_np.complex128(complex(x) / root_num) for x in row)
+                tuple(np.complex128(complex(x) / root_num) for x in row)
                 for row in mat
             )
     if all_exact:
         return TransitionData(data.nerve, n, new_edges, True)
     converted = {
-        e: tuple(tuple(_np.complex128(complex(x)) for x in row) for row in m)
+        e: tuple(tuple(np.complex128(complex(x)) for x in row) for row in m)
         for e, m in new_edges.items()
     }
     return TransitionData(data.nerve, n, converted, False)

@@ -15,9 +15,8 @@ from fractions import Fraction
 from math import factorial, inf, isfinite
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
-import numpy as np
-
 from . import cech, linalg
+from ._numpy import np
 from .algebroid import (
     AlternatingForm,
     Derivation,

@@ -19,8 +19,6 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .checks import (
     BOTT_PROJECTIONS,
     CHECKS,
@@ -57,8 +55,15 @@ SCENARIO_KINDS = {
 }
 
 
+def _is_numpy_scalar(v) -> bool:
+    """``isinstance(v, numpy.generic)``, read off the type's bases by name
+    so that rendering a report never loads numpy."""
+    return any(c.__module__ == "numpy" and c.__qualname__ == "generic"
+               for c in type(v).__mro__)
+
+
 def render_value(v) -> str:
-    if isinstance(v, np.generic):
+    if _is_numpy_scalar(v):
         v = v.item()
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -96,7 +101,7 @@ def render_report_text(command: str, seed: int, params: Dict[str, object],
 def render_report_json(command: str, seed: int, params: Dict[str, object],
                        results: List[CheckResult]) -> str:
     def jsonable(v):
-        if isinstance(v, np.generic):
+        if _is_numpy_scalar(v):
             v = v.item()
         if isinstance(v, (QQi, Fraction)):
             return render_value(v)

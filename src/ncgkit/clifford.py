@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from . import linalg
+from ._numpy import np
 from .scalars import QQI_I, QQI_ONE, QQI_ZERO, QQi
 
 Blade = Tuple[int, ...]  # strictly increasing generator indices, 1-based
@@ -186,11 +185,6 @@ _SIGMA_Y = linalg.mat_from_rows([[QQI_ZERO, -QQI_I], [QQI_I, QQI_ZERO]])
 _SIGMA_Z = linalg.mat_from_rows([[QQI_ONE, QQI_ZERO], [QQI_ZERO, -QQI_ONE]])
 
 
-def _kron(a, b):
-    """a (x) b: block (i, j) is a_ij b."""
-    return linalg.mat_from_blocks([[linalg.mat_scale(x, b) for x in row] for row in a])
-
-
 def _gamma_matrices(n: int):
     """Anti-Hermitian gamma matrices of size 2^(n//2), built recursively.
 
@@ -208,9 +202,9 @@ def _gamma_matrices(n: int):
         return prev + [linalg.mat_scale(QQI_I, chi)]
     prev = _gamma_matrices(n - 2)
     eye2 = linalg.mat_eye(len(prev[0]), QQI_ZERO, QQI_ONE)
-    out = [_kron(g, _SIGMA_Z) for g in prev]
-    out.append(_kron(eye2, linalg.mat_scale(QQI_I, _SIGMA_X)))
-    out.append(_kron(eye2, linalg.mat_scale(QQI_I, _SIGMA_Y)))
+    out = [linalg.mat_kron(g, _SIGMA_Z) for g in prev]
+    out.append(linalg.mat_kron(eye2, linalg.mat_scale(QQI_I, _SIGMA_X)))
+    out.append(linalg.mat_kron(eye2, linalg.mat_scale(QQI_I, _SIGMA_Y)))
     return out
 
 

@@ -20,9 +20,8 @@ from fractions import Fraction
 from math import factorial, lcm as _lcm
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from . import linalg
+from ._numpy import np
 from .scalars import (
     Chart,
     JetScalar,

@@ -23,9 +23,8 @@ from functools import cache
 from math import factorial, pi
 from typing import Callable, Dict, Optional, Tuple
 
-import numpy as np
-
 from . import clifford, linalg
+from ._numpy import np
 from .cyclic import Chain, Projection, chern_cyclic
 from .characters import rho
 from .forms import Connection, MatrixForm, exp_form, exterior_d, trace_of_product

@@ -67,6 +67,11 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def mat_kron(a: Matrix, b: Matrix) -> Matrix:
+    """a (x) b: block (i, j) is a_ij b, laid out by ``mat_from_blocks``."""
+    return mat_from_blocks([[mat_scale(x, b) for x in row] for row in a])
+
+
 def _all_qqi(a: Matrix) -> bool:
     for row in a:
         for x in row:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
+from ._numpy import np
 
 RationalLike = Union[int, Fraction]
 

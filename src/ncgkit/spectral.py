@@ -17,9 +17,8 @@ from __future__ import annotations
 import functools
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import linalg
+from ._numpy import np
 from .scalars import QQi
 
 
@@ -328,9 +327,7 @@ def pairing_functoriality_check(triple: SpectralTriple, p, m: int,
     its image pairs with the original one.  Both indices are computed by
     exact kernel counting and must agree.
     """
-    blocks = [[linalg.mat_scale(q_small[i][j], p) for j in range(r)]
-              for i in range(r)]
-    q_big = linalg.mat_from_blocks(blocks)
+    q_big = linalg.mat_kron(q_small, p)
     pushed_side = kernel_index_exact(morita_lift(triple, q_big, m * r))
     lifted = morita_lift(triple, p, m)
     lifted_side = kernel_index_exact(morita_lift(lifted, q_big, r))
@@ -382,8 +379,6 @@ class FourierTorusTriple:
     signature-type involution; its contract is verified blockwise.
     """
 
-    FORM_SIGN = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-
     def __init__(self, n_max: int):
         self.n_max = n_max
         ks = np.arange(-n_max, n_max + 1)
@@ -394,7 +389,8 @@ class FourierTorusTriple:
         a[:, 2, 0] = 1j * k2
         a[:, 3, 1] = -1j * k2
         a[:, 3, 2] = 1j * k1
-        self.blocks = (a - np.conj(np.transpose(a, (0, 2, 1)))) @ self.FORM_SIGN
+        form_sign = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+        self.blocks = (a - np.conj(np.transpose(a, (0, 2, 1)))) @ form_sign
         g = np.zeros((4, 4), dtype=complex)
         g[3, 0] = -1j
         g[0, 3] = 1j

@@ -1,5 +1,5 @@
 """Differential tests of the one block layout, ``linalg.mat_from_blocks`` and
-``linalg.mat_block``, and of the form operations built on it.
+``linalg.mat_block``, and of the matrix and form operations built on it.
 
 The oracles are the per-index loops those operations replaced: entry
 (b n + i, b' n + j) is entry (i, j) of block (b, b').  Results must agree in
@@ -42,6 +42,17 @@ def blocks_by_index(grid, zero):
 
 def block_by_index(a, i, j, n):
     return tuple(tuple(a[i * n + s][j * n + t] for t in range(n)) for s in range(n))
+
+
+def mat_kron_by_index(a, b):
+    r, n = len(a), len(b)
+    out = [[None] * (r * n) for _ in range(r * n)]
+    for i in range(r):
+        for j in range(r):
+            for s in range(n):
+                for t in range(n):
+                    out[i * n + s][j * n + t] = a[i][j] * b[s][t]
+    return tuple(tuple(row) for row in out)
 
 
 def amplify_by_index(a, s):
@@ -177,6 +188,17 @@ def test_mat_from_blocks_and_mat_block_match_the_index_loops(seed, r, n):
     for i in range(r):
         for j in range(r):
             assert linalg.mat_block(big, i, j, n) == block_by_index(big, i, j, n) == grid[i][j]
+
+
+@settings(max_examples=60)
+@given(seeds, st.integers(1, 3), st.integers(1, 3))
+def test_mat_kron_matches_the_index_loop(seed, r, n):
+    rng = random.Random(seed)
+    a = tuple(tuple(random_qqi(rng) for _ in range(r)) for _ in range(r))
+    b = tuple(tuple(random_qqi(rng) for _ in range(n)) for _ in range(n))
+    got, want = linalg.mat_kron(a, b), mat_kron_by_index(a, b)
+    assert [[(x.a, x.b, x.d) for x in row] for row in got] == [
+        [(x.a, x.b, x.d) for x in row] for row in want]
 
 
 # -- the form operations ------------------------------------------------------

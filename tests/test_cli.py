@@ -390,6 +390,78 @@ def test_render_value_rationals():
     assert render_value([1, 2]) == "[1, 2]"
 
 
+def test_numpy_scalars_render_as_python_values():
+    """numpy scalars in a report print as the Python values they hold."""
+    import numpy as np
+
+    from ncgkit.cli import render_report_json, render_report_text
+
+    assert [render_value(v) for v in (
+        np.bool_(True), np.bool_(False), np.int64(-3), np.float64(0.1),
+        np.complex128(complex(1.5, -2.0)), [np.int64(2), np.float64(0.5)],
+    )] == ["true", "false", "-3", "0.1", "1.5-2.0j", "[2, 0.5]"]
+    details = {"flag": np.bool_(True), "count": np.int64(-3),
+               "residual": np.float64(2.5e-17),
+               "trace": np.complex128(complex(1.5, -2.0)),
+               "spectrum": [np.float64(0.5), np.int64(2)]}
+    args = ("spectral", 7, {"refine": np.int64(2)},
+            [CheckResult("numpy-scalars", True, details)])
+    assert render_report_text(*args) == (
+        "ncgkit-report v1\ncommand: spectral\nseed: 7\nparams:\n  refine: 2\n"
+        "check: numpy-scalars\n  status: pass\n  flag: true\n  count: -3\n"
+        "  residual: 2.5e-17\n  trace: 1.5-2.0j\n  spectrum: [0.5, 2]\n"
+        "overall: pass\n")
+    assert render_report_json(*args) == (
+        '{\n "checks": [\n  {\n   "details": {\n    "count": -3,\n'
+        '    "flag": true,\n    "residual": 2.5e-17,\n    "spectrum": [\n'
+        '     0.5,\n     2\n    ],\n    "trace": {\n     "im": -2.0,\n'
+        '     "re": 1.5\n    }\n   },\n   "id": "numpy-scalars",\n'
+        '   "status": "pass"\n  }\n ],\n "command": "spectral",\n'
+        ' "overall": "pass",\n "params": {\n  "refine": 2\n },\n "seed": 7\n}\n')
+
+
+EXACT_THEN_NUMERIC = """
+import contextlib, io, json, sys
+import ncgkit.cli as cli
+
+cli.build_parser()
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+def numpy_loaded():
+    return [m for m in ("numpy._core", "numpy.core") if m in sys.modules]
+
+codes = [run("verify-identities", "--scenario", "scenarios/identities-smoke.json"),
+         run("algebroid", "--trials", "5")]
+exact = numpy_loaded()
+codes.append(run("index", "--geometry", "sphere2", "--projection", "bott",
+                 "--refine", "0"))
+print(json.dumps({"codes": codes, "exact": exact, "numeric": numpy_loaded()}))
+"""
+
+
+def test_exact_commands_never_load_numpy():
+    """In a fresh interpreter the exact commands run without numpy; the first
+    numeric request loads it and still passes."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "NCGKIT_OUT"}
+    env["PYTHONPATH"] = str(root / "src")
+    proc = subprocess.run([sys.executable, "-c", EXACT_THEN_NUMERIC], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0, 0]
+    assert got["exact"] == []
+    assert got["numeric"] != []
+
+
 def test_parser_has_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

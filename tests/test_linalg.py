@@ -97,7 +97,21 @@ def qq_matrices(draw):
              for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
 
+# explicit cases that a small profile can miss: one nonzero off-diagonal
+# entry, a zero row, and mixed denominators in one elimination
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+OFF_DIAGONAL = [[QQI_ZERO, QQi(Fraction(3, 2))], [QQI_ZERO, QQI_ZERO]]
+WITH_ZERO_ROW = [[QQi(1), QQi(2), QQi(THIRD)], [QQI_ZERO] * 3,
+                 [QQi(0, 1), QQi(HALF), QQI_ZERO]]
+MIXED_DENOMINATORS = [[QQi(HALF), QQi(0, THIRD), QQi(Fraction(5, 13))],
+                      [QQi(Fraction(2, 5)), QQi(1, Fraction(-1, 7)),
+                       QQi(0, Fraction(-1, 65))]]
+
+
 @given(qq_matrices(), st.integers(0, 5))
+@example(OFF_DIAGONAL, 2)
+@example(WITH_ZERO_ROW, 2)
+@example(MIXED_DENOMINATORS, 1)
 def test_echelon_is_reduced(a, ncols):
     m = len(a[0])
     ncols = min(ncols, m)
@@ -264,6 +278,12 @@ def qq_products(draw):
 
 
 @given(qq_products())
+@example((linalg.mat_from_rows(OFF_DIAGONAL),
+          linalg.mat_from_rows(MIXED_DENOMINATORS)))
+@example((linalg.mat_from_rows(WITH_ZERO_ROW),
+          linalg.mat_from_rows([row[:2] for row in WITH_ZERO_ROW])))
+@example((linalg.mat_from_rows(MIXED_DENOMINATORS),
+          linalg.mat_from_rows([list(col) for col in zip(*MIXED_DENOMINATORS)])))
 def test_fused_qqi_product_matches_reference(pair):
     a, b = pair
     got = linalg.mat_mul(a, b)

@@ -110,18 +110,53 @@ PAPER_OBJECTS_CHECKED_BY_TESTS = frozenset((
 def _names_used(path):
     """(name, line) of every identifier, attribute, imported name and string
     constant in a file; strings count because ``perfbench/tracer.py`` binds
-    functions by name."""
+    functions by name.  An identifier in the body of a function with a
+    parameter of that name is the parameter, so it is left out."""
+    return _names_in(ast.parse(path.read_text()))
+
+
+def _names_in(tree):
     out = []
-    for node in ast.walk(ast.parse(path.read_text())):
+
+    def visit(node, params):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            if node.id not in params:
+                out.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             out.append((node.attr, node.lineno))
         elif isinstance(node, ast.alias):
             out.append((node.name.rsplit(".", 1)[-1], node.lineno))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.append((node.value, node.lineno))
+        inner, body = params, ()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            body = node.body if isinstance(node.body, list) else [node.body]
+            inner = params | {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                              a.vararg, a.kwarg) if x is not None}
+        for child in ast.iter_child_nodes(node):
+            # defaults, annotations and decorators are read outside the body
+            visit(child, inner if any(child is b for b in body) else params)
+
+    visit(tree, frozenset())
     return out
+
+
+def test_names_used_skips_a_shadowing_parameter():
+    tree = ast.parse(
+        "class Chart:\n"
+        "    def point(self): ...\n"
+        "def eval_numeric(point, grid=point):\n"
+        "    return point + grid + (lambda point: point)(1)\n"
+        "def caller(chart):\n"
+        "    return chart.point()\n"
+    )
+    names = _names_in(tree)
+    assert ("point", 3) in names  # the default is read in the enclosing scope
+    assert ("point", 4) not in names  # the parameter, twice, and a lambda's own
+    assert ("point", 6) in names  # an attribute is never a parameter
+    assert ("grid", 4) not in names
+    assert ("chart", 6) not in names
 
 
 def test_no_library_code_that_only_tests_reach():

@@ -12,7 +12,7 @@ from ncgkit.checks import PARAM_RULES
 from ncgkit.geom import Geometry, bott_projection, chern_number, local_index
 
 # The sphere grid of ``index --refine 7`` (406 x 819), which peaks at about
-# 540 MiB; a larger last grid exits 2 before any grid is built.
+# 265 MiB; a larger last grid exits 2 before any grid is built.
 MAX_NODES = 406 * 819
 
 

@@ -113,12 +113,19 @@ MUTANTS = {
     ),
     "kron-fill-keeps-grads": (
         "the off-block entries of a (x) Id_k carry gradients when no entry of "
-        "a does, so the curvature term gains gradients its 8 x 8 product "
-        "would not have",
+        "a does, so the amplified form has gradients the index loop would not",
         [("src/ncgkit/geom.py",
           '    if a.backend == "jet" and all(x.grads is None for mat in a.comps.values()\n',
           '    if False and all(x.grads is None for mat in a.comps.values()\n')],
-        ["tests/test_geom.py::test_twisting_curvature_matches_the_amplified_formula"],
+        ["tests/test_block_layout.py::test_kron_identity_right_matches_the_index_loop"],
+    ),
+    "index-curvature-unnegated": (
+        "the relative character traces p4 against +(p dp dp) (x) Id_4, not "
+        "against its negation",
+        [("src/ncgkit/geom.py", "kron_identity_right(-(p_form * dp * dp), 4)",
+          "kron_identity_right(p_form * dp * dp, 4)")],
+        ["tests/test_geom.py::test_relative_chern_matches_the_amplified_formula",
+         "tests/test_golden_reports.py"],
     ),
     "trace-product-drops-merge-sign": (
         "the diagonal of a jet trace of a product adds the component pairs "

@@ -1204,8 +1204,7 @@ PARAM_RULES = {
     "k_max": _at_least(1),
     "k_top": _at_least(1),
     # each level multiplies the grid side by 1.5 and the peak memory by
-    # about 2.2: an index run peaks at 540 MiB at refine 7 and would pass
-    # 1 GiB at 8
+    # about 2: an index run peaks at about 265 MiB at refine 7
     "refine": _between(0, 7),
     "resolution": _at_least(1),
     "rephasings": _at_least(1),

@@ -137,6 +137,9 @@ def load_scenario(path: str) -> Dict[str, object]:
         raise SchemaViolation(f"cannot read scenario: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaViolation("scenario must be a JSON object")
+    extra = sorted(set(doc) - {"kind", "seed", "params"})
+    if extra:
+        raise SchemaViolation(f"unknown scenario keys {extra}; a scenario takes kind, seed, params")
     kind = doc.get("kind")
     if kind not in SCENARIO_KINDS:
         raise SchemaViolation(f"unknown scenario kind {kind!r}")

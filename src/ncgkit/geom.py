@@ -6,14 +6,15 @@ integrate the relevant function classes to near machine precision
 the torus).  Forms use the sampled-jet backend: derivatives are supplied
 analytically by closures, never numerically.
 
-The index pipeline follows the compressed-module calculus: the twisting
-curvature T = p (dp)(dp) - p c_left(R) p lives on the module tensor the
-exterior fiber, the relative character is a degree-graded rescaled trace
-of exp(-T), and the top integral against the A-hat form snaps to an
-integer.  Normalization (one factor (2*pi*i)^-1 per 2-form degree, a
-global sign, and one factor 2^n) is pinned once by the anchor checks:
-the trivial class gives index 0 and the standard degree-one projection
-on the sphere gives twice its first Chern number.
+The index pipeline follows the compressed-module calculus: the relative
+character is a degree-graded rescaled trace of exp(-T) for the twisting
+curvature T = p (dp)(dp) - p c_left(R) p on the module tensor the exterior
+fiber, read from the s x s part of T that the trace sees, and the top
+integral against the A-hat form snaps to an integer.  Normalization (one
+factor (2*pi*i)^-1 per 2-form degree, a global sign, and one factor 2^n)
+is pinned once by the anchor checks: the trivial class gives index 0 and
+the standard degree-one projection on the sphere gives twice its first
+Chern number.
 """
 
 from __future__ import annotations
@@ -331,36 +332,29 @@ def kron_identity_right(a: MatrixForm, k: int) -> MatrixForm:
     return MatrixForm._built(a.chart, a.m * k, out, a.backend, a.nodes)
 
 
-def twisting_curvature(geom: Geometry, p_form: MatrixForm) -> Tuple[MatrixForm, MatrixForm]:
-    """T = p (dp)(dp) - p c_left(R) p on the module tensor exterior fiber.
+def relative_chern(p_form: MatrixForm) -> MatrixForm:
+    """2^{-n} tr(p4 exp(-T)) on the compressed module, fiber trace
+    normalized, for T = (p dp dp) (x) Id_4 - p4 c_left(R) p4 and
+    p4 = p (x) Id_4.
 
-    Returns (T, P4) with P4 the projection amplified over the fiber; on
-    flat geometries with constant p both terms vanish.  The first term is
-    (p dp dp) (x) Id_4, by the mixed-product rule
-    (A (x) B)(C (x) D) = AC (x) BD, formed on the s x s matrices.
-    """
-    s = p_form.m
-    p4 = kron_identity_right(p_form, 4)
-    dp = exterior_d(p_form)
-    cl = geom.clifford_curvature_form(s)
-    t_form = kron_identity_right(p_form * dp * dp, 4) - p4 * cl * p4
-    return t_form, p4
-
-
-def relative_chern(geom: Geometry, t_form: MatrixForm, p4: MatrixForm) -> MatrixForm:
-    """2^{-n} tr exp(-T) on the compressed module, fiber trace normalized.
+    Two facts leave only s x s work.  On a surface exp(-T) = 1 - T: T is
+    a 2-form and there are no 4-forms.  And p4 pairs each fiber index
+    only with itself, while c_left(R) = kappa c(e_2) c(e_1) has a zero
+    fiber diagonal, so the curvature term adds nothing to the trace.
+    What is left is tr(p4) in degree 0 and tr(p4 (-(p dp dp) (x) Id_4))
+    in degree 2, the negation taken on the s x s matrix.
 
     The fiber trace uses the spinor normalization (one factor 2^{-n} on
     the 2^{2n}-dimensional exterior fiber), and each 2-form degree
     carries (2*pi*i)^{-1}; so the trivial rank-one module gives exactly 1
     in degree 0.
     """
-    n = geom.half_dim
-    ex = exp_form(-t_form)
-    traced = trace_of_product(p4, ex)
-    out = MatrixForm.zero(traced.chart, 1, traced.backend, traced.nodes)
-    for k in traced.degrees():
-        part = traced.degree_part(k)
+    n = p_form.chart.dim // 2
+    p4 = kron_identity_right(p_form, 4)
+    dp = exterior_d(p_form)
+    parts = (p4.trace(), trace_of_product(p4, kron_identity_right(-(p_form * dp * dp), 4)))
+    out = MatrixForm.zero(p_form.chart, 1, p_form.backend, p_form.nodes)
+    for k, part in zip((0, 2), parts):
         scale = (2 ** (-2 * n)) * (1.0 / CHERN_UNIT) ** (k // 2)
         out = out + part.scale(scale)
     return out
@@ -392,9 +386,7 @@ def local_index(geom: Geometry, p_form: MatrixForm,
     n = geom.half_dim
     if p_form.is_zero():
         return {"raw": 0.0, "integer": 0, "residual": 0.0}
-    t_form, p4 = twisting_curvature(geom, p_form)
-    ch_rel = relative_chern(geom, t_form, p4)
-    total = geom.a_hat_form() * ch_rel
+    total = geom.a_hat_form() * relative_chern(p_form)
     raw = -(2 ** n) * geom.integrate_form(total, 2)
     snapped = round(raw.real)
     residual = abs(raw - snapped)

@@ -564,6 +564,8 @@ class TestRejectsBadInput:
             "geometry": "torus2", "projection": "bott-dilated", "dilation": 0.5}},
         # a seed is no parameter
         {"kind": "cech", "seed": 7, "params": {"seed": 3}},
+        # a misspelt top-level key, which would otherwise run refine 0
+        {"kind": "index", "seed": 1, "parms": {"refine": 5}},
     ])
     def test_bad_scenario_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "scenario.json"

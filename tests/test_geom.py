@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 
 from ncgkit.cyclic import Chain
-from ncgkit.forms import MatrixForm, exterior_d
+from ncgkit.forms import MatrixForm, exp_form, exterior_d, trace_of_product
 from ncgkit.geom import (
+    CHERN_UNIT,
     Geometry,
     QuadratureError,
     a_hat_from_curvature,
@@ -23,7 +24,6 @@ from ncgkit.geom import (
     local_index,
     pairing_index,
     relative_chern,
-    twisting_curvature,
 )
 from ncgkit.randgen import random_poly
 from ncgkit.scalars import Chart, JetScalar, PolyScalar, QQi
@@ -199,17 +199,37 @@ def _conj_form(p: MatrixForm) -> MatrixForm:
     return MatrixForm(p.chart, p.m, out, p.backend, p.nodes)
 
 
+def curvature_8x8(geom: Geometry, p: MatrixForm) -> MatrixForm:
+    """T on the amplified projection: p4 dp4 dp4 - p4 c(R) p4, p4 = p (x) Id_4."""
+    p4 = kron_identity_right(p, 4)
+    dp4 = exterior_d(p4)
+    cl = geom.clifford_curvature_form(p.m)
+    return p4 * dp4 * dp4 - p4 * cl * p4
+
+
+def relative_chern_8x8(geom: Geometry, p: MatrixForm) -> MatrixForm:
+    """The relative character from the whole 8 x 8 T: tr(p4 exp(-T)),
+    each degree k scaled by 2^{-2n} (2 pi i)^{-k/2}.  The oracle of
+    ``relative_chern``, which reads only the part of T this trace sees."""
+    n = geom.half_dim
+    traced = trace_of_product(kron_identity_right(p, 4), exp_form(-curvature_8x8(geom, p)))
+    out = MatrixForm.zero(traced.chart, 1, traced.backend, traced.nodes)
+    for k in traced.degrees():
+        scale = (2 ** (-2 * n)) * (1.0 / CHERN_UNIT) ** (k // 2)
+        out = out + traced.degree_part(k).scale(scale)
+    return out
+
+
 class TestTwistingCurvature:
     def test_trivial_on_flat_torus(self):
         g = Geometry.torus2(8)
         p = constant_projection(g, 1, 1)
-        t_form, _ = twisting_curvature(g, p)
-        assert t_form.max_abs() < 1e-14
+        assert curvature_8x8(g, p).max_abs() < 1e-14
 
     def test_trivial_projection_on_sphere_gives_curvature_term(self):
         g = Geometry.sphere2(8, 16)
         p = constant_projection(g, 1, 1)
-        t_form, p4 = twisting_curvature(g, p)
+        t_form = curvature_8x8(g, p)
         want = -g.clifford_curvature_form(1)
         assert (t_form - want).max_abs() < 1e-13
         # fiber trace of the pure curvature term has no 2-form part
@@ -218,9 +238,7 @@ class TestTwistingCurvature:
 
     def test_relative_chern_degree_zero_is_rank(self):
         g = Geometry.torus2(8)
-        p = constant_projection(g, 1, 1)
-        t_form, p4 = twisting_curvature(g, p)
-        ch = relative_chern(g, t_form, p4)
+        ch = relative_chern(constant_projection(g, 1, 1))
         mat = ch.comps[()]
         assert np.max(np.abs(mat[0][0].values - 1.0)) < 1e-13
 
@@ -232,20 +250,9 @@ class TestTwistingCurvature:
             [p1, MatrixForm.zero(g.chart, 2, "jet", g.n_nodes)],
             [MatrixForm.zero(g.chart, 2, "jet", g.n_nodes), p2],
         ])
-        t1, q1 = twisting_curvature(g, p1)
-        t2, q2 = twisting_curvature(g, p2)
-        tb, qb = twisting_curvature(g, both)
-        lhs = relative_chern(g, tb, qb)
-        rhs = relative_chern(g, t1, q1) + relative_chern(g, t2, q2)
+        lhs = relative_chern(both)
+        rhs = relative_chern(p1) + relative_chern(p2)
         assert (lhs - rhs).max_abs() < 1e-12
-
-
-def curvature_8x8(geom: Geometry, p: MatrixForm) -> MatrixForm:
-    """T on the amplified projection: p4 dp4 dp4 - p4 c(R) p4, p4 = p (x) Id_4."""
-    p4 = kron_identity_right(p, 4)
-    dp4 = exterior_d(p4)
-    cl = geom.clifford_curvature_form(p.m)
-    return p4 * dp4 * dp4 - p4 * cl * p4
 
 
 GRADLESS_KINDS = ("no-grads", "zero-no-grads")
@@ -303,27 +310,46 @@ def _fresh_is_zero(x):
     return not x.values.any() and (x.grads is None or not x.grads.any())
 
 
+def _entry_facts(form: MatrixForm):
+    """Per component, in order, per entry: the sample bytes (signed zeros
+    count), the gradient bytes or None and the cached zero test, which
+    must equal a fresh scan."""
+    facts = []
+    for idx, mat in form.comps.items():
+        for row in mat:
+            for x in row:
+                assert x.is_zero() == _fresh_is_zero(x)
+                grads = None if x.grads is None else x.grads.tobytes()
+                facts.append((idx, x.values.tobytes(), grads, x.is_zero()))
+    return facts
+
+
 @given(curvature_inputs())
-def test_twisting_curvature_matches_the_amplified_formula(inputs):
-    """Per entry: the sample bytes (signed zeros count), the presence of
-    gradients and the cached zero test against a fresh scan."""
+def test_relative_chern_matches_the_amplified_formula(inputs):
+    """The character of the s x s shortcut is the 8 x 8 pipeline's, entry
+    facts and component order included."""
     geom, p = inputs
     if any(x.grads is None for mat in p.comps.values() for row in mat for x in row):
-        for build in (lambda: twisting_curvature(geom, p), lambda: curvature_8x8(geom, p)):
+        for build in (lambda: relative_chern(p), lambda: relative_chern_8x8(geom, p)):
             with pytest.raises(ValueError):
                 build()
         return
-    got, _ = twisting_curvature(geom, p)
-    want = curvature_8x8(geom, p)
-    assert list(got.comps) == list(want.comps)
-    for idx, mat in want.comps.items():
-        for got_row, want_row in zip(got.comps[idx], mat):
-            for x, y in zip(got_row, want_row):
-                assert x.values.tobytes() == y.values.tobytes()
-                assert (x.grads is None) == (y.grads is None)
-                if y.grads is not None:
-                    assert x.grads.tobytes() == y.grads.tobytes()
-                assert x.is_zero() == _fresh_is_zero(x) == y.is_zero()
+    assert _entry_facts(relative_chern(p)) == _entry_facts(relative_chern_8x8(geom, p))
+
+
+def test_the_amplified_formula_sees_a_fiber_diagonal(monkeypatch):
+    """The shortcut rests on the zero fiber diagonal of c_left(R); with one
+    entry planted there the 8 x 8 pipeline, and so the test above, tells
+    the two apart."""
+    geom = Geometry.sphere2(4, 8)
+    p = bott_projection(geom)
+    fiber = geom.left_curvature_matrix()
+    assert not np.diag(fiber).any()
+    assert _entry_facts(relative_chern(p)) == _entry_facts(relative_chern_8x8(geom, p))
+    planted = fiber.copy()
+    planted[0, 0] = geom.sectional_curvature
+    monkeypatch.setattr(Geometry, "left_curvature_matrix", lambda self: planted)
+    assert _entry_facts(relative_chern(p)) != _entry_facts(relative_chern_8x8(geom, p))
 
 
 class TestLocalIndex:

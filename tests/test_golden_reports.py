@@ -37,7 +37,7 @@ REQUESTS = [
     "chkr-compare --seed 527780",
 ]
 
-# the geometry x projection pairs of the benchmark's jet grid; refine 0..2
+# the geometry x projection pairs of the benchmark's jet grid; refine 0..4
 # locks the float bytes, sign of zero included, of the sampled-jet path
 INDEX_FOCUS = (
     ("sphere2", "bott"), ("sphere2", "bott-dilated"), ("sphere2", "constant"),
@@ -45,7 +45,7 @@ INDEX_FOCUS = (
 )
 REQUESTS += [
     f"index --geometry {g} --projection {p} --refine {r}"
-    for r in range(3) for g, p in INDEX_FOCUS
+    for r in range(5) for g, p in INDEX_FOCUS
 ]
 
 

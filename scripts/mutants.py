@@ -155,8 +155,8 @@ MUTANTS = {
     "scalar-id-flag-shared": (
         "the kept answer of the slot test is one class-level value shared by "
         "every form, so the first form tested answers for all",
-        [("src/ncgkit/forms.py", '"_packed", "_zeros", "_scalar_id")\n',
-          '"_packed", "_zeros")\n    _scalar_id = None\n'),
+        [("src/ncgkit/forms.py", '"_packed", "_scalar_id")\n',
+          '"_packed")\n    _scalar_id = None\n'),
          ("src/ncgkit/forms.py", "        self._scalar_id = None\n", ""),
          ("src/ncgkit/forms.py", "        f._scalar_id = None\n", ""),
          ("src/ncgkit/forms.py", "            self._scalar_id = self._scalar_id_test()",
@@ -217,16 +217,30 @@ MUTANTS = {
         "a packed linear combination keeps a monomial whose sum cancels, "
         "as a zero",
         [("src/ncgkit/scalars.py",
-          "                else:\n                    del acc[k]\n    return acc\n",
-          "                else:\n                    acc[k] = [re, im]\n    return acc\n")],
+          "                else:\n                    del acc[k]\n        bound = ",
+          "                else:\n                    acc[k] = [re, im]\n        bound = ")],
         ["tests/test_form_linear_kernel.py"],
     ),
-    "zero-entry-bound-dropped": (
-        "a packed linear combination forgets the exponent bound of a zero "
-        "entry it sums",
-        [("src/ncgkit/forms.py", "                    elif zeros:\n",
-          "                    elif False:\n")],
-        ["tests/test_form_linear_kernel.py"],
+    "cancelled-sum-keeps-bound": (
+        "a polynomial sum that cancels to zero keeps the larger bound of its "
+        "operands instead of bound 0",
+        [("src/ncgkit/scalars.py", "bound = max(bound, b) if acc else 0",
+          "bound = max(bound, b)")],
+        ["tests/test_form_linear_kernel.py::test_a_cancelled_power_leaves_no_bound"],
+    ),
+    "product-bound-skips-restart": (
+        "a form-product entry takes the largest bound of its products, though "
+        "a running sum of the fold cancels before a product of smaller bound",
+        [("src/ncgkit/scalars.py", "        if top > bound and len(pairs) > 1:\n",
+          "        if False:\n")],
+        ["tests/test_form_product_kernel.py::test_product_matches_the_fold"],
+    ),
+    "bott-dphi-n1-sign": (
+        "the phi-derivative of the first component of the Bott unit vector "
+        "has the wrong sign",
+        [("src/ncgkit/geom.py", "dn1 = (ds2 * cos_p, -s2 * sin_p)",
+          "dn1 = (ds2 * cos_p, s2 * sin_p)")],
+        ["tests/test_golden_reports.py"],
     ),
 }
 

@@ -145,20 +145,17 @@ def _canonical(d: int, nums: dict, fresh: bool = False):
     return d, nums
 
 
-def _packed_form(chart: Chart, m: int, d: int, sums,
+def _packed_form(chart: Chart, m: int, d: int, nums,
                  fresh: bool = False) -> "MatrixForm":
-    """The exact form with the nonzero packed components sums[K] = (matrix,
-    zeros): a ``packed_matrices`` matrix with numerators over d, and the
-    bounds of its zero entries, {(r, c): bound} for those not 0.
+    """The exact form with the nonzero packed components nums[K]: a
+    ``packed_matrices`` matrix with numerators over d.
 
     The matrices, put in ``_canonical`` form, are kept as the form's
     ``_numerators()``; the PolyScalar entries are built from them when
     ``comps`` is first read.
     """
-    nums = {k: mat for k, (mat, _) in sums.items()}
-    zeros = {k: z for k, (_, z) in sums.items() if z}
     return MatrixForm._built(chart, m, None, "exact", None,
-                             _canonical(d, nums, fresh), zeros)
+                             _canonical(d, nums, fresh))
 
 
 def _exact_product(a, b) -> "MatrixForm":
@@ -169,7 +166,7 @@ def _exact_product(a, b) -> "MatrixForm":
     one ``scalars.sum_of_products`` with one group per component pair, in
     product order, so it equals the fold of ``linalg.mat_mul`` (or
     ``mat_scale`` by the scalar, which stands left), ``mat_neg`` and
-    ``mat_add``.
+    ``mat_add`` in value, key order and exponent bound.
     """
     da, pa = a._numerators()
     db, pb = b._numerators()
@@ -193,86 +190,61 @@ def _exact_product(a, b) -> "MatrixForm":
     span = range(m)
     sums = {}
     for k, groups_k in groups.items():
-        mat, zeros = [], {}
+        mat = []
         for r in span:
             row = []
             for c in span:
                 terms, bound = sum_of_products(chart, [
                     (negate, ps) for negate, x, y in groups_k if (ps := pairs(x, y, r, c))])
-                if terms:
-                    row.append((terms, bound))
-                else:
-                    row.append(None)
-                    if bound:
-                        zeros[r, c] = bound
+                row.append((terms, bound) if terms else None)
             mat.append(tuple(row))
         if any(map(any, mat)):
-            sums[k] = (tuple(mat), zeros)
+            sums[k] = tuple(mat)
     return _packed_form(chart, m, da * db, sums, fresh=True)
 
 
 def _parts(a: "MatrixForm", c: QQi = QQI_ONE):
     """c * a as parts of ``_linear``: one per component."""
     d, nums = a._numerators()
-    zeros = a._zeros
-    return [(k, c, d, mat, zeros.get(k)) for k, mat in nums.items()]
+    return [(k, c, d, mat) for k, mat in nums.items()]
 
 
 def _linear(chart: Chart, m: int, parts) -> "MatrixForm":
-    """Sum of parts (K, c, d, matrix, zeros): c times a ``packed_matrices``
-    matrix over d, placed at component K, in the order given; zeros holds
-    the bounds of its zero entries that are not 0, or is None.
+    """Sum of parts (K, c, d, matrix): c times a ``packed_matrices`` matrix
+    over d, placed at component K, in the order given.
 
-    Each entry is folded part by part with the order rule of
-    ``PolyScalar.__add__`` (``scalars.linear_sum``), components appear in
-    the order of their first part, and an entry's bound is the largest
-    bound of the entries summed into it.
+    Each entry is folded part by part as ``PolyScalar.__add__`` folds it
+    (``scalars.linear_sum``), in key order and exponent bound, and
+    components appear in the order of their first part.
     """
-    d = _lcm(*[c.d * dp for _, c, dp, _, _ in parts])
+    d = _lcm(*[c.d * dp for _, c, dp, _ in parts])
     groups: Dict[IdxTuple, list] = {}
-    for k, c, dp, mat, zeros in parts:
+    for k, c, dp, mat in parts:
         f = d // (c.d * dp)
-        groups.setdefault(k, []).append((mat, zeros, c.a * f, c.b * f))
+        groups.setdefault(k, []).append((mat, c.a * f, c.b * f))
     span = range(m)
     sums = {}
     for k, items in groups.items():
         if len(items) == 1:
             # one part: its entries scaled by a nonzero p + qi, so its zero
-            # entries and their bounds stay as they are
-            mat, zeros, p, q = items[0]
+            # entries stay zero and its bounds stay as they are
+            mat, p, q = items[0]
             if any(map(any, mat)):
                 if p != 1 or q:
-                    mat = tuple(tuple(x and (linear_sum([(x[0], p, q)]), x[1]) for x in row)
+                    mat = tuple(tuple(x and linear_sum([(x[0], p, q, x[1])]) for x in row)
                                 for row in mat)
-                sums[k] = (mat, zeros)
+                sums[k] = mat
             continue
-        out, out_zeros = [], {}
+        out = []
         for r in span:
             row = []
             for c in span:
-                terms, bound = [], 0
-                for mat, zeros, p, q in items:
-                    x = mat[r][c]
-                    if x is not None:
-                        terms.append((x[0], p, q))
-                        b = x[1]
-                    elif zeros:
-                        b = zeros.get((r, c), 0)
-                    else:
-                        continue
-                    if b > bound:
-                        bound = b
-                if terms:
-                    terms = linear_sum(terms)
-                if terms:
-                    row.append((terms, bound))
-                else:
-                    row.append(None)
-                    if bound:
-                        out_zeros[r, c] = bound
+                summands = [(y[0], p, q, y[1]) for mat, p, q in items if (y := mat[r][c])]
+                x = summands and linear_sum(summands)
+                row.append(x if x and x[0] else None)
             out.append(tuple(row))
         if any(map(any, out)):
-            sums[k] = (tuple(out), out_zeros)
+            sums[k] = tuple(out)
     return _packed_form(chart, m, d, sums)
 
 
@@ -311,7 +283,7 @@ class MatrixForm:
     """
 
     __slots__ = ("chart", "m", "backend", "nodes", "_comps", "_hash",
-                 "_packed", "_zeros", "_scalar_id")
+                 "_packed", "_scalar_id")
 
     def __init__(self, chart: Chart, m: int, comps: Dict[IdxTuple, tuple],
                  backend: str = "exact", nodes: Optional[int] = None):
@@ -333,19 +305,16 @@ class MatrixForm:
         self._comps = clean
         self._hash = None
         self._packed = None
-        self._zeros = None
         self._scalar_id = None
 
     @classmethod
     def _built(cls, chart: Chart, m: int, comps: Optional[Dict[IdxTuple, tuple]],
-               backend: str, nodes: Optional[int], packed=None,
-               zeros=None) -> "MatrixForm":
+               backend: str, nodes: Optional[int], packed=None) -> "MatrixForm":
         """Internal constructor for the result of an operation, whose
         components are well formed by construction: only zero components
         are dropped.  An exact result comes with ``packed`` (its
-        ``_numerators()``) and ``zeros`` (the bounds of zero entries that
-        are not 0, by component), and comps None or the matching entries;
-        its components must all be nonzero."""
+        ``_numerators()``) and comps None or the matching entries; its
+        components must all be nonzero."""
         f = cls.__new__(cls)
         f.chart = chart
         f.m = m
@@ -356,7 +325,6 @@ class MatrixForm:
         f._comps = comps
         f._hash = None
         f._packed = packed
-        f._zeros = zeros
         f._scalar_id = None
         return f
 
@@ -371,11 +339,10 @@ class MatrixForm:
             d, nums = self._packed
             comps = {}
             for k, mat in nums.items():
-                zeros = self._zeros.get(k, {})
                 comps[k] = tuple(tuple(
                     PolyScalar._from_packed(chart, d, x[0], x[1]) if x is not None
-                    else PolyScalar._from_packed(chart, 1, {}, zeros.get((r, c), 0))
-                    for c, x in enumerate(row)) for r, row in enumerate(mat))
+                    else PolyScalar._from_packed(chart, 1, {}, 0)
+                    for x in row) for row in mat)
             self._comps = comps
         return comps
 
@@ -447,20 +414,12 @@ class MatrixForm:
         over the one denominator d (``scalars.packed_matrices``), d the lcm
         of the coefficient denominators (``_canonical``), so equal forms
         have equal numerators.  An operation hands its result these
-        directly; otherwise they are packed on first use, together with
-        ``_zeros``.  They are kept, as a form is not changed after it is
-        built."""
+        directly; otherwise they are packed on first use.  They are kept, as
+        a form is not changed after it is built."""
         if self._packed is None:
             comps = self._comps
             d, mats = packed_matrices(comps.values())
             self._packed = _canonical(d, dict(zip(comps, mats)))
-            self._zeros = {}
-            for k, mat in comps.items():
-                zeros = {(r, c): b for r, row in enumerate(mat)
-                         for c, x in enumerate(row)
-                         if x.is_zero() and (b := (x._packed or x._pack())[2])}
-                if zeros:
-                    self._zeros[k] = zeros
         return self._packed
 
     def _keys(self):
@@ -485,7 +444,7 @@ class MatrixForm:
             d, nums = self._packed
             packed = _canonical(d, {i: nums[i] for i in keep})
         return MatrixForm._built(self.chart, self.m, comps, self.backend,
-                                 self.nodes, packed, self._zeros)
+                                 self.nodes, packed)
 
     def is_zero(self) -> bool:
         return not self._keys()
@@ -547,7 +506,7 @@ class MatrixForm:
                 return self
             c = QQi.coerce(c)
             if c.is_zero():
-                return MatrixForm._built(self.chart, self.m, {}, "exact", None, (1, {}), {})
+                return MatrixForm._built(self.chart, self.m, {}, "exact", None, (1, {}))
             return _linear(self.chart, self.m, _parts(self, c))
         if isinstance(c, (QQi, Fraction)):
             c = complex(c)
@@ -598,14 +557,10 @@ class MatrixForm:
             span = range(self.m)
             sums = {}
             for idx, mat in nums.items():
-                zeros = self._zeros.get(idx, {})
-                diag = [mat[i][i] for i in span]
-                terms = [(x[0], 1, 0) for x in diag if x]
-                terms = linear_sum(terms) if terms else None
-                if terms:
-                    bound = max(zeros.get((i, i), 0) if x is None else x[1]
-                                for i, x in enumerate(diag))
-                    sums[idx] = ((((terms, bound),),), {})
+                diag = [(x[0], 1, 0, x[1]) for x in (mat[i][i] for i in span) if x]
+                x = diag and linear_sum(diag)
+                if x and x[0]:
+                    sums[idx] = ((x,),)
             return _packed_form(self.chart, 1, d, sums)
         out = {}
         for idx, mat in self.comps.items():
@@ -756,8 +711,8 @@ def trace_of_product(a: MatrixForm, b: MatrixForm) -> MatrixForm:
         db, pb = b._numerators()
         pa, pb = pa[()], pb[()]
         terms, bound = sum_of_products(chart, [
-            (False, [(pa[i][t], pb[t][i]) for t in span if pa[i][t] and pb[t][i]])
-            for i in span])
+            (False, ps) for i in span
+            if (ps := [(pa[i][t], pb[t][i]) for t in span if pa[i][t] and pb[t][i]])])
         if terms:
             out[()] = ((PolyScalar._reduced(chart, da * db, terms, bound),),)
         return MatrixForm._built(chart, 1, out, "exact", None)
@@ -786,7 +741,7 @@ def exterior_d(a: MatrixForm) -> MatrixForm:
                 if j not in idx:
                     sign = QQI_MINUS_ONE if sum(1 for i in idx if i < j) % 2 else QQI_ONE
                     parts.append((tuple(sorted(idx + (j,))), sign, d,
-                                  _diff_numerators(a.chart, nums[idx], j), None))
+                                  _diff_numerators(a.chart, nums[idx], j)))
         return _linear(a.chart, a.m, parts)
     out: Dict[IdxTuple, tuple] = {}
     for idx, mat in a.comps.items():
@@ -805,7 +760,7 @@ def add_partials(base: MatrixForm, a: MatrixForm, vector) -> MatrixForm:
     d, nums = a._numerators()
     parts = _parts(base)
     for idx, mat in nums.items():
-        parts += [(idx, c, d, _diff_numerators(a.chart, mat, j), None)
+        parts += [(idx, c, d, _diff_numerators(a.chart, mat, j))
                   for j, c in enumerate(vector) if not c.is_zero()]
     return _linear(a.chart, a.m, parts)
 

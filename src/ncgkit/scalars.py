@@ -302,7 +302,29 @@ def _products_into(acc: dict, pairs, bias: int, negate: bool = False,
                             zeros.append(k)
 
 
-def _group_into(entry: dict, pairs, bias: int, negate: bool) -> None:
+def _group_sum(pairs, bias: int, negate: bool, bounds):
+    """±(sum_t x_t*y_t) on its own, as packed (terms, exponent bound) of the
+    fold ``p_0 + p_1 + ...`` of its products, ``bounds`` being theirs.
+
+    The products are summed straight into one dict, zeros kept in place.
+    If no running sum of a monomial reaches zero, that is the fold's order
+    and no running sum of the fold cancels, so the bound is the largest;
+    otherwise the group is folded product by product (``linear_sum``).
+    """
+    group: dict = {}
+    zeros: list = []
+    _products_into(group, pairs, bias, negate, zeros)
+    if not zeros:
+        return group, max(bounds)
+    products = []
+    for pair, bound in zip(pairs, bounds):
+        product: dict = {}
+        _products_into(product, (pair,), bias, negate)
+        products.append((product, 1, 0, bound))
+    return linear_sum(products)
+
+
+def _group_into(entry: dict, pairs, bias: int, negate: bool, bounds) -> None:
     """entry += ±(sum_t x_t*y_t), ordered as the fold ``entry + group``.
 
     The products are summed straight into ``entry``, zeros kept in place.
@@ -312,8 +334,8 @@ def _group_into(entry: dict, pairs, bias: int, negate: bool) -> None:
     value counts.  (A new monomial whose running sum never reaches zero
     sits where its first product put it in every sum and product the
     group is folded from.)  In the one bad case the group is summed again
-    on its own, product by product if need be, and the monomials new to
-    ``entry`` are put in that order.  Monomials left at zero are dropped.
+    on its own (``_group_sum``) and the monomials new to ``entry`` are put
+    in that order.  Monomials left at zero are dropped.
     """
     start = len(entry)
     zeros: list = []
@@ -322,16 +344,7 @@ def _group_into(entry: dict, pairs, bias: int, negate: bool) -> None:
         return
     new = dict(islice(entry.items(), start, None))
     if any(k in new for k in zeros):
-        group: dict = {}
-        again: list = []
-        _products_into(group, pairs, bias, negate, again)
-        if again:
-            products = []
-            for pair in pairs:
-                product: dict = {}
-                _products_into(product, (pair,), bias, negate)
-                products.append((product, 1, 0))
-            group = linear_sum(products)
+        group = _group_sum(pairs, bias, negate, bounds)[0]
         for k in new:
             del entry[k]
         for k in group:
@@ -362,44 +375,51 @@ def sum_of_products(chart: Chart, groups):
     ``packed_matrices`` factors; the numerators are over the product of the
     factors' denominators, with the content not divided out.
 
-    ``groups`` yields (negate, pairs), pairs being the (x, y) factor pairs
-    of one group with both factors nonzero.  The result equals the fold of
-    the ring operations ``acc = acc + (±(x_0*y_0 + x_1*y_1 + ...))`` in
-    value, exponent bound and the key order of ``coeffs``.  All products
-    are summed in one dict (see ``_group_into``) and no PolyScalar is built
-    per product.
+    ``groups`` yields (negate, pairs), pairs being the one or more (x, y)
+    factor pairs of one group, both factors nonzero.  The result equals the
+    fold of the ring operations ``acc = acc + (±(x_0*y_0 + x_1*y_1 + ...))``
+    in value, exponent bound and the key order of ``coeffs``.  Products
+    are summed into one dict (``_group_into``) and no PolyScalar is built
+    per product; a group of several products that may raise the bound is
+    summed on its own first (``_group_sum``): its running sums decide it.
     """
     bias = _packing(chart.dim)[0]
     entry: dict = {}
     bound = 0
     for negate, pairs in groups:
-        for (_, b1), (_, b2) in pairs:
-            b = _product_bound(b1, b2)
-            if b > bound:
-                bound = b
-        _group_into(entry, pairs, bias, negate)
+        bounds = [_product_bound(b1, b2) for (_, b1), (_, b2) in pairs]
+        top = max(bounds)
+        if top > bound and len(pairs) > 1:
+            group, top = _group_sum(pairs, bias, negate, bounds)
+            entry = linear_sum([(entry, 1, 0, 0), (group, 1, 0, 0)])[0] if entry else group
+        else:
+            _group_into(entry, pairs, bias, negate, bounds)
+        bound = max(bound, top) if entry else 0
     return entry, bound
 
 
-def linear_sum(parts) -> dict:
+def linear_sum(parts):
     """sum_i (p_i + q_i i) * terms_i of packed numerators, folded in order
     with the order rule of ``PolyScalar.__add__``: a monomial already in
     the sum keeps its place, a new one is appended and one whose sum
-    cancels is dropped.  ``parts`` is a nonempty list of (terms, p, q).
+    cancels is dropped.  ``parts`` is a nonempty list of (terms, p, q,
+    exponent bound), p + q i nonzero.
 
-    As in ``PolyScalar.__add__``, a numerator list is never changed in
-    place, so the result may share lists, or with a single part of
-    multiplier 1 be, the dict it was given.
+    Returns (terms, exponent bound).  The bound is the larger of the
+    running sum's and the part's, and 0 where the running sum cancels: a
+    zero has no terms and bound 0.  As in ``PolyScalar.__add__``, a
+    numerator list is never changed in place, so the result may share
+    lists, or with a single part of multiplier 1 be, the dict it was given.
     """
-    terms, p, q = parts[0]
+    terms, p, q, bound = parts[0]
     if p == 1 and not q:
         if len(parts) == 1:
-            return terms
+            return terms, bound
         acc = dict(terms)
     else:
         acc = _scaled(terms, p, q)
     get = acc.get
-    for terms, p, q in islice(parts, 1, None):
+    for terms, p, q, b in islice(parts, 1, None):
         if p != 1 or q:
             terms = _scaled(terms, p, q)
         for k, v in terms.items():
@@ -413,7 +433,8 @@ def linear_sum(parts) -> dict:
                     acc[k] = [re, im]
                 else:
                     del acc[k]
-    return acc
+        bound = max(bound, b) if acc else 0
+    return acc, bound
 
 
 def _scaled(terms: dict, p: int, q: int) -> dict:
@@ -477,7 +498,8 @@ class PolyScalar:
     ``coeffs`` maps monomials to nonzero QQi coefficients.  The ring
     operations work on a packed form instead: a common denominator d, a
     dict from packed monomial to the Gaussian-integer numerator
-    [re, im] = coefficient * d, and a bound on |exponent|.  Each form is
+    [re, im] = coefficient * d, and a bound on |exponent| over the terms
+    present; a zero has no terms and bound 0.  Each form is
     built from the other on first use and cached, so a coefficient is
     normalised to a QQi only when somebody reads ``coeffs``.  Both forms
     list the terms in the same order, and every operation keeps the term
@@ -631,8 +653,8 @@ class PolyScalar:
         d1, terms1, bound1 = self._packed or self._pack()
         d2, terms2, bound2 = other._packed or other._pack()
         d = d1 if d2 == d1 else _lcm(d1, d2)
-        out = linear_sum([(terms1, d // d1, 0), (terms2, d // d2, 0)])
-        return PolyScalar._from_packed(self.chart, d, out, max(bound1, bound2))
+        out, bound = linear_sum([(terms1, d // d1, 0, bound1), (terms2, d // d2, 0, bound2)])
+        return PolyScalar._from_packed(self.chart, d, out, bound)
 
     __radd__ = __add__
 
@@ -725,9 +747,6 @@ class PolyScalar:
             key = tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))
             self._hash = hash((self.chart, key))
         return self._hash
-
-    def key(self):
-        return tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))
 
     def __repr__(self):
         if not self.coeffs:

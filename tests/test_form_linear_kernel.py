@@ -7,7 +7,7 @@ below are the folds they replaced: ``linalg.mat_add``, ``mat_neg``,
 ``mat_scale`` and ``mat_trace`` on PolyScalar entries, and the
 coefficient-wise derivative.  Results must agree in value, in the key order
 of ``coeffs`` (grid evaluation sums the terms in that order) and in the
-exponent bound of every entry, a zero entry included; and a result's
+exponent bound of every entry (0 for a zero entry); and a result's
 ``_numerators()`` must be ``packed_matrices`` of its entries.
 """
 
@@ -227,9 +227,9 @@ def test_diff_matches_the_coefficientwise_derivative(case):
 # -- fixed cases -------------------------------------------------------------------
 
 
-def test_zero_entry_keeps_its_bound_through_a_sum():
-    """A product entry that cancels keeps bound 6; a sum with it keeps the
-    larger bound, as PolyScalar.__add__ does."""
+def test_cancelled_entry_adds_no_bound_to_a_sum():
+    """A product entry that cancels is zero, of bound 0; a sum with it takes
+    the other summand's bound, as PolyScalar.__add__ does."""
     chart = Chart.torus(1)
     z = PolyScalar.coordinate(chart, 0, 3)
     w = PolyScalar.coordinate(chart, 0, 1)
@@ -238,11 +238,40 @@ def test_zero_entry_keeps_its_bound_through_a_sum():
     c = MatrixForm(chart, 2, {(): ((w, w), (w, w))})
     product = a * b
     total = product + c
-    assert entry_facts(total.comps[()][0][0]) == ([((1,), QQi(1))], 6)
+    assert entry_facts(total.comps[()][0][0]) == ([((1,), QQi(1))], 1)
     assert_same(total, reference_add(reference_product(a, b), c))
     assert_same(-product, reference_neg(product))
     assert_same(product.trace(), reference_trace(product))
-    assert entry_facts(product.degree_part(0).comps[()][0][0]) == ([], 6)
+    assert entry_facts(product.degree_part(0).comps[()][0][0]) == ([], 0)
+
+
+def test_a_cancelled_power_leaves_no_bound():
+    """(x^(2^14) - x^(2^14) + x)^2 = x^2: the cancelled power leaves bound
+    0 behind, so the square fits a packed field, as a PolyScalar, as an
+    entry beside a nonzero sibling and in a component that cancels whole."""
+    chart = Chart.affine(1)
+    big, x = PolyScalar.coordinate(chart, 0, 1 << 14), PolyScalar.coordinate(chart, 0)
+    one, zero = PolyScalar.const(chart, 1), PolyScalar(chart)
+    y = big - big + x
+    assert entry_facts(y) == ([((1,), QQi(1))], 1)
+    assert entry_facts(y * y) == entry_facts(x * x)
+    # entry (0, 0) cancels while (0, 1) stays, so the component is kept
+    a = MatrixForm(chart, 2, {(): ((big, one), (zero, zero))})
+    b = MatrixForm(chart, 2, {(): ((big, zero), (zero, zero))})
+    f = a - b + MatrixForm(chart, 2, {(): ((x, zero), (zero, zero))})
+    assert entry_facts(f.comps[()][0][0]) == ([((1,), QQi(1))], 1)
+    assert form_facts(f * f) == form_facts(
+        MatrixForm(chart, 2, {(): ((x * x, x), (zero, zero))}))
+    # the whole component cancels
+    g = MatrixForm.from_scalar(big, 2)
+    h = g - g + MatrixForm.from_scalar(x, 2)
+    assert form_facts(h * h) == form_facts(MatrixForm.from_scalar(x * x, 2))
+    # the bound follows the fold: added in the other order no running sum
+    # cancels, the bound stays 2^14 and the square does not fit a field
+    late = big + x - big
+    assert entry_facts(late) == ([((1,), QQi(1))], 1 << 14)
+    with pytest.raises(OverflowError):
+        late * late
 
 
 def test_content_is_divided_out_once_per_form():

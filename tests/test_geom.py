@@ -15,7 +15,6 @@ from ncgkit.geom import (
     QuadratureError,
     a_hat_from_curvature,
     bott_projection,
-    bott_projection_closures,
     chern_number,
     character_pairing,
     cocycle_cyclicity_residual,
@@ -144,19 +143,25 @@ class TestProjections:
         p = bott_projection(g, dilation=0.5)
         assert (p * p - p).max_abs() < 1e-13
 
-    def test_bott_closures_follow_the_grid(self):
-        # one set of closures evaluated on alternating grids, including an
-        # equal copy of a grid, matches fresh closures on each grid
-        g1, g2 = Geometry.sphere2(6, 12), Geometry.sphere2(8, 16)
-        shared = bott_projection_closures(0.5)
-        grids = [(g1.theta, g1.phi), (g2.theta, g2.phi), (g1.theta, g1.phi),
-                 (g1.theta.copy(), g1.phi), (g1.theta, g2.phi[:g1.phi.size])]
-        for t, p in grids:
-            fresh = bott_projection_closures(0.5)
-            for row_s, row_f in zip(shared, fresh):
-                for entry_s, entry_f in zip(row_s, row_f):
-                    for f_s, f_f in zip(entry_s, entry_f):
-                        assert np.array_equal(f_s(t, p), f_f(t, p))
+    @pytest.mark.parametrize("dilation", [0.0, 0.5])
+    def test_bott_gradients_match_central_differences(self, dilation):
+        # the analytic theta- and phi-derivatives of every entry against
+        # (p(x + h) - p(x - h)) / 2h on grids shifted by +-h
+        g = Geometry.sphere2(10, 20)
+        h = 1e-5
+
+        def entries(dt, dp):
+            shifted = Geometry(g.kind, g.chart, g.theta + dt, g.phi + dp, g.weights,
+                               g.frame_density, g.sectional_curvature, g.resolution)
+            return bott_projection(shifted, dilation).comps[()]
+
+        p = bott_projection(g, dilation).comps[()]
+        for axis, (dt, dp) in enumerate(((h, 0.0), (0.0, h))):
+            plus, minus = entries(dt, dp), entries(-dt, -dp)
+            for i in range(2):
+                for j in range(2):
+                    central = (plus[i][j].values - minus[i][j].values) / (2 * h)
+                    assert np.max(np.abs(p[i][j].grads[axis] - central)) < 1e-6
 
     def test_constant_projection_chern_zero(self):
         g = Geometry.sphere2(10, 20)

@@ -57,6 +57,18 @@ MUTANTS = {
           "for j, ya, yb, yd in nonzero[:-1]:")],
         ["tests/test_linalg.py::test_fused_echelon_matches_the_textbook_update"],
     ),
+    "every-matrix-exact": (
+        "the one test of an exact matrix reads every matrix as exact, "
+        "numeric transition data and triples included",
+        [("src/ncgkit/linalg.py",
+          '    """Whether every entry is a ``QQi``: the one test of an exact matrix."""\n',
+          '    """Whether every entry is a ``QQi``: the one test of an exact matrix."""\n'
+          "    return True\n")],
+        ["tests/test_golden_reports.py::test_report_matches_reference"
+         "[dd-class --scenario coboundary-s3]",
+         "tests/test_cech.py::test_exact_only_operations_reject_numeric_data",
+         "tests/test_spectral.py::TestExactness::test_exact_only_operations_reject_numeric_data"],
+    ),
     "heat-weights-short-batch": (
         "the kept grading weights of the torus supertrace come from every "
         "block but the last",
@@ -74,10 +86,10 @@ MUTANTS = {
         "the Morita lift checks that p commutes with the grading but returns "
         "the amplified grading uncompressed",
         [("src/ncgkit/spectral.py",
-          "            g_e = linalg.mat_mul(g_m, p)\n"
-          "            if not linalg.mat_eq(g_e, linalg.mat_mul(p, g_m)):\n",
-          "            g_e = g_m\n"
-          "            if not linalg.mat_eq(linalg.mat_mul(g_m, p), linalg.mat_mul(p, g_m)):\n")],
+          "        g_e = linalg.mat_mul(g_m, p)\n"
+          "        if not linalg.mat_eq(g_e, linalg.mat_mul(p, g_m)):\n",
+          "        g_e = g_m\n"
+          "        if not linalg.mat_eq(linalg.mat_mul(g_m, p), linalg.mat_mul(p, g_m)):\n")],
         ["tests/test_spectral.py::TestMoritaLift::test_compressed_grading_is_p_g_p"],
     ),
     "values-only-zero-test": (

@@ -157,10 +157,6 @@ class AlternatingForm:
         return hit
 
     @staticmethod
-    def from_scalar(f: PolyScalar) -> "AlternatingForm":
-        return AlternatingForm(0, lambda: f)
-
-    @staticmethod
     def alternating_from_seeds(seeds: List[Tuple[MatrixForm, MatrixForm]]) -> "AlternatingForm":
         """Antisymmetrized product of trace pairings, one per argument."""
         p = len(seeds)

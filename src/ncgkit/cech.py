@@ -10,6 +10,12 @@ is checked exactly (Gaussian-rational backend), which forces the
 coboundary of nu to be integer-valued; floating point then only has to
 identify which integer, with a residual far below one half.
 
+Transition data are exact when every edge entry is a Gaussian rational
+(``linalg.all_qqi``); exactness is read off the entries, never declared.
+``phase_cocycle`` also takes numeric (complex) data, checked to a
+tolerance; ``TransitionData.rephased`` and ``normalize_determinant`` take
+exact data only and raise ``ValueError`` on numeric data.
+
 Integer simplicial cohomology is computed by Smith normal form with
 deterministic pivoting, including explicit witness cochains for the
 rank-n torsion relation n*[delta] = 0.
@@ -101,8 +107,8 @@ class Nerve:
 class TransitionData:
     """Unitary matrices on nerve edges with inverse symmetry across flips.
 
-    Exact backend: entries are Gaussian rationals and unitarity holds
-    exactly; numeric backend: complex entries, unitarity to 1e-10.
+    Exact data (every entry a QQi) are unitary exactly; numeric data
+    (complex entries) are unitary to 1e-10.
 
     Transition data are immutable: ``edges`` is a read-only mapping of
     tuple matrices, so an edge verified at construction stays verified,
@@ -110,10 +116,9 @@ class TransitionData:
     """
 
     def __init__(self, nerve: Nerve, rank: int,
-                 edges: Dict[Tuple[int, int], tuple], exact: bool = True):
+                 edges: Dict[Tuple[int, int], tuple]):
         self._nerve = nerve
         self._rank = rank
-        self._exact = exact
         checked = {}
         nerve_edges = nerve.edge_set()
         for (i, j), mat in edges.items():
@@ -124,12 +129,13 @@ class TransitionData:
                 raise ValueError(f"edge ({i},{j}) not in the nerve")
             if (i, j) in checked:
                 raise ValueError(f"edge ({i},{j}) is given twice")
-            mat = linalg.mat_from_rows(mat)
-            self._check_unitary(mat)
-            checked[(i, j)] = mat
+            checked[(i, j)] = linalg.mat_from_rows(mat)
         for s in nerve.k_simplices(1):
             if tuple(s) not in checked:
                 raise ValueError(f"missing transition data on edge {s}")
+        self._exact = all(map(linalg.all_qqi, checked.values()))
+        for mat in checked.values():
+            self._check_unitary(mat)
         self._edges = MappingProxyType(checked)
 
     @classmethod
@@ -189,11 +195,13 @@ class TransitionData:
         return self._inverse(self._edges[(j, i)])
 
     def rephased(self, phases: Dict[Tuple[int, int], QQi]) -> "TransitionData":
-        """Multiply each edge lift by a unit-modulus scalar.
+        """Multiply each edge lift of exact data by a unit-modulus scalar.
 
         A phase keyed (j, i) acts on the edge (i, j) by its inverse; a key
         that is not an edge, or an edge keyed in both orientations, raises.
         """
+        if not self.exact:
+            raise ValueError("rephasing needs exact data")
         given = {}
         for (i, j), lam in phases.items():
             edge = (i, j) if i < j else (j, i)
@@ -205,18 +213,10 @@ class TransitionData:
         new_edges = {}
         for (i, j), mat in self._edges.items():
             lam = given.get((i, j), QQI_ONE)
-            if not self.exact:
-                lam = complex(lam)
-                new_edges[(i, j)] = tuple(
-                    tuple(lam * complex(x) for x in row) for row in mat
-                )
-            else:
-                if lam.abs2() != 1:
-                    raise ValueError("rephasing must have unit modulus")
-                new_edges[(i, j)] = linalg.mat_scale(lam, mat)
-        if self.exact:
-            return TransitionData._from_verified(self, new_edges)
-        return TransitionData(self.nerve, self.rank, new_edges, False)
+            if lam.abs2() != 1:
+                raise ValueError("rephasing must have unit modulus")
+            new_edges[(i, j)] = linalg.mat_scale(lam, mat)
+        return TransitionData._from_verified(self, new_edges)
 
 
 class PhaseCocycle:
@@ -489,44 +489,36 @@ def _snap_unit(z: complex) -> Optional[QQi]:
 
 
 def normalize_determinant(data: TransitionData) -> TransitionData:
-    """Rescale each edge lift to unit determinant.
+    """Rescale each edge lift of exact data to unit determinant.
 
     After this lift the triangle scalars take values in rank-th roots of
-    unity, which makes the torsion of the class manifest.  Roots that
-    snap to exact Gaussian rationals keep the exact backend; otherwise
-    the result degrades to the numeric backend.
+    unity, which makes the torsion of the class manifest.  When every
+    root snaps to an exact Gaussian rational the result is exact;
+    otherwise all its edges are numeric.
     """
+    if not data.exact:
+        raise ValueError("determinant normalization needs exact data")
     n = data.rank
     new_edges = {}
-    all_exact = data.exact
+    all_exact = True
     for (i, j), mat in data.edges.items():
-        if data.exact:
-            det = _det_exact(mat)
-            root_num = complex(det) ** (1.0 / n)
-            root = _snap_unit(root_num)
-            if root is not None and root ** n == det:
-                new_edges[(i, j)] = linalg.mat_scale(root.inverse(), mat)
-                continue
-            all_exact = False
-            new_edges[(i, j)] = tuple(
-                tuple(np.complex128(complex(x) / root_num) for x in row)
-                for row in mat
-            )
-        else:
-            work = [list(map(complex, row)) for row in mat]
-            det = complex(np.linalg.det(np.array(work)))
-            root_num = det ** (1.0 / n)
-            new_edges[(i, j)] = tuple(
-                tuple(np.complex128(complex(x) / root_num) for x in row)
-                for row in mat
-            )
-    if all_exact:
-        return TransitionData(data.nerve, n, new_edges, True)
-    converted = {
-        e: tuple(tuple(np.complex128(complex(x)) for x in row) for row in m)
-        for e, m in new_edges.items()
-    }
-    return TransitionData(data.nerve, n, converted, False)
+        det = _det_exact(mat)
+        root_num = complex(det) ** (1.0 / n)
+        root = _snap_unit(root_num)
+        if root is not None and root ** n == det:
+            new_edges[(i, j)] = linalg.mat_scale(root.inverse(), mat)
+            continue
+        all_exact = False
+        new_edges[(i, j)] = tuple(
+            tuple(np.complex128(complex(x) / root_num) for x in row)
+            for row in mat
+        )
+    if not all_exact:
+        new_edges = {
+            e: tuple(tuple(np.complex128(complex(x)) for x in row) for row in m)
+            for e, m in new_edges.items()
+        }
+    return TransitionData(data.nerve, n, new_edges)
 
 
 # -- built-in scenarios ------------------------------------------------

@@ -226,8 +226,7 @@ def chern_total_chain(p: Projection, max_m: int) -> List[Chain]:
 
 def compare_class_integrals(conn: Connection, p: Projection,
                             integrate: Callable[[MatrixForm, int], complex],
-                            twist: str = "torsion",
-                            max_degree: Optional[int] = None) -> dict:
+                            twist: str = "torsion") -> dict:
     """Matching-degree integrals of the two character maps on ch(p).
 
     The simplex character uses the mixed-complex normalization, the chain
@@ -237,8 +236,7 @@ def compare_class_integrals(conn: Connection, p: Projection,
     """
     require_torsion_twist(twist)
     chart = conn.chart
-    if max_degree is None:
-        max_degree = chart.dim
+    max_degree = chart.dim
     if p.base_m != conn.m:
         raise ValueError("projection base algebra does not match connection")
     chains = chern_total_chain(p, max_degree // 2)

@@ -464,9 +464,8 @@ def check_lift_representative(seed: int = 7, trials: int = 25) -> CheckResult:
 # transition-cocycle suite
 
 
-def _coboundary_type_data(rng: random.Random, nerve: cech.Nerve,
-                          rank: int = 2) -> cech.TransitionData:
-    hs = {v: random_exact_unitary(rank, rng) for v in nerve.vertices}
+def _coboundary_type_data(rng: random.Random, nerve: cech.Nerve) -> cech.TransitionData:
+    hs = {v: random_exact_unitary(2, rng) for v in nerve.vertices}
     edges = {}
     for (i, j) in nerve.k_simplices(1):
         lam = rng.choice(EXACT_PHASES)
@@ -474,7 +473,7 @@ def _coboundary_type_data(rng: random.Random, nerve: cech.Nerve,
             lam, linalg.mat_mul(hs[i], linalg.mat_conj_transpose(hs[j]))
         )
         edges[(i, j)] = mat
-    return cech.TransitionData(nerve, rank, edges, True)
+    return cech.TransitionData(nerve, 2, edges)
 
 
 def check_cech_suite(seed: int = 7, rephasings: int = 50) -> CheckResult:
@@ -722,7 +721,7 @@ def check_morita_suite(seed: int = 7, trials: int = 50) -> CheckResult:
         p2 = linalg.mat_mul(u, linalg.mat_mul(p, u_ct))
         d2 = linalg.mat_mul(u, linalg.mat_mul(lift1.d, u_ct))
         g2 = linalg.mat_mul(u, linalg.mat_mul(lift1.grading, u_ct))
-        lift2 = SpectralTriple(d2, {}, g2, subspace=p2, exact=True, check=False)
+        lift2 = SpectralTriple(d2, {}, g2, subspace=p2, check=False)
         spectrum_ok = spectrum_ok and spectra_equal(lift1, lift2)
         spectrum_ok = spectrum_ok and (
             kernel_index_exact(lift1) == kernel_index_exact(lift2)
@@ -909,7 +908,7 @@ def check_pairing_consistency(seed: int = 7) -> CheckResult:
     # cocycle evaluation is cyclic to quadrature tolerance
     rng = random.Random(seed)
     torus = Geometry.torus2(24)
-    conn = torus.clifford_connection(1)
+    conn = torus.clifford_connection()
     worst = 0.0
     for _ in range(20):
         entries = []
@@ -1002,7 +1001,7 @@ def check_character_comparison(seed: int = 7, resolution: int = 64) -> CheckResu
     # sphere branch: nonzero degree-2 integrals (reference projection has
     # a nontrivial class), sampled-jet backend, curvature lift -c_left(R)
     sphere = Geometry.sphere2(16, 32)
-    conn_s = sphere.clifford_connection(1)
+    conn_s = sphere.clifford_connection()
     p4 = kron_identity_right(bott_projection(sphere), 4)
     proj_s = Projection(p4, blocks=2, base_m=4, check=False)
     jlo_s = MatrixForm.zero(sphere.chart, 1, "jet", sphere.n_nodes)

@@ -234,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncgkit",
         description="verification suites for the twisted-index toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -246,35 +247,37 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report file (default: $NCGKIT_OUT/<command>.report)")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("verify-identities",
+    p = sub.add_parser("verify-identities", allow_abbrev=False,
                        help="exact identities: derivative recursion, boundary "
                             "operators, flatness, twisted complex")
     common(p)
     p.add_argument("--k-max", dest="k_max", type=int, default=None)
 
-    p = sub.add_parser("dd-class",
+    p = sub.add_parser("dd-class", allow_abbrev=False,
                        help="transition-cocycle suite on finite nerves")
     common(p)
 
-    p = sub.add_parser("index", help="curvature-integral index on geometries")
+    p = sub.add_parser("index", allow_abbrev=False,
+                       help="curvature-integral index on geometries")
     common(p)
     p.add_argument("--refine", type=int, default=None)
     p.add_argument("--geometry", choices=PARAM_RULES["geometry"].choices, default=None)
     p.add_argument("--projection", choices=PARAM_RULES["projection"].choices,
                    default=None)
 
-    p = sub.add_parser("chkr-compare",
+    p = sub.add_parser("chkr-compare", allow_abbrev=False,
                        help="class-level agreement of the two character maps")
     common(p)
 
-    p = sub.add_parser("spectral",
+    p = sub.add_parser("spectral", allow_abbrev=False,
                        help="Sobolev scales, module lifts, heat supertrace")
     common(p)
 
-    p = sub.add_parser("algebroid", help="derivation cochain suite")
+    p = sub.add_parser("algebroid", allow_abbrev=False, help="derivation cochain suite")
     common(p)
 
-    p = sub.add_parser("list-checks", help="catalog of verification checks")
+    p = sub.add_parser("list-checks", allow_abbrev=False,
+                       help="catalog of verification checks")
     p.add_argument("--module", type=str, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     return parser

@@ -79,10 +79,6 @@ class Chain:
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
 
-    def scale(self, c) -> "Chain":
-        c = QQi.coerce(c)
-        return Chain(self.degree, [(c * x, t) for x, t in self.terms])
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -205,7 +201,7 @@ class Projection:
     """
 
     def __init__(self, form: MatrixForm, blocks: int, base_m: int,
-                 tol: float = 1e-12, check: bool = True):
+                 check: bool = True):
         if form.m != blocks * base_m:
             raise ValueError("projection size does not factor as blocks*base_m")
         if form.degrees() not in ([], [0]):
@@ -219,7 +215,7 @@ class Projection:
                 if not herm.is_zero():
                     raise ValueError("matrix is not Hermitian")
             else:
-                if idem.max_abs() > tol or herm.max_abs() > tol:
+                if idem.max_abs() > 1e-12 or herm.max_abs() > 1e-12:
                     raise ValueError("matrix is not a projection to tolerance")
         self.form = form
         self.blocks = blocks

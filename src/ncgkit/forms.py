@@ -793,11 +793,6 @@ class Connection:
         return self.omega - residue * self.identity()
 
     @staticmethod
-    def flat(chart: Chart, m: int, backend: str = "exact",
-             nodes: Optional[int] = None) -> "Connection":
-        return Connection(MatrixForm.zero(chart, m, backend, nodes))
-
-    @staticmethod
     def with_sigma(sigma: MatrixForm) -> "Connection":
         """Connection with zero gauge 1-form and an external curvature lift.
 
@@ -832,20 +827,18 @@ class Connection:
         return Connection(self.theta.amplify(s), self.sigma.amplify(s))
 
 
-def dd_representative(conn: Connection, beta: Optional[MatrixForm] = None,
-                      check: bool = True) -> MatrixForm:
+def dd_representative(conn: Connection, beta: Optional[MatrixForm] = None) -> MatrixForm:
     """Closed scalar 3-form representing the obstruction class of a lift.
 
     The traceless-lift contribution vanishes identically (flatness of
-    sigma under nabla, verified when ``check``); what remains is the
+    sigma under nabla, verified here); what remains is the
     differential of the declared scalar discrepancy 2-form ``beta``,
     whose 2*pi*i normalization cancels exactly.  On a single chart with
     no declared discrepancy the representative is zero.
     """
-    if check:
-        defect = conn.nabla(conn.sigma)
-        if not (defect.is_zero() or defect.max_abs() <= 1e-10):
-            raise ValueError("traceless lift fails its flatness identity")
+    defect = conn.nabla(conn.sigma)
+    if not (defect.is_zero() or defect.max_abs() <= 1e-10):
+        raise ValueError("traceless lift fails its flatness identity")
     if beta is None:
         return MatrixForm.zero(conn.chart, 1, conn.theta.backend, conn.theta.nodes)
     if beta.m != 1 or beta.degrees() not in ([], [2]):

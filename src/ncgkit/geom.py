@@ -160,13 +160,13 @@ class Geometry:
         )
         return MatrixForm(self.chart, 4 * blocks, {(0, 1): rows}, "jet", self.n_nodes)
 
-    def clifford_connection(self, blocks: int = 1) -> Connection:
+    def clifford_connection(self) -> Connection:
         """Connection whose curvature lift is minus the left Clifford action.
 
         The gauge 1-form vanishes because the registered sections have
         scalar entries (the lift acts trivially on them), so nabla = d.
         """
-        sigma = -self.clifford_curvature_form(blocks)
+        sigma = -self.clifford_curvature_form()
         return Connection.with_sigma(sigma)
 
     def a_hat_form(self) -> MatrixForm:
@@ -333,8 +333,7 @@ def local_index(geom: Geometry, p_form: MatrixForm,
     return {"raw": raw, "integer": int(snapped), "residual": float(residual)}
 
 
-def character_pairing(geom: Geometry, chain: Chain,
-                      conn: Optional[Connection] = None) -> complex:
+def character_pairing(geom: Geometry, chain: Chain, conn: Connection) -> complex:
     """Evaluation of the geometry's character cocycle on one chain degree.
 
     For a degree-2m chain this is
@@ -348,8 +347,6 @@ def character_pairing(geom: Geometry, chain: Chain,
         raise ValueError("character pairing takes even-degree chains")
     if k > geom.chart.dim:
         return 0.0
-    if conn is None:
-        conn = geom.clifford_connection(1)
     # the pairing integrates the top part of A-hat wedge the character
     # form; for k = 0 on a surface the top part of A-hat vanishes, so the
     # degree-0 component contributes nothing
@@ -373,7 +370,7 @@ def pairing_index(geom: Geometry, p_form: MatrixForm,
     s = p_form.m
     fiber_p = kron_identity_right(p_form, 4)
     proj = Projection(fiber_p, blocks=s, base_m=4, check=False)
-    conn = geom.clifford_connection(1)
+    conn = geom.clifford_connection()
     total = 0j
     for m in range(max_degree // 2 + 1):
         chain = chern_cyclic(proj, m)
@@ -382,7 +379,7 @@ def pairing_index(geom: Geometry, p_form: MatrixForm,
 
 
 def cocycle_cyclicity_residual(geom: Geometry, chain: Chain,
-                               conn: Optional[Connection] = None) -> float:
+                               conn: Connection) -> float:
     """Deviation of the cocycle evaluation under signed cyclic rotation."""
     from .cyclic import cyclic_permute
 

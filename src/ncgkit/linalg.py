@@ -72,7 +72,8 @@ def mat_kron(a: Matrix, b: Matrix) -> Matrix:
     return mat_from_blocks([[mat_scale(x, b) for x in row] for row in a])
 
 
-def _all_qqi(a: Matrix) -> bool:
+def all_qqi(a: Matrix) -> bool:
+    """Whether every entry is a ``QQi``: the one test of an exact matrix."""
     for row in a:
         for x in row:
             if type(x) is not QQi:
@@ -117,7 +118,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     k2, m = mat_shape(b)
     if k != k2:
         raise ValueError(f"matrix shapes {n}x{k} and {k2}x{m} do not compose")
-    if _all_qqi(a) and _all_qqi(b):
+    if all_qqi(a) and all_qqi(b):
         return _qqi_mat_mul(a, b)
     bt = list(zip(*b))
     out = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from . import linalg
 from .forms import Connection, MatrixForm
@@ -78,11 +78,11 @@ def random_connection(chart: Chart, m: int, rng: random.Random,
     return Connection(random_matrix_form(chart, m, rng, 1, poly_deg, terms))
 
 
-def random_exact_unitary(n: int, rng: random.Random,
-                         factors: int = 3) -> tuple:
-    """Constant unitary with Gaussian-rational entries."""
+def random_exact_unitary(n: int, rng: random.Random) -> tuple:
+    """Constant unitary with Gaussian-rational entries: a product of
+    three random permutations, diagonal phases and 3-4-5 rotations."""
     u = linalg.mat_eye(n, QQi(0), QQi(1))
-    for _ in range(factors):
+    for _ in range(3):
         kind = rng.randrange(3)
         if kind == 0:
             perm = list(range(n))
@@ -154,11 +154,10 @@ def random_trig_unitary_form(chart: Chart, n: int, rng: random.Random,
 
 
 def random_exact_projection(chart: Chart, size: int, rng: random.Random,
-                            rank: Optional[int] = None,
                             factors: int = 2) -> MatrixForm:
-    """Hermitian idempotent u q u* with trig-unitary u and 0/1 diagonal q."""
-    if rank is None:
-        rank = rng.randint(1, size - 1) if size > 1 else 1
+    """Hermitian idempotent u q u* with trig-unitary u and 0/1 diagonal q
+    of random rank (1 when size is 1)."""
+    rank = rng.randint(1, size - 1) if size > 1 else 1
     u = random_trig_unitary_form(chart, size, rng, factors)
     diag = [QQi(1)] * rank + [QQi(0)] * (size - rank)
     q = MatrixForm.const_matrix(

@@ -5,11 +5,17 @@ complex matrices, possibly living on a compressed subspace P H) and the
 Fourier-truncated flat-torus triple, which is block diagonal over modes
 and therefore stored as a batch of 4 x 4 blocks.
 
+A finite triple is exact when every entry of its matrices is a Gaussian
+rational (``linalg.all_qqi``); exactness is read off the entries, never
+declared.  The grading contract, Morita lifts, inner fluctuations and
+kernel counting take exact data only and raise ``ValueError`` on numeric
+data; eigendata (spectra, Sobolev weights, summability) take either.
+
 Index pairings come in two flavors: exact kernel counting over the
 Gaussian rationals (stacked nullspace systems, no eigensolver) and the
-heat-kernel supertrace, whose t-independence is itself one of the
-checks.  Morita lifts compress the amplified Dirac operator by a
-projection, D^E = p (D x Id_m) p.
+heat-kernel supertrace of the torus model, whose t-independence is
+itself one of the checks.  Morita lifts compress the amplified Dirac
+operator by a projection, D^E = p (D x Id_m) p.
 """
 
 from __future__ import annotations
@@ -32,21 +38,21 @@ class SpectralTriple:
     """Finite-model triple: Dirac matrix, algebra action, optional grading.
 
     ``subspace`` is a projection matrix P when the triple lives on the
-    compressed space P H; all operators then satisfy X = P X P.  Exact
-    (QQi) data enables exact kernel counting; numeric data falls back to
-    eigensolvers.
+    compressed space P H; all operators then satisfy X = P X P.  The
+    triple is exact when all its matrices have QQi entries only; a
+    grading needs exact data.
     """
 
     def __init__(self, d_matrix, algebra: Optional[Dict[str, object]] = None,
-                 grading=None, subspace=None, exact: Optional[bool] = None,
-                 model: str = "finite", check: bool = True):
+                 grading=None, subspace=None, model: str = "finite",
+                 check: bool = True):
         self.d = d_matrix
         self.algebra = dict(algebra or {})
         self.grading = grading
         self.subspace = subspace
-        if exact is None:
-            exact = not isinstance(d_matrix, np.ndarray)
-        self.exact = exact
+        self.exact = all(linalg.all_qqi(m) for m in (d_matrix, grading, subspace,
+                                                     *self.algebra.values())
+                         if m is not None)
         self.model = model
         self._eigenvalues = None
         if check:
@@ -58,51 +64,35 @@ class SpectralTriple:
         return len(self.d)
 
     def _check_contracts(self):
-        d = self.d
-        if self.exact:
-            if not linalg.mat_eq(d, linalg.mat_conj_transpose(d)):
+        """D is self-adjoint; a grading squares to 1 (to P on a compressed
+        triple), is self-adjoint, anticommutes with D and commutes with
+        every registered algebra element."""
+        d, g = self.d, self.grading
+        if not self.exact:
+            d = np.asarray(d, dtype=complex)
+            if np.max(np.abs(d - d.conj().T)) > 1e-10:
                 raise ValueError("Dirac matrix is not self-adjoint")
-        else:
-            if np.max(np.abs(self.d - self.d.conj().T)) > 1e-10:
-                raise ValueError("Dirac matrix is not self-adjoint")
-        if self.grading is not None:
-            self.check_grading(raise_on_fail=True)
-
-    def check_grading(self, tol: float = 1e-12, raise_on_fail: bool = False) -> dict:
-        """Grading contract: squares to 1, self-adjoint, anticommutes with
-        D, commutes with every registered algebra element."""
-        g = self.grading
-        report = {}
-        if self.exact:
-            n = self._dim()
-            eye = linalg.mat_eye(n, QQi(0), QQi(1))
-            if self.subspace is not None:
-                eye = self.subspace
-            report["square"] = linalg.mat_eq(linalg.mat_mul(g, g), eye)
-            report["selfadjoint"] = linalg.mat_eq(g, linalg.mat_conj_transpose(g))
-            anti = linalg.mat_add(linalg.mat_mul(g, self.d), linalg.mat_mul(self.d, g))
-            report["anticommutes_d"] = linalg.mat_is_zero(anti)
-            comm_ok = True
-            for a in self.algebra.values():
-                c = linalg.mat_sub(linalg.mat_mul(g, a), linalg.mat_mul(a, g))
-                comm_ok = comm_ok and linalg.mat_is_zero(c)
-            report["commutes_algebra"] = comm_ok
-        else:
-            g = _to_numpy(g)
-            d = _to_numpy(self.d)
-            eye = np.eye(len(g)) if self.subspace is None else _to_numpy(self.subspace)
-            report["square"] = bool(np.max(np.abs(g @ g - eye)) <= tol)
-            report["selfadjoint"] = bool(np.max(np.abs(g - g.conj().T)) <= tol)
-            report["anticommutes_d"] = bool(np.max(np.abs(g @ d + d @ g)) <= tol)
-            comm_ok = True
-            for a in self.algebra.values():
-                a = _to_numpy(a)
-                comm_ok = comm_ok and bool(np.max(np.abs(g @ a - a @ g)) <= tol)
-            report["commutes_algebra"] = comm_ok
-        report["ok"] = all(report.values())
-        if raise_on_fail and not report["ok"]:
+            if g is not None:
+                raise ValueError("the grading contract needs exact data")
+            return
+        if not linalg.mat_eq(d, linalg.mat_conj_transpose(d)):
+            raise ValueError("Dirac matrix is not self-adjoint")
+        if g is None:
+            return
+        eye = self.subspace
+        if eye is None:
+            eye = linalg.mat_eye(self._dim(), QQi(0), QQi(1))
+        report = {
+            "square": linalg.mat_eq(linalg.mat_mul(g, g), eye),
+            "selfadjoint": linalg.mat_eq(g, linalg.mat_conj_transpose(g)),
+            "anticommutes_d": linalg.mat_is_zero(
+                linalg.mat_add(linalg.mat_mul(g, d), linalg.mat_mul(d, g))),
+            "commutes_algebra": all(
+                linalg.mat_eq(linalg.mat_mul(g, a), linalg.mat_mul(a, g))
+                for a in self.algebra.values()),
+        }
+        if not all(report.values()):
             raise ValueError(f"grading contract failed: {report}")
-        return report
 
     # -- eigendata ---------------------------------------------------------
 
@@ -150,7 +140,7 @@ def finite_triple_exact(d_rows, algebra=None, grading_diag=None) -> SpectralTrip
             [[QQi.coerce(grading_diag[i]) if i == j else QQi(0) for j in range(n)]
              for i in range(n)]
         )
-    return SpectralTriple(d, alg, g, exact=True)
+    return SpectralTriple(d, alg, g)
 
 
 # -- Sobolev scales ------------------------------------------------------
@@ -244,47 +234,31 @@ def _block_diag_exact(mat, m: int):
                                    for i in range(m)])
 
 
-def morita_lift(triple: SpectralTriple, p, m: int,
-                corner_algebra: Optional[Dict[str, object]] = None) -> SpectralTriple:
-    """Compress the m-fold amplification of the triple by a projection.
+def morita_lift(triple: SpectralTriple, p, m: int) -> SpectralTriple:
+    """Compress the m-fold amplification of an exact triple by a projection.
 
-    p must be an exact or numeric projection matrix of size m * dim(H).
-    For p = 1, m = 1 the original triple is returned unchanged.
+    p must be an exact projection matrix of size m * dim(H).  For p = 1,
+    m = 1 the original triple is returned unchanged.
     """
-    n = triple._dim()
-    if triple.exact:
-        eye = linalg.mat_eye(m * n, QQi(0), QQi(1))
-        if m == 1 and linalg.mat_eq(p, eye):
-            return triple
-        if not linalg.mat_eq(linalg.mat_mul(p, p), p):
-            raise ValueError("input is not idempotent")
-        if not linalg.mat_eq(p, linalg.mat_conj_transpose(p)):
-            raise ValueError("input is not Hermitian")
-        d_m = _block_diag_exact(triple.d, m)
-        d_e = linalg.mat_mul(p, linalg.mat_mul(d_m, p))
-        g_e = None
-        if triple.grading is not None:
-            g_m = _block_diag_exact(triple.grading, m)
-            # p is idempotent and commutes with g_m, so p g_m p = g_m p
-            g_e = linalg.mat_mul(g_m, p)
-            if not linalg.mat_eq(g_e, linalg.mat_mul(p, g_m)):
-                raise ValueError("projection does not preserve the grading")
-        return SpectralTriple(d_e, corner_algebra or {}, g_e, subspace=p,
-                              exact=True, model=triple.model, check=False)
-    p = _to_numpy(p)
-    if np.max(np.abs(p @ p - p)) > 1e-10 or np.max(np.abs(p - p.conj().T)) > 1e-10:
-        raise ValueError("input is not a projection to tolerance")
-    d_np = _to_numpy(triple.d)
-    d_m = np.kron(np.eye(m), d_np)
-    d_e = p @ d_m @ p
+    if not (triple.exact and linalg.all_qqi(p)):
+        raise ValueError("a Morita lift needs exact data")
+    eye = linalg.mat_eye(m * triple._dim(), QQi(0), QQi(1))
+    if m == 1 and linalg.mat_eq(p, eye):
+        return triple
+    if not linalg.mat_eq(linalg.mat_mul(p, p), p):
+        raise ValueError("input is not idempotent")
+    if not linalg.mat_eq(p, linalg.mat_conj_transpose(p)):
+        raise ValueError("input is not Hermitian")
+    d_m = _block_diag_exact(triple.d, m)
+    d_e = linalg.mat_mul(p, linalg.mat_mul(d_m, p))
     g_e = None
     if triple.grading is not None:
-        g_m = np.kron(np.eye(m), _to_numpy(triple.grading))
-        if np.max(np.abs(g_m @ p - p @ g_m)) > 1e-10:
+        g_m = _block_diag_exact(triple.grading, m)
+        # p is idempotent and commutes with g_m, so p g_m p = g_m p
+        g_e = linalg.mat_mul(g_m, p)
+        if not linalg.mat_eq(g_e, linalg.mat_mul(p, g_m)):
             raise ValueError("projection does not preserve the grading")
-        g_e = p @ g_m @ p
-    return SpectralTriple(d_e, corner_algebra or {}, g_e, subspace=p,
-                          exact=False, model=triple.model, check=False)
+    return SpectralTriple(d_e, {}, g_e, subspace=p, model=triple.model, check=False)
 
 
 def _stacked_nullity_exact(mats) -> int:
@@ -341,31 +315,23 @@ def pairing_functoriality_check(triple: SpectralTriple, p, m: int,
 def inner_fluctuation(triple: SpectralTriple, pairs) -> SpectralTriple:
     """D' = D + sum a_i [D, b_i] for algebra pairs (a_i, b_i).
 
-    The perturbation must come out self-adjoint for the result to be a
-    triple; callers arrange symmetric combinations.
+    The data must be exact.  The perturbation must come out self-adjoint
+    for the result to be a triple; callers arrange symmetric combinations.
     """
-    d = triple.d
-    if triple.exact:
-        acc = d
-        for a, b in pairs:
-            comm = linalg.mat_sub(linalg.mat_mul(d, b), linalg.mat_mul(b, d))
-            acc = linalg.mat_add(acc, linalg.mat_mul(a, comm))
-        return SpectralTriple(acc, triple.algebra, triple.grading,
-                              exact=True, model=triple.model)
-    d_np = _to_numpy(d)
-    acc = d_np.copy()
+    if not (triple.exact and all(linalg.all_qqi(x) for pair in pairs for x in pair)):
+        raise ValueError("an inner fluctuation needs exact data")
+    d = acc = triple.d
     for a, b in pairs:
-        a, b = _to_numpy(a), _to_numpy(b)
-        acc = acc + a @ (d_np @ b - b @ d_np)
-    return SpectralTriple(acc, triple.algebra, triple.grading,
-                          exact=False, model=triple.model)
+        comm = linalg.mat_sub(linalg.mat_mul(d, b), linalg.mat_mul(b, d))
+        acc = linalg.mat_add(acc, linalg.mat_mul(a, comm))
+    return SpectralTriple(acc, triple.algebra, triple.grading, model=triple.model)
 
 
-def spectra_equal(t1: SpectralTriple, t2: SpectralTriple, tol: float = 1e-9) -> bool:
+def spectra_equal(t1: SpectralTriple, t2: SpectralTriple) -> bool:
     v1, v2 = t1.eigenvalues(), t2.eigenvalues()
     if len(v1) != len(v2):
         return False
-    return bool(np.max(np.abs(v1 - v2)) <= tol)
+    return bool(np.max(np.abs(v1 - v2)) <= 1e-9)
 
 
 # -- Fourier-truncated flat torus model ----------------------------------
@@ -398,17 +364,13 @@ class FourierTorusTriple:
         g[1, 2] = -1j
         self.gamma = g
 
-    def grading_report(self, tol: float = 1e-12) -> dict:
+    def grading_report(self) -> dict:
         g = self.gamma
-        sq = np.max(np.abs(g @ g - np.eye(4)))
-        sa = np.max(np.abs(g - g.conj().T))
-        anti = float(np.max(np.abs(g @ self.blocks + self.blocks @ g)))
-        return {
-            "square": sq <= tol,
-            "selfadjoint": sa <= tol,
-            "anticommutes_d": anti <= tol,
-            "ok": sq <= tol and sa <= tol and anti <= tol,
-        }
+        sq = np.max(np.abs(g @ g - np.eye(4))) <= 1e-12
+        sa = np.max(np.abs(g - g.conj().T)) <= 1e-12
+        anti = float(np.max(np.abs(g @ self.blocks + self.blocks @ g))) <= 1e-12
+        return {"square": sq, "selfadjoint": sa, "anticommutes_d": anti,
+                "ok": sq and sa and anti}
 
     @functools.cached_property
     def _spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -424,9 +386,6 @@ class FourierTorusTriple:
     def mckean_singer(self, t: float) -> float:
         vals, w = self._spectrum
         return float(np.sum(w * np.exp(-t * vals ** 2)))
-
-    def index(self) -> int:
-        return round(self.mckean_singer(1.0))
 
     def commutator_norm_shift(self, axis: int) -> float:
         """Norm of [D, z_axis] estimated blockwise away from the edge.

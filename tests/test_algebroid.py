@@ -244,7 +244,7 @@ class TestCochainDifferential:
         rng = random.Random(4)
         conn = random_connection(AFF2, 2, rng)
         f = PolyScalar.coordinate(AFF2, 0)
-        om = AlternatingForm.from_scalar(f)
+        om = AlternatingForm(0, lambda: f)
         x = make_deriv(conn, rng)
         assert (ce_differential(om, x) - x.anchor(f)).is_zero()
 
@@ -279,7 +279,7 @@ class TestCochainDifferential:
             assert ce_differential(ce_d(om), *xs).is_zero()
 
     def test_wrong_arity_raises(self):
-        om = AlternatingForm.from_scalar(PolyScalar.const(AFF2, 1))
+        om = AlternatingForm(0, lambda: PolyScalar.const(AFF2, 1))
         with pytest.raises(ValueError):
             om(None)
 
@@ -393,7 +393,7 @@ class TestVanishingOnCommutingInner:
 def test_point_algebra_model():
     # all derivations of a matrix algebra over a point are inner
     rng = random.Random(17)
-    conn = Connection.flat(POINT, 3)
+    conn = Connection(MatrixForm.zero(POINT, 3))
     beta = random_algebra_element(POINT, 3, rng)
     x = Derivation.inner(conn, beta)
     a = random_algebra_element(POINT, 3, rng)

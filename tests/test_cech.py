@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -32,7 +33,7 @@ def coboundary_data(rng, nerve, rank=2, phases=True):
             lam, linalg.mat_mul(hs[i], linalg.mat_conj_transpose(hs[j]))
         )
         edges[(i, j)] = mat
-    return TransitionData(nerve, rank, edges, True)
+    return TransitionData(nerve, rank, edges)
 
 
 def phase_mu_reference(data):
@@ -421,6 +422,36 @@ def test_edge_given_in_both_orientations_is_rejected():
     with pytest.raises(ValueError, match="given twice"):
         TransitionData(Nerve([(0, 1, 2)]), 2,
                        {(0, 1): eye, (1, 0): sx, (1, 2): eye, (0, 2): eye})
+
+
+def numeric_pauli_triangle():
+    """The Pauli triangle with np.complex128 entries."""
+    return TransitionData(Nerve([(0, 1, 2)]), 2, {
+        e: np.array([[complex(x) for x in row] for row in mat])
+        for e, mat in pauli_triangle().edges.items()
+    })
+
+
+def test_numeric_transition_data_is_read_as_numeric():
+    data = numeric_pauli_triangle()
+    assert not data.exact
+    assert pauli_triangle().exact
+    pc = phase_cocycle(data)
+    assert pc.mu[(0, 1, 2)] == 1j
+    assert abs(pc.nu[(0, 1, 2)] - 0.25) < 1e-12
+    # unitarity is checked to a tolerance on numeric data
+    edges = dict(data.edges)
+    edges[(0, 1)] = 2 * np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        TransitionData(data.nerve, 2, edges)
+
+
+def test_exact_only_operations_reject_numeric_data():
+    data = numeric_pauli_triangle()
+    with pytest.raises(ValueError, match="needs exact data"):
+        data.rephased({(0, 1): QQi(0, 1)})
+    with pytest.raises(ValueError, match="needs exact data"):
+        normalize_determinant(data)
 
 
 def test_unitarity_enforced():

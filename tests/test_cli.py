@@ -518,6 +518,19 @@ class TestRejectsBadInput:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("algebroid", "--trial", "3"),
+        ("index", "--ref", "0"),
+        ("index", "--geo", "torus2", "--proj", "zero"),
+        ("dd-class", "--scen", "pauli-triangle"),
+        ("list-checks", "--mod", "cyclic"),
+    ])
+    def test_abbreviated_flag_exit_2(self, capsys, argv):
+        """A prefix of a flag is no flag: argparse's prefix matching is off."""
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
     @pytest.mark.parametrize("doc", [
         {"kind": "cech", "seed": True},
         {"kind": "cech", "seed": -1},

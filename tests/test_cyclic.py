@@ -58,7 +58,8 @@ def cyclic_project(ch: Chain) -> Chain:
     for _ in range(ch.degree):
         rotated = cyclic_permute(rotated)
         out = out + rotated
-    return out.scale(Fraction(1, ch.degree + 1))
+    w = QQi(Fraction(1, ch.degree + 1))
+    return Chain(out.degree, [(w * c, t) for c, t in out.terms])
 
 
 def torus_pullback_projection(chart: Chart) -> MatrixForm:

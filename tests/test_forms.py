@@ -124,7 +124,7 @@ def test_d_graded_leibniz():
 class TestConnection:
     def test_flat_reduces_to_d(self):
         rng = random.Random(5)
-        conn = Connection.flat(AFF3, 2)
+        conn = Connection(MatrixForm.zero(AFF3, 2))
         a = random_matrix_form(AFF3, 2, rng, 1)
         assert (conn.nabla(a) - exterior_d(a)).is_zero()
 

@@ -407,7 +407,7 @@ class TestCocyclePairing:
 
     def test_constant_entries_pair_to_zero(self):
         g = Geometry.torus2(12)
-        conn = g.clifford_connection(1)
+        conn = g.clifford_connection()
         const = kron_identity_right(constant_projection(g, 1, 1), 4)
         a = MatrixForm.const_matrix(g.chart, [[QQi(2)]], "jet", g.n_nodes)
         a4 = kron_identity_right(a, 4)
@@ -417,7 +417,7 @@ class TestCocyclePairing:
     def test_cyclic_invariance_on_random_chains(self):
         rng = random.Random(5)
         g = Geometry.torus2(16)
-        conn = g.clifford_connection(1)
+        conn = g.clifford_connection()
         chart = Chart.torus(2)
         worst = 0.0
         for _ in range(5):
@@ -444,5 +444,6 @@ class TestCocyclePairing:
     def test_odd_degree_rejected(self):
         g = Geometry.torus2(8)
         a = kron_identity_right(constant_projection(g, 1, 1), 4)
+        conn = g.clifford_connection()
         with pytest.raises(ValueError):
-            character_pairing(g, Chain(1, [(QQi(1), (a, a * 2))]))
+            character_pairing(g, Chain(1, [(QQi(1), (a, a * 2))]), conn)

@@ -94,7 +94,7 @@ def test_spectrum_is_computed_once_and_read_only(monkeypatch):
         lam[0] = 0.0
     # a compressed triple drops the inflated kernel from its one spectrum
     p = finite_triple_exact([[1, 0], [0, 0]]).d
-    compressed = SpectralTriple(p, subspace=p, exact=True)
+    compressed = SpectralTriple(p, subspace=p)
     assert compressed.eigenvalues().tolist() == [1.0]
     assert len(calls) == 2
 
@@ -116,18 +116,16 @@ class TestSummability:
         assert sums == sorted(sums)
 
 
-def mckean_singer(triple: SpectralTriple, t: float) -> float:
-    """Supertrace of the heat semigroup at time t on the effective space of
-    a dense numeric triple: the oracle of the exact kernel count."""
-    d = np.asarray(triple.d, dtype=complex)
-    g = np.asarray(triple.grading, dtype=complex)
-    vals, vecs = np.linalg.eigh(d)
-    weights = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), g, vecs))
-    if triple.subspace is None:
-        return float(np.sum(weights * np.exp(-t * vals ** 2)))
-    p = np.asarray(triple.subspace, dtype=complex)
+def mckean_singer(d: np.ndarray, g: np.ndarray, p: np.ndarray, t: float) -> float:
+    """Supertrace of the heat semigroup at time t of the numeric compression
+    p D p, graded by p g p, on the range of the projection p: the oracle of
+    the exact kernel count of a Morita lift with m = 1."""
+    d_e = p @ d @ p
+    g_e = p @ g @ p
+    vals, vecs = np.linalg.eigh(d_e)
+    weights = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), g_e, vecs))
     # modes in ker P have e^{-t*0} - 1 = 0 contribution; start from str(P gamma)
-    base = float(np.real(np.trace(g @ p)))
+    base = float(np.real(np.trace(g_e @ p)))
     return base + float(np.sum(weights * (np.exp(-t * vals ** 2) - 1.0)))
 
 
@@ -199,14 +197,43 @@ class TestMoritaLift:
             p = linalg.mat_from_rows([[QQi(1), QQi(0)], [QQi(0), QQi(0)]])
             lift = morita_lift(t, p, 1)
             exact = kernel_index_exact(lift)
-            tn = SpectralTriple(
-                np.array([[0, c], [c, 0]], dtype=complex),
-                grading=np.diag([1.0, -1.0]).astype(complex),
-            )
+            d = np.array([[0, c], [c, 0]], dtype=complex)
+            g = np.diag([1.0, -1.0]).astype(complex)
             pn = np.diag([1.0, 0.0]).astype(complex)
-            liftn = morita_lift(tn, pn, 1)
             for t_heat in (0.5, 1.0, 2.0):
-                assert abs(mckean_singer(liftn, t_heat) - exact) < 1e-10
+                assert abs(mckean_singer(d, g, pn, t_heat) - exact) < 1e-10
+
+
+class TestExactness:
+    """Exactness is read off the entries; exact-only operations refuse
+    numeric data with a ValueError."""
+
+    def test_exact_is_read_off_the_entries(self):
+        assert SpectralTriple(linalg.mat_from_rows([[QQi(0), QQi(1)],
+                                                    [QQi(1), QQi(0)]])).exact
+        assert finite_triple_exact([[0, 1], [1, 0]], grading_diag=[1, -1]).exact
+        assert not circle_dirac(3).exact
+        # one numeric matrix makes the whole triple numeric
+        d = finite_triple_exact([[0, 1], [1, 0]]).d
+        assert not SpectralTriple(d, {"a": np.eye(2, dtype=complex)}).exact
+
+    def test_exact_only_operations_reject_numeric_data(self):
+        d = np.array([[0, 1], [1, 0]], dtype=complex)
+        g = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(ValueError, match="needs exact data"):
+            SpectralTriple(d, grading=g)
+        numeric = SpectralTriple(d)
+        exact = finite_triple_exact([[0, 1], [1, 0]], grading_diag=[1, -1])
+        p = np.diag([1.0, 0.0]).astype(complex)
+        for triple, proj in ((numeric, linalg.mat_eye(2, QQi(0), QQi(1))), (exact, p)):
+            with pytest.raises(ValueError, match="needs exact data"):
+                morita_lift(triple, proj, 1)
+        e12 = linalg.mat_from_rows([[QQi(0), QQi(1)], [QQi(0), QQi(0)]])
+        for triple, pairs in ((numeric, [(e12, e12)]), (exact, [(p, p)])):
+            with pytest.raises(ValueError, match="needs exact data"):
+                inner_fluctuation(triple, pairs)
+        with pytest.raises(ValueError, match="needs exact data"):
+            kernel_index_exact(numeric)
 
 
 class TestPairingFunctoriality:
@@ -279,7 +306,7 @@ class TestFourierTorus:
 
     def test_index_zero(self):
         ft = FourierTorusTriple(8)
-        assert ft.index() == 0
+        assert round(ft.mckean_singer(1.0)) == 0
 
     def test_supertrace_t_independent(self):
         ft = FourierTorusTriple(8)

@@ -247,6 +247,13 @@ MUTANTS = {
           "        if False:\n")],
         ["tests/test_form_product_kernel.py::test_product_matches_the_fold"],
     ),
+    "slots-reassembled-out-of-order": (
+        "the results of the forked slots of a request are put back in the "
+        "reverse order of the slots",
+        [("src/ncgkit/cli.py", "for w, (res, _) in enumerate(outcomes):",
+          "for w, (res, _) in enumerate(outcomes[::-1]):")],
+        ["tests/test_cli.py::test_forked_workers_print_the_bytes_of_one_process"],
+    ),
     "bott-dphi-n1-sign": (
         "the phi-derivative of the first component of the Bott unit vector "
         "has the wrong sign",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from types import ModuleType
 
 
 def _lazy(name: str):
@@ -37,3 +38,9 @@ def _lazy(name: str):
 
 
 np = _lazy("numpy")
+
+
+def loaded() -> bool:
+    """Whether numpy's own import has run in this process; reading the type
+    of ``np`` does not run it."""
+    return type(np) is ModuleType

@@ -198,7 +198,8 @@ class TransitionData:
         """Multiply each edge lift of exact data by a unit-modulus scalar.
 
         A phase keyed (j, i) acts on the edge (i, j) by its inverse; a key
-        that is not an edge, or an edge keyed in both orientations, raises.
+        that is not an edge, an edge keyed in both orientations, or a phase
+        that is not a ``QQi`` raises ``ValueError``.
         """
         if not self.exact:
             raise ValueError("rephasing needs exact data")
@@ -209,6 +210,9 @@ class TransitionData:
                 raise ValueError(f"edge ({i},{j}) not in the nerve")
             if edge in given:
                 raise ValueError(f"edge ({i},{j}) is given twice")
+            if not isinstance(lam, QQi):
+                raise ValueError(f"the phase of edge ({i},{j}) must be a QQi, "
+                                 f"not {type(lam).__name__}")
             given[edge] = lam if i < j else lam.inverse()
         new_edges = {}
         for (i, j), mat in self._edges.items():

@@ -16,9 +16,11 @@ import functools
 import json
 import os
 import sys
+import threading
 from fractions import Fraction
 from typing import Dict, List, Optional
 
+from . import _numpy
 from .checks import (
     BOTT_PROJECTIONS,
     CHECKS,
@@ -163,6 +165,115 @@ def _emit(text: str, out: Optional[str], command: str) -> None:
     sys.stdout.write(text)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 while another thread runs or
+    once numpy is loaded.
+
+    A forked child has only the thread that forked, so a lock that another
+    thread holds would never be released there; numpy's BLAS may keep
+    threads that ``threading`` does not count.  A process with numpy also
+    has twice the writable memory, and after a fork it takes a page fault
+    on each page of it that it writes again, which costs about what its
+    short numeric checks gain.
+    """
+    if threading.active_count() > 1 or _numpy.loaded():
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_slot(check_ids: List[str], seed: int, params) -> tuple:
+    """Run checks in order until one raises: (results, the exception or None)."""
+    results = []
+    try:
+        for c in check_ids:
+            results.append(run_check(c, seed=seed, **params))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _fork_slot(check_ids: List[str], seed: int, params) -> tuple:
+    """Run a slot in a forked child, which pickles what ``_run_slot``
+    returns down a pipe; (pid, read end of the pipe)."""
+    import pickle
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        os.close(r)
+        data = pickle.dumps(_run_slot(check_ids, seed, params))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _end(pid: int) -> None:
+    import signal
+
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def _collect(pid: int, r: int) -> tuple:
+    """What a forked slot sent; the child is ended and reaped either way."""
+    import pickle
+
+    try:
+        with os.fdopen(r, "rb") as fh:
+            data = fh.read()
+    finally:
+        _end(pid)
+    if not data:
+        raise RuntimeError("a check process ended before it sent its results")
+    return pickle.loads(data)
+
+
+def _run_checks(check_ids: List[str], seed: int, params) -> List[CheckResult]:
+    """Run the checks of a request in up to one process per usable CPU.
+
+    The checks are dealt round robin; this process runs slot 0 and a forked
+    child runs each other slot.  Results come back in the order of
+    ``check_ids``.  When checks raise, the one first in that order is
+    raised, as in a run in one process; a child whose slot starts after it
+    is killed instead of waited for.
+    """
+    workers = min(len(check_ids), _usable_cpus())
+    slots = [check_ids[w::workers] for w in range(workers)]
+    outcomes = []  # (results, exception or None) of slots 0, 1, ...
+
+    def failures():  # (position in check_ids, exception) of each slot that raised
+        return [(v + workers * len(res), exc)
+                for v, (res, exc) in enumerate(outcomes) if exc is not None]
+
+    pending = []
+    try:
+        for slot in slots[1:]:
+            pending.append(_fork_slot(slot, seed, params))
+        outcomes.append(_run_slot(slots[0], seed, params))
+        # the next slot's first check is at position len(outcomes)
+        while pending and all(len(outcomes) < p for p, _ in failures()):
+            outcomes.append(_collect(*pending.pop(0)))
+    finally:
+        for pid, r in pending:
+            os.close(r)
+            _end(pid)
+    if failures():
+        raise min(failures(), key=lambda f: f[0])[1]
+    results = [None] * len(check_ids)
+    for w, (res, _) in enumerate(outcomes):
+        results[w::workers] = res
+    return results
+
+
 def _run_suite(command: str, args) -> int:
     """Select the checks of a request, check every parameter given, run the
     checks and emit one report; 0 when every check passed, else 1."""
@@ -201,7 +312,7 @@ def _run_suite(command: str, args) -> int:
         if name not in takes:
             raise SchemaViolation(f"{command} takes no parameter {name}")
         validate_param(name, value)
-    results = [run_check(c, seed=seed, **params) for c in check_ids]
+    results = _run_checks(check_ids, seed, params)
     renderer = render_report_json if args.format == "json" else render_report_text
     _emit(renderer(command, seed, shown, results), args.out, command)
     return 0 if all(r.passed for r in results) else 1

@@ -381,6 +381,14 @@ def test_rephasing_needs_unit_modulus():
             data.rephased({(1, 0): lam})
 
 
+def test_rephasing_needs_exact_phases():
+    data = pauli_triangle()
+    for key in ((0, 1), (1, 0)):
+        for lam in (1j, 1, Fraction(1)):
+            with pytest.raises(ValueError, match="must be a QQi"):
+                data.rephased({key: lam})
+
+
 def test_rephasing_rejects_keys_that_are_not_one_edge():
     data = pauli_triangle()
     with pytest.raises(ValueError, match="not in the nerve"):

@@ -431,7 +431,9 @@ def run(*argv):
         return cli.main(list(argv))
 
 def numpy_loaded():
-    return [m for m in ("numpy._core", "numpy.core") if m in sys.modules]
+    from ncgkit import _numpy
+
+    return [m for m in ("numpy._core", "numpy.core") if m in sys.modules], _numpy.loaded()
 
 codes = [run("verify-identities", "--scenario", "scenarios/identities-smoke.json"),
          run("algebroid", "--trials", "5")]
@@ -458,8 +460,8 @@ def test_exact_commands_never_load_numpy():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["codes"] == [0, 0, 0]
-    assert got["exact"] == []
-    assert got["numeric"] != []
+    assert got["exact"] == [[], False]
+    assert got["numeric"][0] != [] and got["numeric"][1]
 
 
 def test_parser_has_all_subcommands():
@@ -716,3 +718,215 @@ def test_in_process_calls_leak_no_parser_state(capsys, monkeypatch, sequence):
              *argv], cwd=root, env=env, capture_output=True, text=True, timeout=120)
         assert (code, out) == (proc.returncode, proc.stdout)
     assert got[0][1] != got[1][1]
+
+
+# -- the checks of one request in forked workers --------------------------
+
+
+def _cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable and numpy read as not loaded, so a request
+    runs in min(checks, n) processes."""
+    import os
+
+    from ncgkit import _numpy
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(_numpy, "loaded", lambda: False)
+
+
+def _no_child_left():
+    import os
+
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-identities", "--trials", "1"),
+    ("spectral", "--seed", "11"),
+    ("index", "--seed", "11"),
+])
+def test_forked_workers_print_the_bytes_of_one_process(capsys, monkeypatch, argv):
+    """A request run as it is, and dealt over three processes, prints the
+    bytes and exit status of the same request run in one process."""
+    import os
+
+    as_is = run_cli(capsys, *argv)
+    _no_child_left()
+    _cpus(monkeypatch, 3)
+    three = run_cli(capsys, *argv)
+    _no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_cli(capsys, *argv) == as_is == three
+    assert as_is[0] == 0
+
+
+def test_processes_never_outnumber_the_checks(capsys, monkeypatch):
+    import os
+
+    from ncgkit.checks import CHECKS
+
+    for spec in CHECKS:
+        monkeypatch.setattr(spec, "runner", _stub_runner(spec, True, []))
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    _cpus(monkeypatch, 64)
+    for argv, n_checks in [(("verify-identities",), 8), (("spectral",), 3),
+                           (("index",), 2), (("algebroid",), 1)]:
+        forks.clear()
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.count("\ncheck: ") == n_checks
+        assert len(forks) == n_checks - 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("reason", ["another thread runs", "numpy is loaded"])
+def test_no_fork_while(capsys, monkeypatch, reason):
+    import os
+    import threading
+
+    from ncgkit import _numpy
+    from ncgkit.checks import CHECKS
+
+    for spec in CHECKS:
+        monkeypatch.setattr(spec, "runner", _stub_runner(spec, True, []))
+
+    def no_fork():
+        raise AssertionError(f"forked while {reason}")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cpus(monkeypatch, 8)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if reason == "another thread runs":
+        thread.start()
+    else:
+        monkeypatch.setattr(_numpy, "loaded", lambda: True)
+    try:
+        code, out = run_cli(capsys, "verify-identities")
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert code == 0
+    assert out.count("status: pass") == 8
+
+
+def _raising_runner(spec, message):
+    @functools.wraps(spec.runner)
+    def run(**params):
+        raise ValueError(message)
+    return run
+
+
+@pytest.mark.parametrize("raising", [
+    ("complex-operators",),                      # a child's slot only
+    ("partition-counts", "chain-character"),     # a child's check comes first
+    ("induction-identity", "partition-counts"),  # this process's check comes first
+    ("twisted-complex", "pushforward"),          # two checks of one child's slot
+])
+def test_a_raising_check_reports_the_first_in_suite_order(capsys, monkeypatch, raising):
+    """exit 3 and the error of the first raising check in suite order, for
+    every number of processes."""
+    import os
+
+    from ncgkit.checks import CHECKS_BY_ID
+    from ncgkit.cli import SUITE_OF_COMMAND
+
+    for check_id in SUITE_OF_COMMAND["verify-identities"]:
+        spec = CHECKS_BY_ID[check_id]
+        stub = (_raising_runner(spec, f"raised by {check_id}") if check_id in raising
+                else _stub_runner(spec, True, []))
+        monkeypatch.setattr(spec, "runner", stub)
+    want = f"internal error: ValueError: raised by {raising[0]}\n"
+    for n in (1, 2, 3, 8):
+        _cpus(monkeypatch, n)
+        code = main(["verify-identities"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (3, "", want), n
+        _no_child_left()
+
+
+def test_a_failing_check_in_a_child_fails_the_report(capsys, monkeypatch):
+    """A stub running in a child cannot append to this process's list of
+    runs, so the report shows which checks ran and which failed."""
+    from ncgkit.checks import CHECKS_BY_ID
+    from ncgkit.cli import SUITE_OF_COMMAND
+
+    suite = SUITE_OF_COMMAND["verify-identities"]
+    for check_id in suite:
+        spec = CHECKS_BY_ID[check_id]
+        monkeypatch.setattr(spec, "runner", _stub_runner(
+            spec, check_id != "complex-operators", []))
+    _cpus(monkeypatch, 2)
+    code, out = run_cli(capsys, "verify-identities")
+    assert code == 1
+    assert [line[len("check: "):] for line in out.splitlines()
+            if line.startswith("check: ")] == suite
+    assert "check: complex-operators\n  status: fail\n" in out
+    assert out.count("status: fail") == 1
+    assert out.endswith("overall: fail\n")
+    _no_child_left()
+
+
+def test_a_child_that_dies_without_results_is_an_internal_error(capsys, monkeypatch):
+    import os
+
+    from ncgkit.checks import CHECKS_BY_ID
+
+    parent = os.getpid()
+    spec = CHECKS_BY_ID["morita-suite"]  # slot 1 of spectral, in a child
+
+    @functools.wraps(spec.runner)
+    def die(**params):
+        assert os.getpid() != parent, "the stub must run in a child"
+        os._exit(1)
+
+    monkeypatch.setattr(spec, "runner", die)
+    for other in ("sobolev-suite", "torus-heat-trace"):
+        monkeypatch.setattr(CHECKS_BY_ID[other], "runner",
+                            _stub_runner(CHECKS_BY_ID[other], True, []))
+    _cpus(monkeypatch, 2)
+    code = main(["spectral"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == ("internal error: RuntimeError: a check process ended "
+                   "before it sent its results\n")
+    _no_child_left()
+
+
+def test_children_are_killed_when_this_process_raises_first(capsys, monkeypatch):
+    """When the first check of the request raises here, no child can hold
+    an earlier error: every child is killed and reaped, not waited for."""
+    import time
+
+    from ncgkit.checks import CHECKS_BY_ID
+    from ncgkit.cli import SUITE_OF_COMMAND
+
+    for check_id in SUITE_OF_COMMAND["verify-identities"]:
+        spec = CHECKS_BY_ID[check_id]
+
+        @functools.wraps(spec.runner)
+        def hang(**params):
+            time.sleep(60)
+
+        monkeypatch.setattr(spec, "runner", hang)
+    spec = CHECKS_BY_ID["induction-identity"]
+    monkeypatch.setattr(spec, "runner", _raising_runner(spec, "first"))
+    _cpus(monkeypatch, 4)
+    t0 = time.perf_counter()
+    code = main(["verify-identities"])
+    assert time.perf_counter() - t0 < 30
+    assert (code, capsys.readouterr().err) == (
+        3, "internal error: ValueError: first\n")
+    _no_child_left()

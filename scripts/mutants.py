@@ -261,6 +261,23 @@ MUTANTS = {
           "dn1 = (ds2 * cos_p, s2 * sin_p)")],
         ["tests/test_golden_reports.py"],
     ),
+    "right-matrix-left-product": (
+        "the matrix of the right Clifford action of a generator is the "
+        "left product e_i v",
+        [("src/ncgkit/clifford.py", "return _action_matrix(n, lambda v: v * e)",
+          "return _action_matrix(n, lambda v: e * v)")],
+        ["tests/test_clifford.py::TestFiberActions::"
+         "test_actions_match_the_wedge_contraction_reference",
+         "tests/test_spectral.py::TestFourierTorus::test_commutator_is_right_clifford_action"],
+    ),
+    "odd-gamma-drops-i": (
+        "the odd step of the gamma matrices appends the chirality matrix of "
+        "the even predecessor without the factor i",
+        [("src/ncgkit/clifford.py",
+          "prev.matrices + [linalg.mat_scale(QQI_I, prev.chirality_matrix())]",
+          "prev.matrices + [prev.chirality_matrix()]")],
+        ["tests/test_clifford.py::test_spinor_rep_defining_relations"],
+    ),
 }
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 from typing import Callable, List, Sequence, Tuple
 
 from .cyclic import Chain
@@ -240,16 +241,9 @@ def derivation_character(ch: Chain, xs: Sequence[Derivation]) -> PolyScalar:
                 val = form_scalar(trace_of_product(prefix[perm[:-1]],
                                                    xs[perm[-1]].apply(t[k])))
             acc = acc + (val if sgn > 0 else -val)
-        total = total + acc * (coef * Fraction(1, _factorial(k)))
+        total = total + acc * (coef * Fraction(1, factorial(k)))
     return total
 
 
 def chain_cochain(ch: Chain) -> AlternatingForm:
     return AlternatingForm(ch.degree, lambda *xs: derivation_character(ch, xs))
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

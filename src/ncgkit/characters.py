@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .cyclic import Chain, Projection, chern_cyclic
 from .forms import Connection, MatrixForm, exterior_d
@@ -220,10 +220,6 @@ def simplex_character(conn: Connection, ch: Chain) -> MatrixForm:
     return out
 
 
-def chern_total_chain(p: Projection, max_m: int) -> List[Chain]:
-    return [chern_cyclic(p, m) for m in range(max_m + 1)]
-
-
 def compare_class_integrals(conn: Connection, p: Projection,
                             integrate: Callable[[MatrixForm, int], complex],
                             twist: str = "torsion") -> dict:
@@ -239,7 +235,7 @@ def compare_class_integrals(conn: Connection, p: Projection,
     max_degree = chart.dim
     if p.base_m != conn.m:
         raise ValueError("projection base algebra does not match connection")
-    chains = chern_total_chain(p, max_degree // 2)
+    chains = [chern_cyclic(p, m) for m in range(max_degree // 2 + 1)]
     report = {"degrees": {}, "twist": twist}
     jlo_total = MatrixForm.zero(chart, 1, conn.theta.backend, conn.theta.nodes)
     rho_total = MatrixForm.zero(chart, 1, conn.theta.backend, conn.theta.nodes)

@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("list-checks", allow_abbrev=False,
                        help="catalog of verification checks")
-    p.add_argument("--module", type=str, default=None)
+    p.add_argument("--module", choices=sorted({c.module for c in CHECKS}), default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

@@ -7,12 +7,12 @@ Gaussian rationals; a numeric (complex) variant is obtained by calling
 
 The module also houses the spinor representation (recursive gamma-matrix
 construction), the chirality element, the normalized trace, and the left
-and right Clifford actions on the exterior algebra fiber.
+and right Clifford actions on the exterior algebra fiber, which are the
+Clifford products a v and v a under the symbol identification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -155,17 +155,10 @@ class CliffordElement:
         return "Cl<" + " + ".join(parts) + ">"
 
 
-@dataclass(frozen=True)
-class Chirality:
-    n: int
-    element: CliffordElement
-
-
-def chirality(n: int) -> Chirality:
+def chirality(n: int) -> CliffordElement:
     """Volume element scaled so that its Clifford square is +1."""
     power = (n + 1) // 2
-    c = QQI_I ** power
-    return Chirality(n, CliffordElement.blade(n, tuple(range(1, n + 1)), c))
+    return CliffordElement.blade(n, tuple(range(1, n + 1)), QQI_I ** power)
 
 
 def clifford_trace(a: CliffordElement) -> QQi:
@@ -197,23 +190,14 @@ def _gamma_matrices(n: int):
     if n == 2:
         return [linalg.mat_scale(QQI_I, _SIGMA_X), linalg.mat_scale(QQI_I, _SIGMA_Y)]
     if n % 2 == 1:
-        prev = _gamma_matrices(n - 1)
-        chi = _chirality_matrix(n - 1, prev)
-        return prev + [linalg.mat_scale(QQI_I, chi)]
+        prev = SpinorRep(n - 1)
+        return prev.matrices + [linalg.mat_scale(QQI_I, prev.chirality_matrix())]
     prev = _gamma_matrices(n - 2)
     eye2 = linalg.mat_eye(len(prev[0]), QQI_ZERO, QQI_ONE)
     out = [linalg.mat_kron(g, _SIGMA_Z) for g in prev]
     out.append(linalg.mat_kron(eye2, linalg.mat_scale(QQI_I, _SIGMA_X)))
     out.append(linalg.mat_kron(eye2, linalg.mat_scale(QQI_I, _SIGMA_Y)))
     return out
-
-
-def _chirality_matrix(n: int, gammas):
-    power = (n + 1) // 2
-    m = linalg.mat_eye(len(gammas[0]), QQI_ZERO, QQI_ONE)
-    for g in gammas:
-        m = linalg.mat_mul(m, g)
-    return linalg.mat_scale(QQI_I ** power, m)
 
 
 class SpinorRep:
@@ -243,7 +227,7 @@ class SpinorRep:
         return out
 
     def chirality_matrix(self):
-        return self.of(chirality(self.n).element)
+        return self.of(chirality(self.n))
 
 
 # -- left/right Clifford actions on the exterior algebra ----------------
@@ -257,105 +241,26 @@ def fiber_basis(n: int) -> List[Blade]:
     return out
 
 
-def _wedge_gen(i: int, blade: Blade) -> Tuple[Blade, int]:
-    if i in blade:
-        return (), 0
-    pos = sum(1 for j in blade if j < i)
-    return tuple(sorted(blade + (i,))), (-1) ** pos
-
-
-def _contract_gen(i: int, blade: Blade) -> Tuple[Blade, int]:
-    if i not in blade:
-        return (), 0
-    pos = sum(1 for j in blade if j < i)
-    return tuple(j for j in blade if j != i), (-1) ** pos
-
-
-def left_generator_action(n: int, i: int, v: CliffordElement) -> CliffordElement:
-    """c_L(e_i) = (e_i wedge .) - (contraction by e_i) on the fiber."""
-    if v.n != n:
-        raise DimensionMismatch("fiber dimension mismatch")
-    out: Dict[Blade, QQi] = {}
-    for blade, c in v.coeffs.items():
-        wb, ws = _wedge_gen(i, blade)
-        if ws:
-            s = out.get(wb, QQI_ZERO) + (c if ws > 0 else -c)
-            if s.is_zero():
-                out.pop(wb, None)
-            else:
-                out[wb] = s
-        cb, cs = _contract_gen(i, blade)
-        if cs:
-            # minus sign: contraction enters with coefficient -1
-            s = out.get(cb, QQI_ZERO) + (-c if cs > 0 else c)
-            if s.is_zero():
-                out.pop(cb, None)
-            else:
-                out[cb] = s
-    return CliffordElement(n, out)
-
-
-def right_generator_action(n: int, i: int, v: CliffordElement) -> CliffordElement:
-    """c_R(e_i) = (-1)^deg ((e_i wedge .) + (contraction by e_i))."""
-    if v.n != n:
-        raise DimensionMismatch("fiber dimension mismatch")
-    out: Dict[Blade, QQi] = {}
-    for blade, c in v.coeffs.items():
-        parity = -1 if len(blade) % 2 else 1
-        wb, ws = _wedge_gen(i, blade)
-        if ws:
-            val = c if ws * parity > 0 else -c
-            s = out.get(wb, QQI_ZERO) + val
-            if s.is_zero():
-                out.pop(wb, None)
-            else:
-                out[wb] = s
-        cb, cs = _contract_gen(i, blade)
-        if cs:
-            val = c if cs * parity > 0 else -c
-            s = out.get(cb, QQI_ZERO) + val
-            if s.is_zero():
-                out.pop(cb, None)
-            else:
-                out[cb] = s
-    return CliffordElement(n, out)
-
-
 def left_action(a: CliffordElement, v: CliffordElement) -> CliffordElement:
-    """Left Clifford action of a on the exterior fiber v.
+    """Left Clifford action of a on the exterior fiber v: the product a v.
 
-    On a blade a = e_{i1}...e_{ik} the generator actions compose in blade
-    order, making the map an algebra homomorphism; it coincides with left
-    Clifford multiplication under the symbol identification.
+    On a generator it is wedge minus contraction by e_i under the symbol
+    identification of the fiber with Cl_n.
     """
     if a.n != v.n:
         raise DimensionMismatch("dimension mismatch between element and fiber")
-    out = CliffordElement(a.n, {})
-    for blade, c in a.coeffs.items():
-        w = v
-        for i in reversed(blade):
-            w = left_generator_action(a.n, i, w)
-        out = out + w * c
-    return out
+    return a * v
 
 
 def right_action(a: CliffordElement, v: CliffordElement) -> CliffordElement:
-    """Right-module action of a on the fiber.
+    """Right Clifford action of a on the exterior fiber v: the product v a.
 
-    Generator actions compose in blade order; blades of disjoint support
-    compose anti-multiplicatively, while overlaps pick up one sign per
-    contracted pair from the degree twist.  Downstream uses only need
-    products of generator actions.
+    On a generator it is (-1)^deg times wedge plus contraction by e_i.  As
+    a right-module action, acting by a b is acting by a, then by b.
     """
     if a.n != v.n:
         raise DimensionMismatch("dimension mismatch between element and fiber")
-    out = CliffordElement(a.n, {})
-    for blade, c in a.coeffs.items():
-        w = v
-        for i in blade:
-            w = right_generator_action(a.n, i, w)
-        out = out + w * c
-    return out
+    return v * a
 
 
 def _action_matrix(n: int, apply_gen) -> list:
@@ -376,12 +281,14 @@ def _action_matrix(n: int, apply_gen) -> list:
 
 def left_matrix(n: int, i: int):
     """Matrix of c_L(e_i) on the fiber, bitmask basis order."""
-    return _action_matrix(n, lambda v: left_generator_action(n, i, v))
+    e = CliffordElement.blade(n, (i,))
+    return _action_matrix(n, lambda v: e * v)
 
 
 def right_matrix(n: int, i: int):
     """Matrix of c_R(e_i) on the fiber, bitmask basis order."""
-    return _action_matrix(n, lambda v: right_generator_action(n, i, v))
+    e = CliffordElement.blade(n, (i,))
+    return _action_matrix(n, lambda v: v * e)
 
 
 def degree_sign_matrix(n: int):

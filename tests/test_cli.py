@@ -514,6 +514,8 @@ class TestRejectsBadInput:
         ("algebroid", "--seed", "-1"),
         ("verify-identities", "--scenario", "scenarios/identities-smoke.json",
          "--seed", "-1"),
+        # a module that no check belongs to lists nothing
+        ("list-checks", "--module", "nosuch"),
     ])
     def test_out_of_range_flag_exit_2(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
@@ -622,6 +624,31 @@ class TestRejectsBadInput:
         assert code == 2
         assert captured.out == ""
         assert "refine must be an integer from 0 to 7" in captured.err
+
+    @pytest.mark.parametrize("k_top,code", [(21, 2), (20, 0)])
+    def test_k_top_bound(self, tmp_path, capsys, monkeypatch, k_top, code):
+        """partition-counts enumerates F(k_top + 1) compositions; a k_top
+        above 20 exits 2.  The checks are stubbed and run in this process,
+        so only the rule is under test."""
+        import os
+
+        import ncgkit.cli
+
+        ran = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(ncgkit.cli, "run_check", lambda check_id, **params: (
+            ran.append(params) or CheckResult(check_id, True, {})))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"kind": "identities", "seed": 7,
+                                    "params": {"k_top": k_top}}))
+        got = main(["verify-identities", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert got == code
+        if code:
+            assert captured.out == "" and not ran
+            assert "k_top must be an integer from 1 to 20" in captured.err
+        else:
+            assert ran and all(params["k_top"] == 20 for params in ran)
 
     def test_unresolved_dilation_fails_with_its_residual(self, tmp_path, capsys):
         """A valid dilation that the grid cannot resolve is a failing

@@ -98,12 +98,11 @@ def test_mutants_rejects_an_unknown_name():
 
 
 # Paper objects that only tests check: the A-hat form, the (b, B) Chern
-# cycle, the spinor module and the Clifford bimodule actions, and the
-# Dirac spectrum of the torus triple.
+# cycle, the Clifford trace and bimodule actions, and the Dirac spectrum of
+# the torus triple.
 PAPER_OBJECTS_CHECKED_BY_TESTS = frozenset((
-    "a_hat_from_curvature", "chern_bB", "SpinorRep", "chirality_matrix",
-    "clifford_trace", "left_action", "right_action", "right_matrix",
-    "degree_sign_matrix", "dirac_eigenvalues",
+    "a_hat_from_curvature", "chern_bB", "clifford_trace", "left_action",
+    "right_action", "right_matrix", "degree_sign_matrix", "dirac_eigenvalues",
 ))
 
 

@@ -222,30 +222,23 @@ MUTANTS = {
     ),
     "periodic-diff-sign": (
         "the packed derivative along a periodic coordinate multiplies by -i*e",
-        [("src/ncgkit/scalars.py", "out[k] = [-b * e, a * e]", "out[k] = [b * e, -a * e]")],
+        [("src/ncgkit/scalars.py", "{k: [-b * e, a * e]", "{k: [b * e, -a * e]")],
         ["tests/test_form_linear_kernel.py"],
     ),
     "keep-cancelled-monomial": (
         "a packed linear combination keeps a monomial whose sum cancels, "
         "as a zero",
         [("src/ncgkit/scalars.py",
-          "                else:\n                    del acc[k]\n        bound = ",
-          "                else:\n                    acc[k] = [re, im]\n        bound = ")],
+          "                else:\n                    del acc[k]\n    return acc\n",
+          "                else:\n                    acc[k] = [re, im]\n    return acc\n")],
         ["tests/test_form_linear_kernel.py"],
     ),
-    "cancelled-sum-keeps-bound": (
-        "a polynomial sum that cancels to zero keeps the larger bound of its "
-        "operands instead of bound 0",
-        [("src/ncgkit/scalars.py", "bound = max(bound, b) if acc else 0",
-          "bound = max(bound, b)")],
-        ["tests/test_form_linear_kernel.py::test_a_cancelled_power_leaves_no_bound"],
-    ),
-    "product-bound-skips-restart": (
-        "a form-product entry takes the largest bound of its products, though "
-        "a running sum of the fold cancels before a product of smaller bound",
-        [("src/ncgkit/scalars.py", "        if top > bound and len(pairs) > 1:\n",
-          "        if False:\n")],
-        ["tests/test_form_product_kernel.py::test_product_matches_the_fold"],
+    "field-guard-skipped": (
+        "a form-product entry is not checked against the packed window, so a "
+        "monomial past it wraps into another exponent instead of raising",
+        [("src/ncgkit/scalars.py", "    return _in_window(entry, guard)\n",
+          "    return entry\n")],
+        ["tests/test_form_product_kernel.py::test_form_product_past_the_field_raises"],
     ),
     "slots-reassembled-out-of-order": (
         "the results of the forked slots of a request are put back in the "

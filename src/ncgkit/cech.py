@@ -24,6 +24,7 @@ rank-n torsion relation n*[delta] = 0.
 from __future__ import annotations
 
 import cmath
+import itertools
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
@@ -540,7 +541,5 @@ def pauli_triangle() -> TransitionData:
 
 def boundary_of_4_simplex() -> Nerve:
     """The 3-sphere triangulation: all proper faces of the 4-simplex."""
-    import itertools
-
     faces = list(itertools.combinations(range(5), 4))
     return Nerve(faces)

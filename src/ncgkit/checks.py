@@ -27,8 +27,11 @@ from .algebroid import (
     leibniz_defect,
 )
 from .characters import (
+    NonTorsionTwist,
+    compare_class_integrals,
     cyclic_defect,
     psi,
+    require_torsion_twist,
     rho,
     simplex_character,
     verify_induction_identity,
@@ -38,6 +41,7 @@ from .cyclic import (
     Projection,
     chern_cyclic,
     connes_B,
+    find_boundary_witness,
     hochschild_b,
     pushforward_chain,
     tensor_is_zero,
@@ -72,7 +76,7 @@ from .randgen import (
     random_poly,
     random_qqi,
 )
-from .scalars import Chart, PolyScalar, QQi
+from .scalars import Chart, JetScalar, PolyScalar, QQi
 from .spectral import (
     FourierTorusTriple,
     SobolevVector,
@@ -82,6 +86,7 @@ from .spectral import (
     inner_fluctuation,
     kernel_index_exact,
     morita_lift,
+    pairing_functoriality_check,
     sobolev_chain_slack,
     spectra_equal,
     spectral_dimension_probe,
@@ -727,8 +732,6 @@ def check_morita_suite(seed: int = 7, trials: int = 50) -> CheckResult:
             kernel_index_exact(lift1) == kernel_index_exact(lift2)
         )
     # pairing functoriality: <alpha(q), sigma> = <q, sigma^E> exactly
-    from .spectral import pairing_functoriality_check
-
     square_ok = True
     for _ in range(trials):
         n = 2
@@ -919,7 +922,6 @@ def check_pairing_consistency(seed: int = 7) -> CheckResult:
                 _eval_poly_on_grid(f.diff(0), torus),
                 _eval_poly_on_grid(f.diff(1), torus),
             ])
-            from .scalars import JetScalar
             jet = JetScalar(torus.chart, vals, grads)
             entries.append(kron_identity_right(
                 MatrixForm(torus.chart, 1, {(): ((jet,),)}, "jet", torus.n_nodes), 4
@@ -953,7 +955,6 @@ def check_character_comparison(seed: int = 7, resolution: int = 64) -> CheckResu
     """
     rng = random.Random(seed)
     chart = Chart.torus(2)
-    from .characters import NonTorsionTwist, compare_class_integrals, require_torsion_twist
 
     # torsion gate refuses an undeclared twist; any other error is a fault
     gate_ok = True
@@ -1071,7 +1072,6 @@ def check_pushforward(seed: int = 7, trials: int = 50) -> CheckResult:
         random_algebra_element(chart, 1, rng) for _ in range(4)
     ))])
     target = hochschild_b(c3)
-    from .cyclic import find_boundary_witness
     w = find_boundary_witness(target, [t for _, t in c3.terms])
     witness_ok = w is not None and (hochschild_b(w) - target).is_zero()
     passed = commute_ok and chern_ok and witness_ok

@@ -137,6 +137,9 @@ class CliffordElement:
         return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a scalar element hashes as the scalar it equals
+        if self.coeffs.keys() <= {()}:
+            return hash(self.coeffs.get((), QQI_ZERO))
         return hash((self.n, tuple(sorted(self.coeffs.items()))))
 
     def is_zero(self) -> bool:

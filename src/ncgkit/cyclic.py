@@ -13,6 +13,7 @@ term by term and merge like terms exactly on the exact backend.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -63,10 +64,6 @@ class Chain:
             )
         else:
             self.terms = tuple(raw)
-
-    @staticmethod
-    def of(*entries: MatrixForm) -> "Chain":
-        return Chain(len(entries) - 1, [(QQi(1), tuple(entries))])
 
     def __add__(self, other: "Chain") -> "Chain":
         if self.degree != other.degree:
@@ -227,8 +224,6 @@ class Projection:
 
 def _partial_trace_tensor(blocks_entries, s: int, scale: QQi) -> List[Tuple[QQi, tuple]]:
     """All index cycles (i0 i1, i1 i2, ..., ik i0) of a block matrix power."""
-    import itertools
-
     k = len(blocks_entries) - 1
     out = []
     for idx in itertools.product(range(s), repeat=k + 1):

@@ -127,7 +127,7 @@ def _canonical(d: int, nums: dict, fresh: bool = False):
     coefficient denominators and equal forms have equal numerators: in place
     when the numerator lists are ``fresh``, else into new ones."""
     if d > 1:
-        entries = [x[0] for mat in nums.values() for row in mat for x in row
+        entries = [x for mat in nums.values() for row in mat for x in row
                    if x is not None]
         g = content(d, entries)
         if g > 1:
@@ -140,7 +140,7 @@ def _canonical(d: int, nums: dict, fresh: bool = False):
             else:
                 nums = {k: tuple(tuple(
                     None if x is None else
-                    ({key: [a // g, b // g] for key, (a, b) in x[0].items()}, x[1])
+                    {key: [a // g, b // g] for key, (a, b) in x.items()}
                     for x in row) for row in mat) for k, mat in nums.items()}
     return d, nums
 
@@ -166,7 +166,8 @@ def _exact_product(a, b) -> "MatrixForm":
     one ``scalars.sum_of_products`` with one group per component pair, in
     product order, so it equals the fold of ``linalg.mat_mul`` (or
     ``mat_scale`` by the scalar, which stands left), ``mat_neg`` and
-    ``mat_add`` in value, key order and exponent bound.
+    ``mat_add`` in value and key order, and raises OverflowError where a
+    monomial of an entry leaves the packed window.
     """
     da, pa = a._numerators()
     db, pb = b._numerators()
@@ -194,9 +195,9 @@ def _exact_product(a, b) -> "MatrixForm":
         for r in span:
             row = []
             for c in span:
-                terms, bound = sum_of_products(chart, [
-                    (negate, ps) for negate, x, y in groups_k if (ps := pairs(x, y, r, c))])
-                row.append((terms, bound) if terms else None)
+                row.append(sum_of_products(chart, [
+                    (negate, ps) for negate, x, y in groups_k
+                    if (ps := pairs(x, y, r, c))]) or None)
             mat.append(tuple(row))
         if any(map(any, mat)):
             sums[k] = tuple(mat)
@@ -214,8 +215,8 @@ def _linear(chart: Chart, m: int, parts) -> "MatrixForm":
     over d, placed at component K, in the order given.
 
     Each entry is folded part by part as ``PolyScalar.__add__`` folds it
-    (``scalars.linear_sum``), in key order and exponent bound, and
-    components appear in the order of their first part.
+    (``scalars.linear_sum``), in value and key order, and components
+    appear in the order of their first part.
     """
     d = _lcm(*[c.d * dp for _, c, dp, _ in parts])
     groups: Dict[IdxTuple, list] = {}
@@ -227,11 +228,11 @@ def _linear(chart: Chart, m: int, parts) -> "MatrixForm":
     for k, items in groups.items():
         if len(items) == 1:
             # one part: its entries scaled by a nonzero p + qi, so its zero
-            # entries stay zero and its bounds stay as they are
+            # entries stay zero
             mat, p, q = items[0]
             if any(map(any, mat)):
                 if p != 1 or q:
-                    mat = tuple(tuple(x and linear_sum([(x[0], p, q, x[1])]) for x in row)
+                    mat = tuple(tuple(x and linear_sum([(x, p, q)]) for x in row)
                                 for row in mat)
                 sums[k] = mat
             continue
@@ -239,33 +240,18 @@ def _linear(chart: Chart, m: int, parts) -> "MatrixForm":
         for r in span:
             row = []
             for c in span:
-                summands = [(y[0], p, q, y[1]) for mat, p, q in items if (y := mat[r][c])]
-                x = summands and linear_sum(summands)
-                row.append(x if x and x[0] else None)
+                summands = [(y, p, q) for mat, p, q in items if (y := mat[r][c])]
+                row.append(summands and linear_sum(summands) or None)
             out.append(tuple(row))
         if any(map(any, out)):
             sums[k] = tuple(out)
     return _packed_form(chart, m, d, sums)
 
 
-def _terms_of(mat):
-    """The numerator terms of a packed matrix, None for a zero entry."""
-    return [[x and x[0] for x in row] for row in mat]
-
-
 def _diff_numerators(chart: Chart, mat, j: int):
     """The packed matrix of d/dx_j of a packed matrix, over its denominator."""
-    out = []
-    for row in mat:
-        orow = []
-        for x in row:
-            if x is not None:
-                x = packed_diff(chart, x[0], j)
-                if not x[0]:
-                    x = None
-            orow.append(x)
-        out.append(tuple(orow))
-    return tuple(out)
+    return tuple(tuple(x and packed_diff(chart, x, j) or None for x in row)
+                 for row in mat)
 
 
 def _zero_entry(chart: Chart, backend: str, nodes: Optional[int]):
@@ -340,8 +326,8 @@ class MatrixForm:
             comps = {}
             for k, mat in nums.items():
                 comps[k] = tuple(tuple(
-                    PolyScalar._from_packed(chart, d, x[0], x[1]) if x is not None
-                    else PolyScalar._from_packed(chart, 1, {}, 0)
+                    PolyScalar._from_packed(chart, d, x) if x is not None
+                    else PolyScalar._from_packed(chart, 1, {})
                     for x in row) for row in mat)
             self._comps = comps
         return comps
@@ -557,9 +543,9 @@ class MatrixForm:
             span = range(self.m)
             sums = {}
             for idx, mat in nums.items():
-                diag = [(x[0], 1, 0, x[1]) for x in (mat[i][i] for i in span) if x]
+                diag = [(x, 1, 0) for x in (mat[i][i] for i in span) if x]
                 x = diag and linear_sum(diag)
-                if x and x[0]:
+                if x:
                     sums[idx] = ((x,),)
             return _packed_form(self.chart, 1, d, sums)
         out = {}
@@ -614,7 +600,7 @@ class MatrixForm:
         d, nums = self._numerators()
         d2, nums2 = other._numerators()
         return d == d2 and nums.keys() == nums2.keys() and all(
-            _terms_of(nums[i]) == _terms_of(nums2[i]) for i in nums)
+            nums[i] == nums2[i] for i in nums)
 
     def __hash__(self):
         if self.backend != "exact":
@@ -623,7 +609,7 @@ class MatrixForm:
             d, nums = self._numerators()
             key = tuple(
                 (idx, tuple(None if x is None else frozenset(
-                    (k, re, im) for k, (re, im) in x[0].items())
+                    (k, re, im) for k, (re, im) in x.items())
                     for row in mat for x in row))
                 for idx, mat in sorted(nums.items())
             )
@@ -662,7 +648,7 @@ class MatrixForm:
             return False
         if self.backend == "exact":
             # one denominator for all entries: equal entries, equal terms
-            terms = _terms_of(self._numerators()[1][()])
+            terms = self._numerators()[1][()]
             diag = terms[0][0]
             return (diag is not None and self.comps[()][0][0].is_constant()
                     and all(x == diag if i == j else x is None
@@ -710,11 +696,11 @@ def trace_of_product(a: MatrixForm, b: MatrixForm) -> MatrixForm:
         da, pa = a._numerators()
         db, pb = b._numerators()
         pa, pb = pa[()], pb[()]
-        terms, bound = sum_of_products(chart, [
+        terms = sum_of_products(chart, [
             (False, ps) for i in span
             if (ps := [(pa[i][t], pb[t][i]) for t in span if pa[i][t] and pb[t][i]])])
         if terms:
-            out[()] = ((PolyScalar._reduced(chart, da * db, terms, bound),),)
+            out[()] = ((PolyScalar._reduced(chart, da * db, terms),),)
         return MatrixForm._built(chart, 1, out, "exact", None)
     zeros = _jet_zeros(chart, a.nodes)
     diagonals: Dict[IdxTuple, tuple] = {}

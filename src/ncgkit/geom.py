@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 from . import clifford, linalg
 from ._numpy import np
-from .cyclic import Chain, Projection, chern_cyclic
+from .cyclic import Chain, Projection, chern_cyclic, cyclic_permute
 from .characters import rho
 from .forms import Connection, MatrixForm, exp_form, exterior_d, trace_of_product
 from .scalars import AFFINE, PERIODIC, Chart, JetScalar, QQi
@@ -381,8 +381,6 @@ def pairing_index(geom: Geometry, p_form: MatrixForm,
 def cocycle_cyclicity_residual(geom: Geometry, chain: Chain,
                                conn: Connection) -> float:
     """Deviation of the cocycle evaluation under signed cyclic rotation."""
-    from .cyclic import cyclic_permute
-
     lhs = character_pairing(geom, chain, conn)
     rhs = character_pairing(geom, cyclic_permute(chain), conn)
     return abs(lhs - rhs)

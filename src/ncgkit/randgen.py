@@ -9,6 +9,7 @@ the Gaussian-rational world.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import List
@@ -57,8 +58,6 @@ def random_matrix_form(chart: Chart, m: int, rng: random.Random,
                        degree: int = 0, poly_deg: int = 1,
                        terms: int = 2) -> MatrixForm:
     """Random homogeneous exact form of the given degree."""
-    import itertools
-
     return MatrixForm(chart, m, {
         idx: tuple(
             tuple(random_poly(chart, rng, poly_deg, terms) for _ in range(m))

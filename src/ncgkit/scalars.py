@@ -17,18 +17,15 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import islice
+from math import gcd as _gcd, lcm as _lcm
+from operator import or_
 from typing import Optional, Union
 
 from ._numpy import np
 
 RationalLike = Union[int, Fraction]
-
-import sys
-from array import array
-from functools import lru_cache
-from itertools import islice
-from math import gcd as _gcd, lcm as _lcm
-from struct import Struct
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -185,7 +182,10 @@ class QQi:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a real value hashes as the int or Fraction it equals
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     def __complex__(self):
         return (self.a + 1j * self.b) / self.d
@@ -240,36 +240,38 @@ class Chart:
 
 
 # Packed form of a PolyScalar (Monagan & Pearce, ISSAC 2009).  A monomial
-# is written as little-endian 16-bit two's-complement exponent fields and
-# read as one int with the sign bit of every field flipped, which stores e
-# as e + 2**15.  The key of a product monomial is then the sum of the two
-# keys minus that offset once per field.  Every exponent satisfies
-# |e| < _FIELD_LIMIT, and a product is formed only when the exponent bounds
-# of its factors add up to less than _FIELD_LIMIT, so every field of a sum
-# stays inside [0, 2**16) and no carry reaches the next field.
-_FIELD_LIMIT = 1 << 15
+# is one int of little-endian 17-bit fields, field j holding e_j + 2**15, so
+# an exponent packs when -2**15 <= e < 2**15; every packed field then lies
+# in [0, 2**16) and its top bit, the guard, is clear.  The key of a product
+# monomial is the sum of the two keys minus the offset once per field.  Each
+# of its fields lies in [-2**15, 3 * 2**15), a window of 2**17 values, so
+# distinct monomials keep distinct keys and a cancellation is a true one.  A
+# field outside [0, 2**16) sets its own guard bit (a negative field borrows
+# from the next one and reads 2**17 plus its value), so a monomial leaves
+# the window exactly when its key meets the guard mask.
+_OFFSET = 1 << 15
+_WIDTH = 17
 
 
 @lru_cache(maxsize=16)
 def _packing(dim: int):
-    """(per-field offset, 16-bit field struct) of a dim-variable monomial."""
-    return int.from_bytes(b"\x00\x80" * dim, "little"), Struct(f"<{dim}h")
+    """(per-field offset, guard mask) of a dim-variable monomial key."""
+    fields = range(0, _WIDTH * dim, _WIDTH)
+    return sum(_OFFSET << s for s in fields), sum(1 << s + 16 for s in fields)
 
 
-def _product_bound(bound1: int, bound2: int) -> int:
-    """The exponent bound of a product, which must fit a packed field."""
-    bound = bound1 + bound2
-    if bound >= _FIELD_LIMIT:
-        raise OverflowError(
-            f"product exponents may reach {bound}, which does not fit a "
-            f"packed monomial field (|e| < {_FIELD_LIMIT})")
-    return bound
+def _in_window(terms: dict, guard: int) -> dict:
+    """``terms``, once no monomial of it has left the packed window."""
+    if reduce(or_, terms, 0) & guard:
+        raise OverflowError("a monomial exponent leaves the packed window "
+                            "-2**15 <= e < 2**15")
+    return terms
 
 
 def _products_into(acc: dict, pairs, bias: int, negate: bool = False,
                    zeros: Optional[list] = None) -> None:
-    """acc += (or -= when ``negate``) the products x*y of packed
-    (terms, bound) pairs, one monomial product at a time.
+    """acc += (or -= when ``negate``) the products x*y of the pairs of
+    packed terms dicts, one monomial product at a time.
 
     A new monomial is appended as a fresh [re, im] list and an existing one
     is updated in place.  A running sum that reaches zero is dropped, which
@@ -278,7 +280,7 @@ def _products_into(acc: dict, pairs, bias: int, negate: bool = False,
     in place instead and its monomial is appended to ``zeros``.
     """
     get = acc.get
-    for (terms1, _), (terms2, _) in pairs:
+    for terms1, terms2 in pairs:
         items2 = terms2.items()
         for k1, (a1, b1) in terms1.items():
             k1 -= bias
@@ -302,29 +304,28 @@ def _products_into(acc: dict, pairs, bias: int, negate: bool = False,
                             zeros.append(k)
 
 
-def _group_sum(pairs, bias: int, negate: bool, bounds):
-    """±(sum_t x_t*y_t) on its own, as packed (terms, exponent bound) of the
-    fold ``p_0 + p_1 + ...`` of its products, ``bounds`` being theirs.
+def _group_sum(pairs, bias: int, negate: bool) -> dict:
+    """±(sum_t x_t*y_t) on its own, as the packed terms of the fold
+    ``p_0 + p_1 + ...`` of its products.
 
     The products are summed straight into one dict, zeros kept in place.
-    If no running sum of a monomial reaches zero, that is the fold's order
-    and no running sum of the fold cancels, so the bound is the largest;
+    If no running sum of a monomial reaches zero, that is the fold's order;
     otherwise the group is folded product by product (``linear_sum``).
     """
     group: dict = {}
     zeros: list = []
     _products_into(group, pairs, bias, negate, zeros)
     if not zeros:
-        return group, max(bounds)
+        return group
     products = []
-    for pair, bound in zip(pairs, bounds):
+    for pair in pairs:
         product: dict = {}
         _products_into(product, (pair,), bias, negate)
-        products.append((product, 1, 0, bound))
+        products.append((product, 1, 0))
     return linear_sum(products)
 
 
-def _group_into(entry: dict, pairs, bias: int, negate: bool, bounds) -> None:
+def _group_into(entry: dict, pairs, bias: int, negate: bool) -> None:
     """entry += ±(sum_t x_t*y_t), ordered as the fold ``entry + group``.
 
     The products are summed straight into ``entry``, zeros kept in place.
@@ -344,7 +345,7 @@ def _group_into(entry: dict, pairs, bias: int, negate: bool, bounds) -> None:
         return
     new = dict(islice(entry.items(), start, None))
     if any(k in new for k in zeros):
-        group = _group_sum(pairs, bias, negate, bounds)[0]
+        group = _group_sum(pairs, bias, negate)
         for k in new:
             del entry[k]
         for k in group:
@@ -359,67 +360,58 @@ def _group_into(entry: dict, pairs, bias: int, negate: bool, bounds) -> None:
 def packed_matrices(mats):
     """PolyScalar matrices as numerator matrices over one common denominator.
 
-    Returns (d, matrices) where entry [r][t] of each matrix is
-    (numerator terms over d, exponent bound), or None for a zero entry.
-    This is the factor format of ``sum_of_products``.
+    Returns (d, matrices), each matrix a tuple of row tuples whose entry is
+    the dict of numerator terms over d, or None for a zero entry.  This is
+    the factor format of ``sum_of_products``.
     """
     forms = [[[x._packed or x._pack() for x in row] for row in mat]
              for mat in mats]
-    d = _lcm(*[e for mat in forms for row in mat for e, terms, _ in row if terms])
-    return d, [[[(terms if e == d else _scaled(terms, d // e, 0), bound) if terms else None
-                  for e, terms, bound in row] for row in mat] for mat in forms]
+    d = _lcm(*[e for mat in forms for row in mat for e, terms in row if terms])
+    return d, [tuple(tuple((terms if e == d else _scaled(terms, d // e, 0)) if terms else None
+                           for e, terms in row) for row in mat) for mat in forms]
 
 
-def sum_of_products(chart: Chart, groups):
-    """sum_g ±(sum_t x_gt*y_gt) as packed (terms, exponent bound), from
-    ``packed_matrices`` factors; the numerators are over the product of the
-    factors' denominators, with the content not divided out.
+def sum_of_products(chart: Chart, groups) -> dict:
+    """sum_g ±(sum_t x_gt*y_gt) as packed terms, from ``packed_matrices``
+    factors; the numerators are over the product of the factors'
+    denominators, with the content not divided out.
 
     ``groups`` yields (negate, pairs), pairs being the one or more (x, y)
     factor pairs of one group, both factors nonzero.  The result equals the
     fold of the ring operations ``acc = acc + (±(x_0*y_0 + x_1*y_1 + ...))``
-    in value, exponent bound and the key order of ``coeffs``.  Products
-    are summed into one dict (``_group_into``) and no PolyScalar is built
-    per product; a group of several products that may raise the bound is
-    summed on its own first (``_group_sum``): its running sums decide it.
+    in value and in the key order of ``coeffs``.  Products are summed into
+    one dict (``_group_into``) and no PolyScalar is built per product.
+    Raises OverflowError when a monomial of the result leaves the packed
+    window; one that cancels on the way does not count.
     """
-    bias = _packing(chart.dim)[0]
+    bias, guard = _packing(chart.dim)
     entry: dict = {}
-    bound = 0
     for negate, pairs in groups:
-        bounds = [_product_bound(b1, b2) for (_, b1), (_, b2) in pairs]
-        top = max(bounds)
-        if top > bound and len(pairs) > 1:
-            group, top = _group_sum(pairs, bias, negate, bounds)
-            entry = linear_sum([(entry, 1, 0, 0), (group, 1, 0, 0)])[0] if entry else group
-        else:
-            _group_into(entry, pairs, bias, negate, bounds)
-        bound = max(bound, top) if entry else 0
-    return entry, bound
+        _group_into(entry, pairs, bias, negate)
+    return _in_window(entry, guard)
 
 
-def linear_sum(parts):
+def linear_sum(parts) -> dict:
     """sum_i (p_i + q_i i) * terms_i of packed numerators, folded in order
     with the order rule of ``PolyScalar.__add__``: a monomial already in
     the sum keeps its place, a new one is appended and one whose sum
-    cancels is dropped.  ``parts`` is a nonempty list of (terms, p, q,
-    exponent bound), p + q i nonzero.
+    cancels is dropped.  ``parts`` is a nonempty list of (terms, p, q),
+    p + q i nonzero.
 
-    Returns (terms, exponent bound).  The bound is the larger of the
-    running sum's and the part's, and 0 where the running sum cancels: a
-    zero has no terms and bound 0.  As in ``PolyScalar.__add__``, a
-    numerator list is never changed in place, so the result may share
-    lists, or with a single part of multiplier 1 be, the dict it was given.
+    Returns the terms of the sum; a zero has none.  As in
+    ``PolyScalar.__add__``, a numerator list is never changed in place, so
+    the result may share lists, or with a single part of multiplier 1 be,
+    the dict it was given.
     """
-    terms, p, q, bound = parts[0]
+    terms, p, q = parts[0]
     if p == 1 and not q:
         if len(parts) == 1:
-            return terms, bound
+            return terms
         acc = dict(terms)
     else:
         acc = _scaled(terms, p, q)
     get = acc.get
-    for terms, p, q, b in islice(parts, 1, None):
+    for terms, p, q in islice(parts, 1, None):
         if p != 1 or q:
             terms = _scaled(terms, p, q)
         for k, v in terms.items():
@@ -433,8 +425,7 @@ def linear_sum(parts):
                     acc[k] = [re, im]
                 else:
                     del acc[k]
-        bound = max(bound, b) if acc else 0
-    return acc, bound
+    return acc
 
 
 def _scaled(terms: dict, p: int, q: int) -> dict:
@@ -455,37 +446,23 @@ def content(d: int, entries) -> int:
     return g
 
 
-def packed_diff(chart: Chart, terms: dict, j: int):
-    """d/dx_j of packed numerators, as (terms, exponent bound) over the same
+def packed_diff(chart: Chart, terms: dict, j: int) -> dict:
+    """d/dx_j of packed numerators, as packed terms over the same
     denominator.
 
     On an affine field the key moves down by one and the numerator is
     multiplied by e; on a periodic field the key stays and the numerator is
     multiplied by i*e.  Terms with e = 0 go.  Distinct keys stay distinct,
-    so nothing cancels and the terms keep their order.  The bound is the
-    largest |exponent| of the result, as a repacked derivative would have.
+    so nothing cancels and the terms keep their order; an affine exponent
+    is positive where it moves, so every key stays in the window.
     """
-    shift = 16 * j
-    out = {}
+    shift = _WIDTH * j
     if chart.kinds[j] == AFFINE:
         step = 1 << shift
-        for k, (a, b) in terms.items():
-            e = ((k >> shift) & 0xFFFF) - 0x8000
-            if e:
-                out[k - step] = [a * e, b * e]
-    else:
-        for k, (a, b) in terms.items():
-            e = ((k >> shift) & 0xFFFF) - 0x8000
-            if e:
-                out[k] = [-b * e, a * e]
-    if not out:
-        return out, 0
-    bias = _packing(chart.dim)[0]
-    n = 2 * chart.dim
-    fields = array("h", b"".join([(k ^ bias).to_bytes(n, "little") for k in out]))
-    if sys.byteorder != "little":
-        fields.byteswap()
-    return out, max(max(fields), -min(fields))
+        return {k - step: [a * e, b * e] for k, (a, b) in terms.items()
+                if (e := (k >> shift & 0xFFFF) - _OFFSET)}
+    return {k: [-b * e, a * e] for k, (a, b) in terms.items()
+            if (e := (k >> shift & 0xFFFF) - _OFFSET)}
 
 
 class PolyScalar:
@@ -496,15 +473,16 @@ class PolyScalar:
     Coefficients are Gaussian rationals, so every identity test is exact.
 
     ``coeffs`` maps monomials to nonzero QQi coefficients.  The ring
-    operations work on a packed form instead: a common denominator d, a
+    operations work on a packed form instead: a common denominator d and a
     dict from packed monomial to the Gaussian-integer numerator
-    [re, im] = coefficient * d, and a bound on |exponent| over the terms
-    present; a zero has no terms and bound 0.  Each form is
-    built from the other on first use and cached, so a coefficient is
-    normalised to a QQi only when somebody reads ``coeffs``.  Both forms
-    list the terms in the same order, and every operation keeps the term
-    order of the coefficient-wise computation: a sum that cancels drops its
+    [re, im] = coefficient * d; a zero has no terms.  Each form is built
+    from the other on first use and cached, so a coefficient is normalised
+    to a QQi only when somebody reads ``coeffs``.  Both forms list the
+    terms in the same order, and every operation keeps the term order of
+    the coefficient-wise computation: a sum that cancels drops its
     monomial, which re-enters at the end if a later term brings it back.
+    Every exponent must satisfy -2**15 <= e < 2**15 to pack; packing, a
+    product or a conjugate with a monomial outside raises OverflowError.
     """
 
     __slots__ = ("chart", "_coeffs", "_packed", "_hash")
@@ -540,19 +518,17 @@ class PolyScalar:
         return p
 
     @classmethod
-    def _from_packed(cls, chart: Chart, d: int, terms: dict,
-                     bound: int) -> "PolyScalar":
+    def _from_packed(cls, chart: Chart, d: int, terms: dict) -> "PolyScalar":
         """Internal constructor from a packed form with nonzero numerators."""
         p = cls.__new__(cls)
         p.chart = chart
         p._coeffs = None
-        p._packed = (d, terms, bound)
+        p._packed = (d, terms)
         p._hash = None
         return p
 
     @classmethod
-    def _reduced(cls, chart: Chart, d: int, terms: dict,
-                 bound: int) -> "PolyScalar":
+    def _reduced(cls, chart: Chart, d: int, terms: dict) -> "PolyScalar":
         """``_from_packed`` after dividing out the content of d and the
         numerators, so that d is the lcm of the coefficient denominators.
         ``terms`` must be fresh: its numerators are divided in place."""
@@ -562,7 +538,7 @@ class PolyScalar:
             for v in terms.values():
                 v[0] //= g
                 v[1] //= g
-        return cls._from_packed(chart, d, terms, bound)
+        return cls._from_packed(chart, d, terms)
 
     @staticmethod
     def const(chart: Chart, c) -> "PolyScalar":
@@ -600,33 +576,26 @@ class PolyScalar:
         return coeffs
 
     def _pack(self):
-        """Cache and return the packed form (d, terms, exponent bound)."""
-        bias, fields = _packing(self.chart.dim)
+        """Cache and return the packed form (d, terms)."""
         coeffs = self._coeffs
         d = _lcm(*[c.d for c in coeffs.values()])
-        bound = 0
         terms = {}
         for mono, c in coeffs.items():
-            if mono:
-                e = max(max(mono), -min(mono))
-                if e > bound:
-                    if e >= _FIELD_LIMIT:
-                        raise OverflowError(
-                            f"exponent {e} does not fit a packed monomial field "
-                            f"(|e| < {_FIELD_LIMIT})")
-                    bound = e
+            key = 0
+            for e in reversed(mono):
+                if not -_OFFSET <= e < _OFFSET:
+                    raise OverflowError(f"exponent {e} leaves the packed window "
+                                        "-2**15 <= e < 2**15")
+                key = key << _WIDTH | e + _OFFSET
             f = d // c.d
-            key = int.from_bytes(fields.pack(*mono), "little") ^ bias
             terms[key] = [c.a * f, c.b * f]
-        self._packed = (d, terms, bound)
+        self._packed = (d, terms)
         return self._packed
 
     def _unpack(self) -> dict:
         """The ``coeffs`` dict of the packed form: one gcd per term."""
-        d, terms, _ = self._packed
-        bias, fields = _packing(self.chart.dim)
-        nbytes = 2 * self.chart.dim
-        unpack = fields.unpack
+        d, terms = self._packed
+        shifts = range(0, _WIDTH * self.chart.dim, _WIDTH)
         new = QQi.__new__
         coeffs = {}
         for k, (re, im) in terms.items():
@@ -636,7 +605,7 @@ class PolyScalar:
                 q.a, q.b, q.d = re // g, im // g, d // g
             else:
                 q.a, q.b, q.d = re, im, d
-            coeffs[unpack((k ^ bias).to_bytes(nbytes, "little"))] = q
+            coeffs[tuple([(k >> s & 0xFFFF) - _OFFSET for s in shifts])] = q
         return coeffs
 
     # -- ring operations ----------------------------------------------
@@ -650,17 +619,17 @@ class PolyScalar:
             other = PolyScalar.const(self.chart, other)
         if self.chart is not other.chart:
             self._check(other)
-        d1, terms1, bound1 = self._packed or self._pack()
-        d2, terms2, bound2 = other._packed or other._pack()
+        d1, terms1 = self._packed or self._pack()
+        d2, terms2 = other._packed or other._pack()
         d = d1 if d2 == d1 else _lcm(d1, d2)
-        out, bound = linear_sum([(terms1, d // d1, 0, bound1), (terms2, d // d2, 0, bound2)])
-        return PolyScalar._from_packed(self.chart, d, out, bound)
+        out = linear_sum([(terms1, d // d1, 0), (terms2, d // d2, 0)])
+        return PolyScalar._from_packed(self.chart, d, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        d, terms, bound = self._packed or self._pack()
-        return PolyScalar._from_packed(self.chart, d, _scaled(terms, -1, 0), bound)
+        d, terms = self._packed or self._pack()
+        return PolyScalar._from_packed(self.chart, d, _scaled(terms, -1, 0))
 
     def __sub__(self, other):
         if not isinstance(other, PolyScalar):
@@ -675,20 +644,19 @@ class PolyScalar:
             c = QQi.coerce(other)
             if c.is_zero():
                 return PolyScalar._raw(self.chart, {})
-            d, terms, bound = self._packed or self._pack()
-            return PolyScalar._reduced(self.chart, d * c.d, _scaled(terms, c.a, c.b), bound)
+            d, terms = self._packed or self._pack()
+            return PolyScalar._reduced(self.chart, d * c.d, _scaled(terms, c.a, c.b))
         if self.chart is not other.chart:
             self._check(other)
         if self.is_zero() or other.is_zero():
             return PolyScalar._raw(self.chart, {})
-        d1, terms1, bound1 = self._packed or self._pack()
-        d2, terms2, bound2 = other._packed or other._pack()
-        bound = _product_bound(bound1, bound2)
+        d1, terms1 = self._packed or self._pack()
+        d2, terms2 = other._packed or other._pack()
+        bias, guard = _packing(self.chart.dim)
         # Gaussian-integer numerators over the common denominator d1*d2.
         acc: dict = {}
-        _products_into(acc, (((terms1, bound1), (terms2, bound2)),),
-                       _packing(self.chart.dim)[0])
-        return PolyScalar._reduced(self.chart, d1 * d2, acc, bound)
+        _products_into(acc, ((terms1, terms2),), bias)
+        return PolyScalar._reduced(self.chart, d1 * d2, _in_window(acc, guard))
 
     __rmul__ = __mul__
 
@@ -708,22 +676,20 @@ class PolyScalar:
         For a periodic coordinate this is d/dx_j acting on e^{i*k*x_j},
         which multiplies the monomial by i*k.
         """
-        d, terms, _ = self._packed or self._pack()
-        terms, bound = packed_diff(self.chart, terms, j)
-        return PolyScalar._from_packed(self.chart, d, terms, bound)
+        d, terms = self._packed or self._pack()
+        return PolyScalar._from_packed(self.chart, d, packed_diff(self.chart, terms, j))
 
     def conj(self) -> "PolyScalar":
-        """Complex conjugate; affine coordinates are real, periodic exponents flip."""
-        out: dict = {}
-        for mono, c in self.coeffs.items():
-            m = tuple(
-                -e if kind == PERIODIC else e
-                for e, kind in zip(mono, self.chart.kinds)
-            )
-            s = out.get(m)
-            s = c.conj() if s is None else s + c.conj()
-            out[m] = s
-        return PolyScalar._raw(self.chart, {m: c for m, c in out.items() if not (c.a == 0 and c.b == 0)})
+        """Complex conjugate; affine coordinates are real, periodic exponents
+        flip, so a periodic field f becomes 2**16 - f.  A periodic exponent
+        -2**15 flips to 2**15, which does not pack: OverflowError."""
+        d, terms = self._packed or self._pack()
+        guard = _packing(self.chart.dim)[1]
+        periodic = sum(0x1FFFF << _WIDTH * j
+                       for j, kind in enumerate(self.chart.kinds) if kind == PERIODIC)
+        flip = periodic & guard
+        out = {k - 2 * (k & periodic) + flip: [a, -b] for k, (a, b) in terms.items()}
+        return PolyScalar._from_packed(self.chart, d, _in_window(out, guard))
 
     # -- predicates and interop ----------------------------------------
 
@@ -743,9 +709,14 @@ class PolyScalar:
         return self.chart == other.chart and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant hashes as the coefficient it equals
         if self._hash is None:
-            key = tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0]))
-            self._hash = hash((self.chart, key))
+            coeffs = self.coeffs
+            if self.is_constant():
+                self._hash = hash(coeffs.get((0,) * self.chart.dim, QQI_ZERO))
+            else:
+                key = tuple(sorted(coeffs.items(), key=lambda kv: kv[0]))
+                self._hash = hash((self.chart, key))
         return self._hash
 
     def __repr__(self):

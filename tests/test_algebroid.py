@@ -29,6 +29,8 @@ from ncgkit.randgen import (
 )
 from ncgkit.scalars import Chart, PolyScalar, QQi
 
+from test_cyclic import chain_of
+
 AFF2 = Chart.affine(2)
 T2 = Chart.torus(2)
 POINT = Chart(())
@@ -289,7 +291,7 @@ class TestDerivationCharacter:
         rng = random.Random(8)
         conn = random_connection(AFF2, 2, rng)
         a = random_algebra_element(AFF2, 2, rng)
-        out = derivation_character(Chain.of(a), ())
+        out = derivation_character(chain_of(a), ())
         assert (out - form_scalar(a.trace())).is_zero()
 
     def test_degree_one_formula(self):
@@ -298,7 +300,7 @@ class TestDerivationCharacter:
         a = random_algebra_element(AFF2, 2, rng)
         b = random_algebra_element(AFF2, 2, rng)
         x = make_deriv(conn, rng)
-        out = derivation_character(Chain.of(a, b), (x,))
+        out = derivation_character(chain_of(a, b), (x,))
         want = form_scalar((a * x.apply(b)).trace())
         assert (out - want).is_zero()
 
@@ -337,7 +339,7 @@ class TestDerivationCharacter:
     def test_arity_mismatch(self):
         rng = random.Random(13)
         conn = random_connection(AFF2, 2, rng)
-        ch = Chain.of(*(random_algebra_element(AFF2, 2, rng) for _ in range(3)))
+        ch = chain_of(*(random_algebra_element(AFF2, 2, rng) for _ in range(3)))
         with pytest.raises(ValueError):
             derivation_character(ch, (make_deriv(conn, rng),))
 

@@ -32,6 +32,8 @@ from ncgkit.randgen import (
 )
 from ncgkit.scalars import Chart, PolyScalar, QQi
 
+from test_cyclic import chain_of
+
 AFF3 = Chart.affine(3)
 T2 = Chart.torus(2)
 
@@ -236,7 +238,7 @@ class TestChainCharacter:
         rng = random.Random(8)
         conn = random_connection(AFF3, 2, rng)
         a = random_algebra_element(AFF3, 2, rng)
-        assert (rho(conn, Chain.of(a)) - a.trace()).is_zero()
+        assert (rho(conn, chain_of(a)) - a.trace()).is_zero()
 
     def test_kills_boundaries(self):
         rng = random.Random(9)
@@ -320,7 +322,7 @@ class TestSimplexCharacter:
         rng = random.Random(13)
         conn = random_connection(AFF3, 2, rng)
         a = random_algebra_element(AFF3, 2, rng)
-        out = simplex_character(conn, Chain.of(a))
+        out = simplex_character(conn, chain_of(a))
         sig = conn.sigma
         want = (a * (MatrixForm.identity(AFF3, 2) - sig
                      + (sig * sig).scale(Fraction(1, 2)))).trace()
@@ -332,7 +334,7 @@ class TestSimplexCharacter:
         theta = MatrixForm.from_scalar(random_poly(AFF3, rng), 2, (1,))
         conn = Connection(theta)
         als = [random_algebra_element(AFF3, 2, rng) for _ in range(3)]
-        ch = Chain.of(*als)
+        ch = chain_of(*als)
         out = simplex_character(conn, ch)
         want = (als[0] * conn.nabla(als[1]) * conn.nabla(als[2])).trace()
         assert (out - want.scale(Fraction(1, 2))).is_zero()
@@ -348,17 +350,17 @@ class TestComparison:
     def test_torsion_gate_check_lets_other_errors_through(self, monkeypatch):
         """The gate of ``character-comparison`` counts only a refusal: a gate
         that fails for another reason does not read as torsion_gate true."""
-        from ncgkit import characters
+        from ncgkit import checks
         from ncgkit.checks import check_character_comparison
 
-        gate = characters.require_torsion_twist
+        gate = checks.require_torsion_twist
 
         def broken_gate(declaration):
             if declaration == "non-torsion":
                 raise TypeError("broken gate")
             gate(declaration)
 
-        monkeypatch.setattr(characters, "require_torsion_twist", broken_gate)
+        monkeypatch.setattr(checks, "require_torsion_twist", broken_gate)
         with pytest.raises(TypeError, match="broken gate"):
             check_character_comparison(seed=7, resolution=8)
 

@@ -5,8 +5,8 @@
 ``scalars.sum_of_products``.  The reference below is the ring-operation
 fold they replaced: ``linalg.mat_mul`` per component pair, ``mat_neg`` for
 an odd merge sign and ``mat_add`` into the component.  Results must agree in
-value, in the key order of ``coeffs`` (grid evaluation sums the terms in that
-order, so the order reaches printed floats) and in the exponent bound.
+value and in the key order of ``coeffs`` (grid evaluation sums the terms in
+that order, so the order reaches printed floats).
 """
 
 import hashlib
@@ -44,8 +44,8 @@ def reference_trace_of_product(a: MatrixForm, b: MatrixForm) -> PolyScalar:
 
 
 def entry_facts(x: PolyScalar):
-    """Everything the contract fixes: terms in key order and exponent bound."""
-    return list(x.coeffs.items()), (x._packed or x._pack())[2]
+    """Everything the contract fixes: the terms in key order."""
+    return list(x.coeffs.items())
 
 
 def form_facts(f: MatrixForm):
@@ -145,12 +145,12 @@ def sparse_form(chart, m, comps):
 
 
 def restart_pairs():
-    """Two pairs where a running sum of the fold cancels before a product
-    of smaller bound comes, so the fold's bound starts again from 0."""
+    """Two pairs where a running sum of the fold cancels to zero before a
+    product of lower degree comes."""
     chart = Chart.affine(2)
     y, one = PolyScalar.coordinate(chart, 1), PolyScalar.const(chart, 1)
     iy = y * QQi(0, 1)
-    # (b a)[1][2] = iy - iy + 1: bound 0, not 1
+    # (b a)[1][2] = iy - iy + 1
     inner = (sparse_form(chart, 4, {(): {(1, 2): iy, (2, 2): -iy, (3, 2): one}}),
              sparse_form(chart, 4, {(): {(1, 1): one, (1, 2): one, (1, 3): one}}))
     chart = Chart.affine(4)
@@ -226,30 +226,53 @@ def test_entries_that_cancel_to_zero_keep_the_component_out():
     assert_same_product(theta, theta)
 
 
-@pytest.mark.parametrize("kind, sign", [(AFFINE, 1), (PERIODIC, -1)])
+@pytest.mark.parametrize("kind, sign", [(AFFINE, 1), (PERIODIC, 1), (PERIODIC, -1)])
 def test_form_product_past_the_field_raises(kind, sign):
+    """A form product and the trace of one pack while the exponents of
+    their entries stay in the window -2^15 <= e < 2^15, and raise one step
+    further on either side."""
     chart = Chart((kind, PERIODIC))
-    edge = PolyScalar.coordinate(chart, 0, sign * ((1 << 14) - 1))
-    a = MatrixForm.from_scalar(edge, 2)
-    square = (a * a).comps[()]
-    assert square[0][0].coeffs == {(sign * ((1 << 15) - 2), 0): QQi(1)}
+    last = (1 << 15) - 1 if sign > 0 else -(1 << 15)
+    half = sign * (1 << 14)
+    a = MatrixForm.from_scalar(PolyScalar.coordinate(chart, 0, half), 2)
+    fits = MatrixForm.from_scalar(PolyScalar.coordinate(chart, 0, last - half), 2)
+    square = (a * fits).comps[()]
+    assert square[0][0].coeffs == {(last, 0): QQi(1)}
     assert square[0][1].is_zero()
-    big = MatrixForm.from_scalar(PolyScalar.coordinate(chart, 0, sign * (1 << 14)), 2)
+    assert form_scalar(trace_of_product(a, fits)).coeffs == {(last, 0): QQi(2)}
+    past = MatrixForm.from_scalar(PolyScalar.coordinate(chart, 0, last - half + sign), 2)
     with pytest.raises(OverflowError):
-        big * big
+        a * past
     with pytest.raises(OverflowError):
-        reference_product(big, big)
+        trace_of_product(a, past)
+    with pytest.raises(OverflowError):
+        reference_product(a, past)
 
 
-def test_exponent_bound_of_a_cancelled_entry():
-    """An entry that cancels to zero has bound 0, as the fold gives it."""
+def test_form_product_that_cancels_past_the_field():
+    """An entry whose products leave the window but cancel is zero, and a
+    sibling entry stays: only the monomials of the result must pack."""
+    chart = Chart.affine(1)
+    big = PolyScalar.coordinate(chart, 0, 1 << 14)
+    one, zero = PolyScalar.const(chart, 1), PolyScalar(chart)
+    a = MatrixForm(chart, 2, {(): ((big, big), (zero, zero))})
+    b = MatrixForm(chart, 2, {(): ((big, one), (-big, zero))})
+    product = (a * b).comps[()]
+    assert product[0][0].is_zero()
+    assert product[0][1].coeffs == {(1 << 14,): QQi(1)}
+    assert trace_of_product(a, b).is_zero()
+
+
+def test_cancelled_entry_is_zero():
+    """An entry that cancels to zero has no terms, as the fold gives it."""
     chart = Chart.torus(1)
     z = PolyScalar.coordinate(chart, 0, 3)
     a = MatrixForm(chart, 2, {(): ((z, z), (z, z))})
     b = MatrixForm(chart, 2, {(): ((z, z), (-z, z))})
     product = a * b
     assert product.comps[()][0][0].is_zero()
-    assert entry_facts(product.comps[()][0][0]) == ([], 0)
+    assert entry_facts(product.comps[()][0][0]) == []
+    assert product._numerators()[1][()][0][0] is None
     assert form_facts(product) == form_facts(reference_product(a, b))
 
 
@@ -265,8 +288,8 @@ def test_trace_of_product_matches_the_fold(pair):
         assert trace_of_product(a, b).is_zero()
         return
     ours = form_scalar(trace_of_product(a, b))
-    assert entry_facts(ours)[0] == entry_facts(reference_trace_of_product(a, b))[0]
-    assert entry_facts(ours)[0] == entry_facts(form_scalar((a * b).trace()))[0]
+    assert entry_facts(ours) == entry_facts(reference_trace_of_product(a, b))
+    assert entry_facts(ours) == entry_facts(form_scalar((a * b).trace()))
 
 
 def test_exact_trace_of_product_takes_degree_zero_forms():

@@ -159,22 +159,71 @@ def test_laurent_product_cancels_to_constant():
     assert (z * zbar).coeffs == {(0, 0): QQi(1)}
 
 
-@pytest.mark.parametrize("kind, sign", [(AFFINE, 1), (PERIODIC, -1)])
-def test_product_past_the_field_raises(kind, sign):
-    chart = Chart((kind, PERIODIC))
-    edge = PolyScalar.coordinate(chart, 0, sign * ((1 << 14) - 1))
-    assert (edge * edge).coeffs == {(sign * ((1 << 15) - 2), 0): QQi(1)}
-    big = PolyScalar.coordinate(chart, 0, sign * (1 << 14))
-    assert (big * PolyScalar.coordinate(chart, 1, 3)).coeffs == {
-        (sign * (1 << 14), 3): QQi(1)}
+def reference_conj(p: PolyScalar) -> dict:
+    """The conjugate through ``coeffs``: periodic exponents flip."""
+    return {tuple(-e if kind == PERIODIC else e for e, kind in zip(mono, p.chart.kinds)):
+            c.conj() for mono, c in p.coeffs.items()}
+
+
+@given(chart_and_polys(n=2))
+def test_conj_matches_reference(case):
+    _, (p, q) = case
+    assert items(p.conj()) == list(reference_conj(p).items())
+    packed = p * q + p  # never read as coefficients
+    assert items(packed.conj()) == list(reference_conj(packed).items())
+    assert items(p.conj().conj()) == items(p)
+
+
+# The packed window: -2^15 <= e < 2^15 on every field.  LAST[sign] is the
+# last exponent inside it on that side.
+LAST = {1: (1 << 15) - 1, -1: -(1 << 15)}
+
+
+def power(chart, j, e):
+    """x_j^e times x_(1-j)^3 on a two-variable chart, so the field next to
+    the edge field is in use: a field below zero borrows from the one above."""
+    return PolyScalar.coordinate(chart, j, e) * PolyScalar.coordinate(chart, 1 - j, 3)
+
+
+def mono(j, e):
+    return (e, 3) if j == 0 else (3, e)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("kind, sign", [(AFFINE, 1), (PERIODIC, 1), (PERIODIC, -1)])
+def test_product_past_the_field_raises(kind, sign, j):
+    """A product packs while its exponents stay in the window: x^(2^14)
+    times x^(2^14 - 1) is x^(2^15 - 1) and x^(-2^14) squared is x^(-2^15),
+    one step further on either side raises."""
+    kinds = [PERIODIC, PERIODIC]
+    kinds[j] = kind
+    chart = Chart(tuple(kinds))
+    half = sign * (1 << 14)
+    edge = PolyScalar.coordinate(chart, j, half)
+    assert (edge * power(chart, j, LAST[sign] - half)).coeffs == {
+        mono(j, LAST[sign]): QQi(1)}
     with pytest.raises(OverflowError):
-        big * big
+        edge * power(chart, j, LAST[sign] - half + sign)
 
 
-def test_exponent_past_the_field_raises():
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exponent_past_the_field_raises(sign):
+    """An exponent packs when -2^15 <= e < 2^15, and the conjugate of a
+    periodic x^(-2^15) is x^(2^15), which does not."""
     chart = Chart.torus(2)
-    huge = PolyScalar.coordinate(chart, 1, -(1 << 15))
+    last = PolyScalar.coordinate(chart, 1, LAST[sign])
+    assert (last * PolyScalar.coordinate(chart, 0)).coeffs == {(1, LAST[sign]): QQi(1)}
+    assert (last + 1).coeffs == {(0, LAST[sign]): QQi(1), (0, 0): QQi(1)}
+    huge = PolyScalar.coordinate(chart, 1, LAST[sign] + sign)
     with pytest.raises(OverflowError):
         huge * PolyScalar.coordinate(chart, 0)
     with pytest.raises(OverflowError):
         huge + 1
+    if sign > 0:
+        assert last.conj().coeffs == {(0, -LAST[sign]): QQi(1)}
+    else:
+        with pytest.raises(OverflowError):
+            last.conj()
+    # affine exponents do not flip
+    mixed = PolyScalar.coordinate(Chart((AFFINE, PERIODIC)), 0, LAST[1]) * QQi(0, 1)
+    assert mixed.conj().coeffs == {(LAST[1], 0): QQi(0, -1)}

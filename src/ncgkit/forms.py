@@ -1,9 +1,11 @@
 """Graded algebra of matrix-valued differential forms on a chart.
 
 A ``MatrixForm`` stores, for each sorted coordinate index tuple I, an
-m x m matrix of scalar coefficients (exact ``PolyScalar`` or sampled
-``JetScalar``).  The product carries the Koszul sign on form indices
-only; matrices multiply without extra signs.
+m x m matrix of scalar coefficients.  Its kind is its type: an
+``ExactForm`` has exact ``PolyScalar`` entries, a ``JetForm`` sampled
+``JetScalar`` entries, and only this module tells them apart.  The product
+carries the Koszul sign on form indices only; matrices multiply without
+extra signs.
 
 On top of that sit gauge connections: theta is a matrix 1-form, the
 curvature is omega = d theta + theta^theta, and the traceless lift
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial, lcm as _lcm
+from math import factorial, isnan, lcm as _lcm, nan
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -146,7 +148,7 @@ def _canonical(d: int, nums: dict, fresh: bool = False):
 
 
 def _packed_form(chart: Chart, m: int, d: int, nums,
-                 fresh: bool = False) -> "MatrixForm":
+                 fresh: bool = False) -> "ExactForm":
     """The exact form with the nonzero packed components nums[K]: a
     ``packed_matrices`` matrix with numerators over d.
 
@@ -154,11 +156,10 @@ def _packed_form(chart: Chart, m: int, d: int, nums,
     ``_numerators()``; the PolyScalar entries are built from them when
     ``comps`` is first read.
     """
-    return MatrixForm._built(chart, m, None, "exact", None,
-                             _canonical(d, nums, fresh))
+    return ExactForm._built(chart, m, None, _canonical(d, nums, fresh))
 
 
-def _exact_product(a, b) -> "MatrixForm":
+def _exact_product(a, b) -> "ExactForm":
     """Graded product of exact forms, one of them 1 x 1 or both of size m.
 
     Entry (r, c) of component K is sum over I u J = K of sign(I, J) times
@@ -204,13 +205,13 @@ def _exact_product(a, b) -> "MatrixForm":
     return _packed_form(chart, m, da * db, sums, fresh=True)
 
 
-def _parts(a: "MatrixForm", c: QQi = QQI_ONE):
+def _parts(a: "ExactForm", c: QQi = QQI_ONE):
     """c * a as parts of ``_linear``: one per component."""
     d, nums = a._numerators()
     return [(k, c, d, mat) for k, mat in nums.items()]
 
 
-def _linear(chart: Chart, m: int, parts) -> "MatrixForm":
+def _linear(chart: Chart, m: int, parts) -> "ExactForm":
     """Sum of parts (K, c, d, matrix): c times a ``packed_matrices`` matrix
     over d, placed at component K, in the order given.
 
@@ -254,192 +255,104 @@ def _diff_numerators(chart: Chart, mat, j: int):
                  for row in mat)
 
 
-def _zero_entry(chart: Chart, backend: str, nodes: Optional[int]):
-    """The zero entry of a form; on jets one flagged zero to share."""
-    if backend == "exact":
-        return PolyScalar.const(chart, 0)
-    return JetScalar.zero(chart, nodes)
+def _nonzero(comps: Dict[IdxTuple, tuple]) -> Dict[IdxTuple, tuple]:
+    return {i: mat for i, mat in comps.items() if not linalg.mat_is_zero(mat)}
+
+
+def _checked(chart: Chart, m: int, comps) -> Dict[IdxTuple, tuple]:
+    """The nonzero components of outside input, index tuples and shapes checked."""
+    comps = {tuple(idx): mat for idx, mat in (comps or {}).items()}
+    for idx, mat in comps.items():
+        if len(set(idx)) != len(idx) or tuple(sorted(idx)) != idx:
+            raise ValueError(f"index tuple {idx} is not strictly increasing")
+        if any(not (0 <= i < chart.dim) for i in idx):
+            raise ValueError(f"index tuple {idx} outside chart")
+        if linalg.mat_shape(mat) != (m, m):
+            raise ShapeMismatch("component matrix has wrong shape")
+    return _nonzero(comps)
 
 
 class MatrixForm:
-    """Mixed-degree matrix-valued differential form on a chart.
+    """Mixed-degree matrix-valued differential form on a chart: what both
+    kinds share.  ``ExactForm(...)`` and ``JetForm(...)`` check their index
+    tuples and matrix shapes and are for outside input; ``from_scalar`` and
+    ``from_entries`` read the kind off the entry.  Other forms are built like
+    an existing one (``zero_like``, ``identity_like``, ``const_like``, and
+    ``_like`` in every operation), and ``vanishes`` is the zero test of
+    either kind."""
 
-    ``MatrixForm(...)`` checks its index tuples and matrix shapes and is
-    for outside input; every operation builds its result with ``_built``.
-    """
+    __slots__ = ("chart", "m", "_comps", "_scalar_id")
 
-    __slots__ = ("chart", "m", "backend", "nodes", "_comps", "_hash",
-                 "_packed", "_scalar_id")
-
-    def __init__(self, chart: Chart, m: int, comps: Dict[IdxTuple, tuple],
-                 backend: str = "exact", nodes: Optional[int] = None):
+    def __init__(self, chart: Chart, m: int, comps: Dict[IdxTuple, tuple]):
         self.chart = chart
         self.m = m
-        self.backend = backend
-        self.nodes = nodes
-        clean: Dict[IdxTuple, tuple] = {}
-        for idx, mat in (comps or {}).items():
-            idx = tuple(idx)
-            if len(set(idx)) != len(idx) or tuple(sorted(idx)) != idx:
-                raise ValueError(f"index tuple {idx} is not strictly increasing")
-            if any(not (0 <= i < chart.dim) for i in idx):
-                raise ValueError(f"index tuple {idx} outside chart")
-            if linalg.mat_shape(mat) != (m, m):
-                raise ShapeMismatch("component matrix has wrong shape")
-            if not linalg.mat_is_zero(mat):
-                clean[idx] = mat
-        self._comps = clean
-        self._hash = None
-        self._packed = None
+        self._comps = _checked(chart, m, comps)
         self._scalar_id = None
 
     @classmethod
-    def _built(cls, chart: Chart, m: int, comps: Optional[Dict[IdxTuple, tuple]],
-               backend: str, nodes: Optional[int], packed=None) -> "MatrixForm":
-        """Internal constructor for the result of an operation, whose
-        components are well formed by construction: only zero components
-        are dropped.  An exact result comes with ``packed`` (its
-        ``_numerators()``) and comps None or the matching entries; its
-        components must all be nonzero."""
+    def _built(cls, chart: Chart, m: int, comps) -> "MatrixForm":
+        """An operation's result, well formed by construction; each kind adds its fields."""
         f = cls.__new__(cls)
         f.chart = chart
         f.m = m
-        f.backend = backend
-        f.nodes = nodes
-        if packed is None:
-            comps = {i: mat for i, mat in comps.items() if not linalg.mat_is_zero(mat)}
         f._comps = comps
-        f._hash = None
-        f._packed = packed
         f._scalar_id = None
         return f
 
     @property
     def comps(self) -> Dict[IdxTuple, tuple]:
-        """Component index tuple -> m x m matrix of scalars; for a form
-        built from packed numerators, made on first read, each entry a
-        PolyScalar sharing its numerators."""
-        comps = self._comps
-        if comps is None:
-            chart = self.chart
-            d, nums = self._packed
-            comps = {}
-            for k, mat in nums.items():
-                comps[k] = tuple(tuple(
-                    PolyScalar._from_packed(chart, d, x) if x is not None
-                    else PolyScalar._from_packed(chart, 1, {})
-                    for x in row) for row in mat)
-            self._comps = comps
-        return comps
+        """Component index tuple -> m x m matrix of scalars."""
+        return self._comps
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(chart: Chart, m: int, backend: str = "exact",
-             nodes: Optional[int] = None) -> "MatrixForm":
-        return MatrixForm(chart, m, {}, backend, nodes)
-
-    @staticmethod
-    def identity(chart: Chart, m: int, backend: str = "exact",
-                 nodes: Optional[int] = None) -> "MatrixForm":
-        return MatrixForm.const_matrix(
-            chart,
-            linalg.mat_eye(m, QQi(0), QQi(1)),
-            backend,
-            nodes,
-        )
-
-    @staticmethod
-    def const_matrix(chart: Chart, mat, backend: str = "exact",
-                     nodes: Optional[int] = None) -> "MatrixForm":
-        """Degree-0 form with constant matrix entries (QQi-valued input)."""
-        m = len(mat)
-        if backend == "exact":
-            rows = tuple(
-                tuple(PolyScalar.const(chart, QQi.coerce(x)) for x in row)
-                for row in mat
-            )
-        else:
-            if nodes is None:
-                raise ValueError("numeric backend needs the node count")
-            zero = JetScalar.zero(chart, nodes)
-            rows = tuple(
-                tuple(zero if x == 0 else JetScalar.const(chart, complex(x), nodes)
-                      for x in row)
-                for row in mat
-            )
-        return MatrixForm(chart, m, {(): rows}, backend, nodes)
-
-    @staticmethod
     def from_scalar(s, m: int = 1, idx: IdxTuple = ()) -> "MatrixForm":
         """Wrap one scalar coefficient as an m x m multiple of the identity."""
-        chart = s.chart
-        backend = "exact" if isinstance(s, PolyScalar) else "jet"
-        nodes = None if backend == "exact" else len(s.values)
-        zero = _zero_entry(chart, backend, nodes)
-        mat = tuple(
-            tuple(s if i == j else zero for j in range(m)) for i in range(m)
-        )
-        return MatrixForm(chart, m, {tuple(idx): mat}, backend, nodes)
+        zero = (JetScalar.zero(s.chart, len(s.values)) if isinstance(s, JetScalar)
+                else PolyScalar.const(s.chart, 0))
+        mat = tuple(tuple(s if i == j else zero for j in range(m)) for i in range(m))
+        return MatrixForm.from_entries(s.chart, idx, mat)
 
     @staticmethod
     def from_entries(chart: Chart, idx: IdxTuple, entries) -> "MatrixForm":
+        """The form with the one component ``entries`` at idx, of the kind of
+        its entries."""
         entries = tuple(tuple(row) for row in entries)
-        probe = entries[0][0]
-        backend = "exact" if isinstance(probe, PolyScalar) else "jet"
-        nodes = None if backend == "exact" else len(probe.values)
-        return MatrixForm(chart, len(entries), {tuple(idx): entries}, backend, nodes)
+        probe, comps = entries[0][0], {tuple(idx): entries}
+        if isinstance(probe, JetScalar):
+            return JetForm(chart, len(entries), comps, len(probe.values))
+        return ExactForm(chart, len(entries), comps)
+
+    def zero_like(self, m: int) -> "MatrixForm":
+        """The zero m x m form of this form's kind."""
+        return self._like(m, {})
+
+    def identity_like(self, m: int) -> "MatrixForm":
+        """The m x m identity of this form's kind."""
+        return self.const_like(linalg.mat_eye(m, QQi(0), QQi(1)))
 
     # -- structure ------------------------------------------------------
 
-    def _zero_scalar(self):
-        return _zero_entry(self.chart, self.backend, self.nodes)
-
-    def _numerators(self):
-        """(d, {I: numerator matrix of A_I}) of an exact form, every entry
-        over the one denominator d (``scalars.packed_matrices``), d the lcm
-        of the coefficient denominators (``_canonical``), so equal forms
-        have equal numerators.  An operation hands its result these
-        directly; otherwise they are packed on first use.  They are kept, as
-        a form is not changed after it is built."""
-        if self._packed is None:
-            comps = self._comps
-            d, mats = packed_matrices(comps.values())
-            self._packed = _canonical(d, dict(zip(comps, mats)))
-        return self._packed
-
     def _keys(self):
         """The component index tuples, in order, without building comps."""
-        return self._comps if self._comps is not None else self._packed[1]
+        return self._comps
 
     def _check(self, other: "MatrixForm"):
-        if self.chart != other.chart or self.backend != other.backend:
-            raise ShapeMismatch("forms live on different charts or backends")
-        if self.backend == "jet" and self.nodes != other.nodes:
-            raise ShapeMismatch("sample grids differ")
+        if self.chart != other.chart or type(self) is not type(other):
+            raise ShapeMismatch("forms live on different charts or are of different kinds")
 
     def degrees(self) -> List[int]:
         return sorted({len(i) for i in self._keys()})
 
     def degree_part(self, k: int) -> "MatrixForm":
-        keep = [i for i in self._keys() if len(i) == k]
-        comps = packed = None
-        if self._comps is not None:
-            comps = {i: self._comps[i] for i in keep}
-        if self._packed is not None:
-            d, nums = self._packed
-            packed = _canonical(d, {i: nums[i] for i in keep})
-        return MatrixForm._built(self.chart, self.m, comps, self.backend,
-                                 self.nodes, packed)
+        return self._like(self.m, {i: mat for i, mat in self.comps.items() if len(i) == k})
 
     def is_zero(self) -> bool:
         return not self._keys()
 
     def component(self, idx: IdxTuple):
-        z = self._zero_scalar()
-        return self.comps.get(
-            tuple(idx), linalg.mat_zero(self.m, self.m, z)
-        )
+        return self.comps.get(tuple(idx), linalg.mat_zero(self.m, self.m, self._zero_scalar()))
 
     # -- ring operations --------------------------------------------------
 
@@ -447,17 +360,6 @@ class MatrixForm:
         return self._plus(other, QQI_ONE)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        if self.backend == "exact":
-            return _linear(self.chart, self.m, _parts(self, QQI_MINUS_ONE))
-        return MatrixForm._built(
-            self.chart,
-            self.m,
-            {i: linalg.mat_neg(m) for i, m in self.comps.items()},
-            self.backend,
-            self.nodes,
-        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
@@ -470,64 +372,22 @@ class MatrixForm:
     def _plus(self, other, sign: QQi) -> "MatrixForm":
         """self + sign * other, sign being 1 or -1."""
         if isinstance(other, (int, Fraction, QQi)):
-            other = MatrixForm.const_matrix(
-                self.chart,
-                linalg.mat_scale(QQi.coerce(other), linalg.mat_eye(self.m, QQi(0), QQi(1))),
-                self.backend,
-                self.nodes,
-            )
+            other = self.const_like(linalg.mat_eye(self.m, QQi(0), QQi.coerce(other)))
         self._check(other)
         if self.m != other.m:
             raise ShapeMismatch(f"matrix sizes differ: {self.m} vs {other.m}")
-        if self.backend == "exact":
-            return _linear(self.chart, self.m, _parts(self) + _parts(other, sign))
-        out = dict(self.comps)
-        for idx, mat in other.comps.items():
-            _accumulate(out, idx, mat, sign is QQI_MINUS_ONE)
-        return MatrixForm._built(self.chart, self.m, out, self.backend, self.nodes)
-
-    def scale(self, c) -> "MatrixForm":
-        if self.backend == "exact":
-            if not self._keys():
-                return self
-            c = QQi.coerce(c)
-            if c.is_zero():
-                return MatrixForm._built(self.chart, self.m, {}, "exact", None, (1, {}))
-            return _linear(self.chart, self.m, _parts(self, c))
-        if isinstance(c, (QQi, Fraction)):
-            c = complex(c)
-        return MatrixForm._built(
-            self.chart,
-            self.m,
-            {i: linalg.mat_scale(c, m) for i, m in self.comps.items()},
-            self.backend,
-            self.nodes,
-        )
+        return self._sum(other, sign)
 
     def __mul__(self, other):
         """Graded product; a 1 x 1 factor acts as a scalar form."""
         if isinstance(other, (int, Fraction, QQi)):
-            return self.scale(QQi.coerce(other) if self.backend == "exact" else complex(QQi.coerce(other)))
+            return self.scale(QQi.coerce(other))
         if isinstance(other, (PolyScalar, JetScalar)):
             other = MatrixForm.from_scalar(other, 1)
         self._check(other)
         if self.m != other.m and 1 not in (self.m, other.m):
             raise ShapeMismatch(f"matrix sizes differ: {self.m} vs {other.m}")
-        if self.backend == "exact":
-            return _exact_product(self, other)
-        m_out = max(self.m, other.m)
-        out: Dict[IdxTuple, tuple] = {}
-        for i_idx, a, j_idx, b in _component_pairs(self.comps, other.comps,
-                                                   self.chart.dim):
-            sign = merge_sign(i_idx, j_idx)
-            if self.m == other.m:
-                mat = _jet_mat_mul(a, b, self.chart)
-            elif self.m == 1:
-                mat = linalg.mat_scale(a[0][0], b)
-            else:
-                mat = linalg.mat_scale(b[0][0], a)
-            _accumulate(out, tuple(sorted(i_idx + j_idx)), mat, sign < 0)
-        return MatrixForm._built(self.chart, m_out, out, self.backend, self.nodes)
+        return self._product(other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QQi)):
@@ -536,40 +396,21 @@ class MatrixForm:
             return MatrixForm.from_scalar(other, 1) * self
         return NotImplemented
 
-    def trace(self) -> "MatrixForm":
-        if self.backend == "exact":
-            # the diagonal summed in order, as linalg.mat_trace folds it
-            d, nums = self._numerators()
-            span = range(self.m)
-            sums = {}
-            for idx, mat in nums.items():
-                diag = [(x, 1, 0) for x in (mat[i][i] for i in span) if x]
-                x = diag and linear_sum(diag)
-                if x:
-                    sums[idx] = ((x,),)
-            return _packed_form(self.chart, 1, d, sums)
-        out = {}
-        for idx, mat in self.comps.items():
-            out[idx] = ((linalg.mat_trace(mat),),)
-        return MatrixForm._built(self.chart, 1, out, self.backend, self.nodes)
-
     def conj_transpose(self) -> "MatrixForm":
         """Entrywise conjugate transpose per component (degree-0 adjoint)."""
-        out = {
-            idx: linalg.mat_conj_transpose(mat) for idx, mat in self.comps.items()
-        }
-        return MatrixForm._built(self.chart, self.m, out, self.backend, self.nodes)
+        return self._like(self.m, {idx: linalg.mat_conj_transpose(mat)
+                                   for idx, mat in self.comps.items()})
 
     def amplify(self, s: int) -> "MatrixForm":
         """Block-diagonal amplification Id_s (x) A."""
-        zero = MatrixForm.zero(self.chart, self.m, self.backend, self.nodes)
+        zero = self.zero_like(self.m)
         return MatrixForm.from_blocks(
             [[self if i == j else zero for j in range(s)] for i in range(s)])
 
     def block(self, i: int, j: int, mb: int) -> "MatrixForm":
         """The (i, j) block of size mb when the form is s*mb x s*mb."""
         out = {idx: linalg.mat_block(mat, i, j, mb) for idx, mat in self.comps.items()}
-        return MatrixForm._built(self.chart, mb, out, self.backend, self.nodes)
+        return self._like(mb, out)
 
     @staticmethod
     def from_blocks(blocks) -> "MatrixForm":
@@ -584,53 +425,9 @@ class MatrixForm:
                 [[blk.comps.get(idx, zero) for blk in row] for row in blocks])
             for idx in idxs
         }
-        return MatrixForm._built(probe.chart, len(blocks) * mb, out, probe.backend,
-                                 probe.nodes)
+        return probe._like(len(blocks) * mb, out)
 
     # -- predicates -------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixForm):
-            return NotImplemented
-        if (self.chart, self.m, self.backend) != (other.chart, other.m, other.backend):
-            return False
-        if self.backend == "jet":
-            return self.approx_eq(other, 0.0)
-        # canonical numerators: equal values, equal denominator and terms
-        d, nums = self._numerators()
-        d2, nums2 = other._numerators()
-        return d == d2 and nums.keys() == nums2.keys() and all(
-            nums[i] == nums2[i] for i in nums)
-
-    def __hash__(self):
-        if self.backend != "exact":
-            raise TypeError("numeric forms are not hashable")
-        if self._hash is None:
-            d, nums = self._numerators()
-            key = tuple(
-                (idx, tuple(None if x is None else frozenset(
-                    (k, re, im) for k, (re, im) in x.items())
-                    for row in mat for x in row))
-                for idx, mat in sorted(nums.items())
-            )
-            self._hash = hash((self.chart, self.m, d, key))
-        return self._hash
-
-    def max_abs(self) -> float:
-        """Largest sample magnitude over all components (numeric backend)."""
-        best = 0.0
-        for mat in self.comps.values():
-            for row in mat:
-                for x in row:
-                    if isinstance(x, JetScalar):
-                        best = max(best, x.max_abs())
-                    else:
-                        for c in x.coeffs.values():
-                            best = max(best, abs(complex(c)))
-        return best
-
-    def approx_eq(self, other: "MatrixForm", tol: float = 1e-12) -> bool:
-        return (self - other).max_abs() <= tol
 
     def is_scalar_multiple_of_identity(self) -> bool:
         """Degree-0 test: equals lambda * Id for a constant lambda.  The
@@ -642,17 +439,303 @@ class MatrixForm:
 
     def _scalar_id_test(self) -> bool:
         """The test of ``is_scalar_multiple_of_identity``, made afresh."""
-        if self.is_zero():
-            return True
-        if self.degrees() != [0]:
+        return self.is_zero() or (self.degrees() == [0] and self._constant_diagonal())
+
+    def __repr__(self):
+        degs = ",".join(map(str, self.degrees())) or "-"
+        return f"{type(self).__name__}<m={self.m}, deg={degs}>"
+
+
+class ExactForm(MatrixForm):
+    """A form with ``PolyScalar`` entries; its identities hold at zero
+    tolerance, and equal forms are equal and hash alike.
+
+    The ring operations work on the packed numerators of ``_numerators``;
+    the PolyScalar entries are built from them when ``comps`` is first read.
+    """
+
+    __slots__ = ("_packed", "_hash")
+
+    def __init__(self, chart: Chart, m: int, comps: Dict[IdxTuple, tuple]):
+        super().__init__(chart, m, comps)
+        self._packed = None
+        self._hash = None
+
+    @classmethod
+    def _built(cls, chart: Chart, m: int, comps: Optional[Dict[IdxTuple, tuple]],
+               packed=None) -> "ExactForm":
+        """With ``packed`` (its ``_numerators()``, components all nonzero), comps
+        is None or the matching entries; without, zero components are dropped."""
+        f = super()._built(chart, m, _nonzero(comps) if packed is None else comps)
+        f._packed = packed
+        f._hash = None
+        return f
+
+    @staticmethod
+    def zero(chart: Chart, m: int) -> "ExactForm":
+        return ExactForm(chart, m, {})
+
+    @staticmethod
+    def identity(chart: Chart, m: int) -> "ExactForm":
+        return ExactForm.const_matrix(chart, linalg.mat_eye(m, QQi(0), QQi(1)))
+
+    @staticmethod
+    def const_matrix(chart: Chart, mat) -> "ExactForm":
+        """Degree-0 form with constant matrix entries (QQi-valued input)."""
+        rows = tuple(tuple(PolyScalar.const(chart, QQi.coerce(x)) for x in row) for row in mat)
+        return ExactForm(chart, len(mat), {(): rows})
+
+    def const_like(self, mat) -> "ExactForm":
+        return ExactForm.const_matrix(self.chart, mat)
+
+    def _like(self, m: int, comps) -> "ExactForm":
+        return ExactForm._built(self.chart, m, comps)
+
+    @property
+    def comps(self) -> Dict[IdxTuple, tuple]:
+        """Component index tuple -> m x m matrix of scalars; for a form
+        built from packed numerators, made on first read, each entry a
+        PolyScalar sharing its numerators."""
+        if self._comps is None:
+            chart, (d, nums) = self.chart, self._packed
+            self._comps = {k: tuple(tuple(
+                PolyScalar._from_packed(chart, d, x) if x is not None
+                else PolyScalar._from_packed(chart, 1, {})
+                for x in row) for row in mat) for k, mat in nums.items()}
+        return self._comps
+
+    def _zero_scalar(self):
+        return PolyScalar.const(self.chart, 0)
+
+    def _numerators(self):
+        """(d, {I: numerator matrix of A_I}), every entry over the one
+        denominator d (``scalars.packed_matrices``), d the lcm of the
+        coefficient denominators (``_canonical``), so equal forms have equal
+        numerators.  An operation hands its result these directly;
+        otherwise they are packed on first use.  They are kept, as a form is
+        not changed after it is built."""
+        if self._packed is None:
+            comps = self._comps
+            d, mats = packed_matrices(comps.values())
+            self._packed = _canonical(d, dict(zip(comps, mats)))
+        return self._packed
+
+    def _keys(self):
+        return self._comps if self._comps is not None else self._packed[1]
+
+    def degree_part(self, k: int) -> "ExactForm":
+        d, nums = self._numerators()
+        return _packed_form(self.chart, self.m, d, {i: mat for i, mat in nums.items() if len(i) == k})
+
+    def __neg__(self):
+        return _linear(self.chart, self.m, _parts(self, QQI_MINUS_ONE))
+
+    def _sum(self, other: "ExactForm", sign: QQi) -> "ExactForm":
+        return _linear(self.chart, self.m, _parts(self) + _parts(other, sign))
+
+    def scale(self, c) -> "ExactForm":
+        if not self._keys():
+            return self
+        c = QQi.coerce(c)
+        if c.is_zero():
+            return ExactForm._built(self.chart, self.m, {}, (1, {}))
+        return _linear(self.chart, self.m, _parts(self, c))
+
+    _product = _exact_product
+
+    def trace(self) -> "ExactForm":
+        # the diagonal summed in order, as linalg.mat_trace folds it
+        d, nums = self._numerators()
+        span = range(self.m)
+        sums = {}
+        for idx, mat in nums.items():
+            diag = [(x, 1, 0) for x in (mat[i][i] for i in span) if x]
+            x = diag and linear_sum(diag)
+            if x:
+                sums[idx] = ((x,),)
+        return _packed_form(self.chart, 1, d, sums)
+
+    def _trace_of_product(self, b: "ExactForm") -> "ExactForm":
+        if self.degrees() not in ([], [0]) or b.degrees() not in ([], [0]):
+            raise ValueError("the exact trace of a product takes degree-0 forms")
+        if self.is_zero() or b.is_zero():
+            return self.zero_like(1)
+        chart, span = self.chart, range(self.m)
+        da, pa = self._numerators()
+        db, pb = b._numerators()
+        pa, pb = pa[()], pb[()]
+        terms = sum_of_products(chart, [
+            (False, ps) for i in span
+            if (ps := [(pa[i][t], pb[t][i]) for t in span if pa[i][t] and pb[t][i]])])
+        return ExactForm._built(chart, 1, {(): ((PolyScalar._reduced(chart, da * db, terms),),)}
+                                if terms else {})
+
+    def _exterior_d(self) -> "ExactForm":
+        d, nums = self._numerators()
+        parts = []
+        for idx in nums:
+            for j in range(self.chart.dim):
+                if j not in idx:
+                    sign = QQI_MINUS_ONE if sum(1 for i in idx if i < j) % 2 else QQI_ONE
+                    parts.append((tuple(sorted(idx + (j,))), sign, d,
+                                  _diff_numerators(self.chart, nums[idx], j)))
+        return _linear(self.chart, self.m, parts)
+
+    def vanishes(self, tol: float) -> bool:
+        """Whether the form is zero; exact, so ``tol`` is not read."""
+        return self.is_zero()
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactForm):
+            return NotImplemented
+        if (self.chart, self.m) != (other.chart, other.m):
             return False
-        if self.backend == "exact":
-            # one denominator for all entries: equal entries, equal terms
-            terms = self._numerators()[1][()]
-            diag = terms[0][0]
-            return (diag is not None and self.comps[()][0][0].is_constant()
-                    and all(x == diag if i == j else x is None
-                            for i, row in enumerate(terms) for j, x in enumerate(row)))
+        # canonical numerators: equal values, equal denominator and terms
+        d, nums = self._numerators()
+        d2, nums2 = other._numerators()
+        return d == d2 and nums.keys() == nums2.keys() and all(
+            nums[i] == nums2[i] for i in nums)
+
+    def __hash__(self):
+        if self._hash is None:
+            d, nums = self._numerators()
+            key = tuple(
+                (idx, tuple(None if x is None else frozenset(
+                    (k, re, im) for k, (re, im) in x.items())
+                    for row in mat for x in row))
+                for idx, mat in sorted(nums.items())
+            )
+            self._hash = hash((self.chart, self.m, d, key))
+        return self._hash
+
+    def _constant_diagonal(self) -> bool:
+        """Whether the degree-0 part is a constant times the identity: with
+        one denominator for all entries, equal entries have equal terms."""
+        terms = self._numerators()[1][()]
+        diag = terms[0][0]
+        return (diag is not None and self.comps[()][0][0].is_constant()
+                and all(x == diag if i == j else x is None
+                        for i, row in enumerate(terms) for j, x in enumerate(row)))
+
+
+class JetForm(MatrixForm):
+    """A form with ``JetScalar`` entries sampled on one grid of quadrature
+    nodes.  It holds one flagged zero entry, shared with every form built
+    like it, for the zeros it fills in.  ``==`` compares samples exactly; a
+    jet form is not hashable."""
+
+    __slots__ = ("_zero",)
+
+    def __init__(self, chart: Chart, m: int, comps: Dict[IdxTuple, tuple], nodes: int):
+        super().__init__(chart, m, comps)
+        self._zero = JetScalar.zero(chart, nodes)
+
+    @classmethod
+    def _built(cls, chart: Chart, m: int, comps, zero: JetScalar) -> "JetForm":
+        """Only zero components are dropped; ``zero`` is the shared zero."""
+        f = super()._built(chart, m, _nonzero(comps))
+        f._zero = zero
+        return f
+
+    @staticmethod
+    def zero(chart: Chart, m: int, nodes: int) -> "JetForm":
+        return JetForm(chart, m, {}, nodes)
+
+    def const_like(self, mat) -> "JetForm":
+        """Degree-0 form with constant matrix entries (QQi-valued input)."""
+        zero, n, m = self._zero, len(self._zero.values), len(mat)
+        rows = tuple(tuple(zero if x == 0 else JetScalar.const(self.chart, complex(x), n)
+                           for x in row) for row in mat)
+        return self._like(m, _checked(self.chart, m, {(): rows}))
+
+    def _like(self, m: int, comps) -> "JetForm":
+        return JetForm._built(self.chart, m, comps, self._zero)
+
+    def _zero_scalar(self):
+        return self._zero
+
+    def _check(self, other: "JetForm"):
+        super()._check(other)
+        if self._zero.values.shape != other._zero.values.shape:
+            raise ShapeMismatch("sample grids differ")
+
+    def __neg__(self):
+        return self._like(self.m, {i: linalg.mat_neg(m) for i, m in self.comps.items()})
+
+    def _sum(self, other: "JetForm", sign: QQi) -> "JetForm":
+        out = dict(self.comps)
+        for idx, mat in other.comps.items():
+            _accumulate(out, idx, mat, sign is QQI_MINUS_ONE)
+        return self._like(self.m, out)
+
+    def scale(self, c) -> "JetForm":
+        if isinstance(c, (QQi, Fraction)):
+            c = complex(c)
+        return self._like(self.m, {i: linalg.mat_scale(c, m) for i, m in self.comps.items()})
+
+    def _product(self, other: "JetForm") -> "JetForm":
+        out: Dict[IdxTuple, tuple] = {}
+        for i_idx, a, j_idx, b in _component_pairs(self.comps, other.comps,
+                                                   self.chart.dim):
+            sign = merge_sign(i_idx, j_idx)
+            if self.m == other.m:
+                mat = _jet_mat_mul(a, b, self.chart)
+            elif self.m == 1:
+                mat = linalg.mat_scale(a[0][0], b)
+            else:
+                mat = linalg.mat_scale(b[0][0], a)
+            _accumulate(out, tuple(sorted(i_idx + j_idx)), mat, sign < 0)
+        return self._like(max(self.m, other.m), out)
+
+    def trace(self) -> "JetForm":
+        return self._like(1, {idx: ((linalg.mat_trace(mat),),) for idx, mat in self.comps.items()})
+
+    def _trace_of_product(self, b: "JetForm") -> "JetForm":
+        chart = self.chart
+        zeros = _jet_zeros(chart, len(self._zero.values))
+        diagonals: Dict[IdxTuple, tuple] = {}
+        for i_idx, x, j_idx, y in _component_pairs(self.comps, b.comps, chart.dim):
+            cols = list(zip(*y))
+            diagonal = tuple(
+                _jet_entry(row, terms, col, set(col_terms), row_grads and col_grads, zeros)
+                for row, (terms, row_grads), col, (col_terms, col_grads)
+                in zip(x, _jet_factors(x), cols, _jet_factors(cols)))
+            _accumulate(diagonals, tuple(sorted(i_idx + j_idx)), (diagonal,),
+                        merge_sign(i_idx, j_idx) < 0)
+        out = {k: ((sum(diagonal[1:], diagonal[0]),),)  # linalg.mat_trace order
+               for k, (diagonal,) in diagonals.items()}
+        return self._like(1, out)
+
+    def _exterior_d(self) -> "JetForm":
+        out: Dict[IdxTuple, tuple] = {}
+        for idx, mat in self.comps.items():
+            for j in range(self.chart.dim):
+                if j in idx:
+                    continue
+                sign = -1 if sum(1 for i in idx if i < j) % 2 else 1
+                d_mat = tuple(tuple(x.diff(j) for x in row) for row in mat)
+                _accumulate(out, tuple(sorted(idx + (j,))), d_mat, sign < 0)
+        return self._like(self.m, out)
+
+    def max_abs(self) -> float:
+        """Largest sample magnitude over all components; NaN when a sample
+        is NaN, so that a NaN form never reads as small."""
+        values = [x.max_abs() for mat in self.comps.values() for row in mat for x in row]
+        return nan if any(map(isnan, values)) else max(values, default=0.0)
+
+    def vanishes(self, tol: float) -> bool:
+        """Whether every sample has magnitude at most ``tol``."""
+        return self.max_abs() <= tol
+
+    def __eq__(self, other):
+        if not isinstance(other, JetForm):
+            return NotImplemented
+        return ((self.chart, self.m) == (other.chart, other.m)
+                and (self - other).vanishes(0.0))
+
+    def _constant_diagonal(self) -> bool:
+        """Whether the degree-0 part is a constant times the identity, to
+        1e-12 in every sample."""
         mat = self.comps[()]
         diag = mat[0][0]
         v = diag.values
@@ -665,19 +748,15 @@ class MatrixForm:
                     return False
         return True
 
-    def __repr__(self):
-        degs = ",".join(map(str, self.degrees())) or "-"
-        return f"MatrixForm<m={self.m}, deg={degs}, {self.backend}>"
-
 
 def trace_of_product(a: MatrixForm, b: MatrixForm) -> MatrixForm:
-    """tr(a b) of forms of one size, equal to ``(a * b).trace()``, from the
-    diagonal of the product only.
+    """tr(a b) of forms of one size and kind, equal to ``(a * b).trace()``,
+    from the diagonal of the product only.
 
-    Exact forms must be of degree 0: one ``scalars.sum_of_products`` with
+    ``ExactForm``s must be of degree 0: one ``scalars.sum_of_products`` with
     one group per diagonal entry, in the order of ``linalg.mat_trace``, so
     the value and the key order of its coefficients are those of the trace.
-    Jet forms may be of any degree: each diagonal entry of a component
+    ``JetForm``s may be of any degree: each diagonal entry of a component
     pair's product is the entry of ``_jet_mat_mul``, the pairs are added
     with their merge signs as the product adds them, and each component's
     diagonal is summed in ``linalg.mat_trace`` order, so every sample and
@@ -686,58 +765,12 @@ def trace_of_product(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     a._check(b)
     if a.m != b.m:
         raise ShapeMismatch(f"matrix sizes differ: {a.m} vs {b.m}")
-    chart, span = a.chart, range(a.m)
-    out: Dict[IdxTuple, tuple] = {}
-    if a.backend == "exact":
-        if a.degrees() not in ([], [0]) or b.degrees() not in ([], [0]):
-            raise ValueError("the exact trace of a product takes degree-0 forms")
-        if a.is_zero() or b.is_zero():
-            return MatrixForm._built(chart, 1, out, "exact", None)
-        da, pa = a._numerators()
-        db, pb = b._numerators()
-        pa, pb = pa[()], pb[()]
-        terms = sum_of_products(chart, [
-            (False, ps) for i in span
-            if (ps := [(pa[i][t], pb[t][i]) for t in span if pa[i][t] and pb[t][i]])])
-        if terms:
-            out[()] = ((PolyScalar._reduced(chart, da * db, terms),),)
-        return MatrixForm._built(chart, 1, out, "exact", None)
-    zeros = _jet_zeros(chart, a.nodes)
-    diagonals: Dict[IdxTuple, tuple] = {}
-    for i_idx, x, j_idx, y in _component_pairs(a.comps, b.comps, chart.dim):
-        cols = list(zip(*y))
-        diagonal = tuple(
-            _jet_entry(row, terms, col, set(col_terms), row_grads and col_grads, zeros)
-            for row, (terms, row_grads), col, (col_terms, col_grads)
-            in zip(x, _jet_factors(x), cols, _jet_factors(cols)))
-        _accumulate(diagonals, tuple(sorted(i_idx + j_idx)), (diagonal,),
-                    merge_sign(i_idx, j_idx) < 0)
-    for k, (diagonal,) in diagonals.items():
-        out[k] = ((sum(diagonal[1:], diagonal[0]),),)  # linalg.mat_trace order
-    return MatrixForm._built(chart, 1, out, "jet", a.nodes)
+    return a._trace_of_product(b)
 
 
 def exterior_d(a: MatrixForm) -> MatrixForm:
     """Exterior differential, entrywise on coefficients."""
-    if a.backend == "exact":
-        d, nums = a._numerators()
-        parts = []
-        for idx in nums:
-            for j in range(a.chart.dim):
-                if j not in idx:
-                    sign = QQI_MINUS_ONE if sum(1 for i in idx if i < j) % 2 else QQI_ONE
-                    parts.append((tuple(sorted(idx + (j,))), sign, d,
-                                  _diff_numerators(a.chart, nums[idx], j)))
-        return _linear(a.chart, a.m, parts)
-    out: Dict[IdxTuple, tuple] = {}
-    for idx, mat in a.comps.items():
-        for j in range(a.chart.dim):
-            if j in idx:
-                continue
-            sign = -1 if sum(1 for i in idx if i < j) % 2 else 1
-            d_mat = tuple(tuple(x.diff(j) for x in row) for row in mat)
-            _accumulate(out, tuple(sorted(idx + (j,))), d_mat, sign < 0)
-    return MatrixForm._built(a.chart, a.m, out, a.backend, a.nodes)
+    return a._exterior_d()
 
 
 def add_partials(base: MatrixForm, a: MatrixForm, vector) -> MatrixForm:
@@ -785,14 +818,11 @@ class Connection:
         Used for geometries whose sigma acts trivially on the registered
         algebra (scalar-entried sections), where nabla reduces to d.
         """
-        return Connection(
-            MatrixForm.zero(sigma.chart, sigma.m, sigma.backend, sigma.nodes), sigma
-        )
+        return Connection(sigma.zero_like(sigma.m), sigma)
 
     def identity(self) -> MatrixForm:
         """The unit of the algebra the connection acts on."""
-        return MatrixForm.identity(self.chart, self.m, self.theta.backend,
-                                   self.theta.nodes)
+        return self.theta.identity_like(self.m)
 
     def nabla(self, a: MatrixForm) -> MatrixForm:
         """Graded covariant derivative da + theta^a - (-1)^|a| a^theta."""
@@ -822,11 +852,10 @@ def dd_representative(conn: Connection, beta: Optional[MatrixForm] = None) -> Ma
     whose 2*pi*i normalization cancels exactly.  On a single chart with
     no declared discrepancy the representative is zero.
     """
-    defect = conn.nabla(conn.sigma)
-    if not (defect.is_zero() or defect.max_abs() <= 1e-10):
+    if not conn.nabla(conn.sigma).vanishes(1e-10):
         raise ValueError("traceless lift fails its flatness identity")
     if beta is None:
-        return MatrixForm.zero(conn.chart, 1, conn.theta.backend, conn.theta.nodes)
+        return conn.theta.zero_like(1)
     if beta.m != 1 or beta.degrees() not in ([], [2]):
         raise ValueError("declared discrepancy must be a scalar 2-form")
     return exterior_d(beta)
@@ -844,7 +873,8 @@ def twisted_d(c: MatrixForm, w: MatrixForm) -> MatrixForm:
 
 
 def exp_form(beta: MatrixForm) -> MatrixForm:
-    """exp(beta) as a finite sum; nilpotency in form degree truncates it.
+    """exp(beta) as a finite sum, a form of beta's kind that starts at
+    ``beta.identity_like``; nilpotency in form degree truncates it.
 
     The powers start at beta, not at identity * beta, and the k = 1 term is
     added unscaled.  On jets, beta's samples then enter the sum as they are,
@@ -853,7 +883,7 @@ def exp_form(beta: MatrixForm) -> MatrixForm:
     own gradients where identity * beta would drop those of an entry in a
     column with a gradient-free entry.
     """
-    out = MatrixForm.identity(beta.chart, beta.m, beta.backend, beta.nodes)
+    out = beta.identity_like(beta.m)
     power = beta
     k = 1
     while not power.is_zero():

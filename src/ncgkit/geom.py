@@ -3,7 +3,7 @@
 Round 2-sphere and flat 2-torus charts with quadrature rules that
 integrate the relevant function classes to near machine precision
 (Gauss-Legendre in cos(theta) times uniform azimuth; uniform grids on
-the torus).  Forms use the sampled-jet backend: derivatives are supplied
+the torus).  Forms are ``JetForm``s of sampled jets: derivatives are supplied
 analytically as arrays on the grid, never numerically.
 
 The index pipeline follows the compressed-module calculus: the relative
@@ -28,7 +28,7 @@ from . import clifford, linalg
 from ._numpy import np
 from .cyclic import Chain, Projection, chern_cyclic, cyclic_permute
 from .characters import rho
-from .forms import Connection, MatrixForm, exp_form, exterior_d, trace_of_product
+from .forms import Connection, JetForm, MatrixForm, exp_form, exterior_d, trace_of_product
 from .scalars import AFFINE, PERIODIC, Chart, JetScalar, QQi
 
 # per-2-form-degree normalization; the sign of i is pinned by requiring
@@ -158,7 +158,7 @@ class Geometry:
                   for j in range(4 * blocks))
             for i in range(4 * blocks)
         )
-        return MatrixForm(self.chart, 4 * blocks, {(0, 1): rows}, "jet", self.n_nodes)
+        return JetForm(self.chart, 4 * blocks, {(0, 1): rows}, self.n_nodes)
 
     def clifford_connection(self) -> Connection:
         """Connection whose curvature lift is minus the left Clifford action.
@@ -172,7 +172,7 @@ class Geometry:
     def a_hat_form(self) -> MatrixForm:
         """A-hat of the geometry; identically 1 on surfaces (degree bound)."""
         one = self.jet_const(1.0)
-        return MatrixForm(self.chart, 1, {(): ((one,),)}, "jet", self.n_nodes)
+        return JetForm(self.chart, 1, {(): ((one,),)}, self.n_nodes)
 
 
 # -- formal A-hat from curvature matrices ---------------------------------
@@ -192,7 +192,7 @@ def a_hat_from_curvature(r_form: MatrixForm) -> MatrixForm:
         for i in range(r_form.m):
             for j in range(r_form.m):
                 s = mat[i][j] + mat[j][i]
-                bad = (not s.is_zero()) if r_form.backend == "exact" else s.max_abs() > 1e-12
+                bad = s.max_abs() > 1e-12 if isinstance(s, JetScalar) else not s.is_zero()
                 if bad:
                     raise ValueError("curvature matrix must be antisymmetric")
     r2 = r_form * r_form
@@ -238,13 +238,13 @@ def bott_projection(geom: Geometry, dilation: float = 0.0) -> MatrixForm:
     e22 = entry(0.5 - 0.5 * n3, -0.5 * dn3, zero)
     e12 = entry(0.5 * (n1 - 1j * n2), *[0.5 * (x - 1j * y) for x, y in zip(dn1, dn2)])
     e21 = entry(0.5 * (n1 + 1j * n2), *[0.5 * (x + 1j * y) for x, y in zip(dn1, dn2)])
-    return MatrixForm(geom.chart, 2, {(): ((e11, e12), (e21, e22))}, "jet", geom.n_nodes)
+    return JetForm(geom.chart, 2, {(): ((e11, e12), (e21, e22))}, geom.n_nodes)
 
 
 def constant_projection(geom: Geometry, rank: int, size: int) -> MatrixForm:
     mat = [[QQi(1) if (i == j and i < rank) else QQi(0) for j in range(size)]
            for i in range(size)]
-    return MatrixForm.const_matrix(geom.chart, mat, "jet", geom.n_nodes)
+    return JetForm.zero(geom.chart, size, geom.n_nodes).const_like(mat)
 
 
 # -- index pipeline --------------------------------------------------------
@@ -258,14 +258,14 @@ def kron_identity_right(a: MatrixForm, k: int) -> MatrixForm:
     gradient-free factor.
     """
     z = a._zero_scalar()
-    if a.backend == "jet" and all(x.grads is None for mat in a.comps.values()
-                                  for row in mat for x in row):
-        z = JetScalar.zero(a.chart, a.nodes, grads=False)
+    if isinstance(z, JetScalar) and all(x.grads is None for mat in a.comps.values()
+                                        for row in mat for x in row):
+        z = JetScalar.zero(a.chart, len(z.values), grads=False)
     out = {
         idx: linalg.mat_from_blocks([[linalg.mat_eye(k, z, x) for x in row] for row in mat])
         for idx, mat in a.comps.items()
     }
-    return MatrixForm._built(a.chart, a.m * k, out, a.backend, a.nodes)
+    return a._like(a.m * k, out)
 
 
 def relative_chern(p_form: MatrixForm) -> MatrixForm:
@@ -289,7 +289,7 @@ def relative_chern(p_form: MatrixForm) -> MatrixForm:
     p4 = kron_identity_right(p_form, 4)
     dp = exterior_d(p_form)
     parts = (p4.trace(), trace_of_product(p4, kron_identity_right(-(p_form * dp * dp), 4)))
-    out = MatrixForm.zero(p_form.chart, 1, p_form.backend, p_form.nodes)
+    out = p_form.zero_like(1)
     for k, part in zip((0, 2), parts):
         scale = (2 ** (-2 * n)) * (1.0 / CHERN_UNIT) ** (k // 2)
         out = out + part.scale(scale)

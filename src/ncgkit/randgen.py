@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List
 
 from . import linalg
-from .forms import Connection, MatrixForm
+from .forms import Connection, ExactForm, MatrixForm
 from .scalars import PERIODIC, Chart, PolyScalar, QQi, _qqi
 
 EXACT_PHASES = [
@@ -58,7 +58,7 @@ def random_matrix_form(chart: Chart, m: int, rng: random.Random,
                        degree: int = 0, poly_deg: int = 1,
                        terms: int = 2) -> MatrixForm:
     """Random homogeneous exact form of the given degree."""
-    return MatrixForm(chart, m, {
+    return ExactForm(chart, m, {
         idx: tuple(
             tuple(random_poly(chart, rng, poly_deg, terms) for _ in range(m))
             for _ in range(m)
@@ -123,10 +123,10 @@ def random_trig_unitary_form(chart: Chart, n: int, rng: random.Random,
     angle and diagonal phase twists z_j^k, so u* u = 1 holds exactly.
     """
     periodic = [j for j, k in enumerate(chart.kinds) if k == PERIODIC]
-    u = MatrixForm.const_matrix(chart, random_exact_unitary(n, rng))
+    u = ExactForm.const_matrix(chart, random_exact_unitary(n, rng))
     for _ in range(factors):
         if not periodic or rng.random() < 0.3:
-            u = u * MatrixForm.const_matrix(chart, random_exact_unitary(n, rng))
+            u = u * ExactForm.const_matrix(chart, random_exact_unitary(n, rng))
             continue
         j = rng.choice(periodic)
         freq = rng.choice([-2, -1, 1, 2])
@@ -159,7 +159,7 @@ def random_exact_projection(chart: Chart, size: int, rng: random.Random,
     rank = rng.randint(1, size - 1) if size > 1 else 1
     u = random_trig_unitary_form(chart, size, rng, factors)
     diag = [QQi(1)] * rank + [QQi(0)] * (size - rank)
-    q = MatrixForm.const_matrix(
+    q = ExactForm.const_matrix(
         chart,
         tuple(
             tuple(diag[i] if i == j else QQi(0) for j in range(size))

@@ -1,15 +1,14 @@
 """Exact and sampled scalar coefficient rings.
 
-Three scalar backends are used throughout the toolkit:
-
 * ``QQi`` -- Gaussian rationals a + b*i with ``Fraction`` components.
   All algebraic identities are decided with zero tolerance over this ring.
 * ``PolyScalar`` -- multivariate polynomial (affine variables) or Laurent
   polynomial (periodic variables, monomials are integer powers of
-  e^{i*x_j}) with QQi coefficients over a fixed ``Chart``.
+  e^{i*x_j}) with QQi coefficients over a fixed ``Chart``: the entries of
+  a ``forms.ExactForm``.
 * ``JetScalar`` -- complex sample grids over quadrature nodes together
   with analytically supplied first derivatives, so that differentiation
-  never falls back to finite differences.
+  never falls back to finite differences: the entries of a ``JetForm``.
 """
 
 from __future__ import annotations
@@ -481,8 +480,9 @@ class PolyScalar:
     terms in the same order, and every operation keeps the term order of
     the coefficient-wise computation: a sum that cancels drops its
     monomial, which re-enters at the end if a later term brings it back.
-    Every exponent must satisfy -2**15 <= e < 2**15 to pack; packing, a
-    product or a conjugate with a monomial outside raises OverflowError.
+    Every exponent must satisfy -2**15 <= e < 2**15 to pack; the
+    constructor, a product or a conjugate with a monomial outside raises
+    OverflowError.
     """
 
     __slots__ = ("chart", "_coeffs", "_packed", "_hash")
@@ -500,6 +500,9 @@ class PolyScalar:
                 for e, kind in zip(mono, chart.kinds):
                     if kind == AFFINE and e < 0:
                         raise ValueError("negative power of an affine coordinate")
+                    if not -_OFFSET <= e < _OFFSET:
+                        raise OverflowError(f"exponent {e} leaves the packed window "
+                                            "-2**15 <= e < 2**15")
                 clean[tuple(mono)] = c
         self._coeffs = clean
         self._packed = None
@@ -583,9 +586,6 @@ class PolyScalar:
         for mono, c in coeffs.items():
             key = 0
             for e in reversed(mono):
-                if not -_OFFSET <= e < _OFFSET:
-                    raise OverflowError(f"exponent {e} leaves the packed window "
-                                        "-2**15 <= e < 2**15")
                 key = key << _WIDTH | e + _OFFSET
             f = d // c.d
             terms[key] = [c.a * f, c.b * f]

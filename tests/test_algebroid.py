@@ -19,7 +19,7 @@ from ncgkit.algebroid import (
     perm_sign,
 )
 from ncgkit.cyclic import Chain, Projection, chern_cyclic, connes_B, hochschild_b
-from ncgkit.forms import Connection, MatrixForm
+from ncgkit.forms import Connection, ExactForm, MatrixForm
 from ncgkit.randgen import (
     random_algebra_element,
     random_commuting_family,
@@ -47,14 +47,14 @@ def make_deriv(conn, rng):
 def reference_apply(x, a):
     """Per-coordinate Leibniz action: sum_j c_j (d_j a + [theta_j, a]) + [beta, a]."""
     conn = x.conn
-    out = MatrixForm.zero(conn.chart, conn.m, a.backend, a.nodes)
+    out = a.zero_like(conn.m)
     for j, c in enumerate(x.vector):
         if c.is_zero():
             continue
         mat = a.component(())
         d_mat = tuple(tuple(e.diff(j) for e in row) for row in mat)
-        dj = MatrixForm(conn.chart, a.m, {(): d_mat}, a.backend, a.nodes)
-        th = MatrixForm(conn.chart, conn.m, {(): conn.theta.component((j,))})
+        dj = MatrixForm.from_entries(conn.chart, (), d_mat)
+        th = ExactForm(conn.chart, conn.m, {(): conn.theta.component((j,))})
         out = out + (dj + th * a - a * th).scale(c)
     return out + x.beta * a - a * x.beta
 
@@ -67,7 +67,7 @@ def reference_bracket_inner(x, y):
              + x.beta * y.beta - y.beta * x.beta)
     for (i, j), mat in conn.omega.comps.items():
         coef = x.vector[i] * y.vector[j] - x.vector[j] * y.vector[i]
-        gamma = gamma + MatrixForm(conn.chart, conn.m, {(): mat}).scale(coef)
+        gamma = gamma + ExactForm(conn.chart, conn.m, {(): mat}).scale(coef)
     return gamma
 
 
@@ -108,7 +108,7 @@ def test_action_memo_per_derivation_and_element(case):
     first = x.apply(a)
     assert x.apply(a) is first
     # an equal element that is a distinct object
-    twin = MatrixForm(a.chart, a.m, dict(a.comps))
+    twin = ExactForm(a.chart, a.m, dict(a.comps))
     assert twin is not a and x.apply(twin) == reference_apply(x, twin)
     # a second derivation on the same element gets its own action
     z = Derivation(conn, [QQi(1), QQi(0)], random_algebra_element(
@@ -183,7 +183,7 @@ def test_cochain_cache_tells_colliding_inner_parts_apart(monkeypatch):
     x2 = Derivation(conn, vector, random_algebra_element(AFF2, 2, rng))
     a = random_algebra_element(AFF2, 2, rng)
     b = random_algebra_element(AFF2, 2, rng)
-    monkeypatch.setattr(MatrixForm, "__hash__", lambda self: 0)
+    monkeypatch.setattr(ExactForm, "__hash__", lambda self: 0)
     om = AlternatingForm.alternating_from_seeds([(a, b)])
     v1, v2 = om(x1), om(x2)
     assert not (v1 - v2).is_zero()
@@ -353,7 +353,7 @@ class TestVanishingOnCommutingInner:
         ch = chern_cyclic(p, 1)
         fam = random_commuting_family(2, 2, rng)
         xs = tuple(
-            Derivation.inner(connT, MatrixForm.const_matrix(T2, f))
+            Derivation.inner(connT, ExactForm.const_matrix(T2, f))
             for f in fam
         )
         assert derivation_character(ch, xs).is_zero()
@@ -367,7 +367,7 @@ class TestVanishingOnCommutingInner:
             ))]))
             fam = random_commuting_family(3, 2, rng)
             xs = tuple(
-                Derivation.inner(conn, MatrixForm.const_matrix(AFF2, f))
+                Derivation.inner(conn, ExactForm.const_matrix(AFF2, f))
                 for f in fam
             )
             assert derivation_character(ch, xs).is_zero()
@@ -395,7 +395,7 @@ class TestVanishingOnCommutingInner:
 def test_point_algebra_model():
     # all derivations of a matrix algebra over a point are inner
     rng = random.Random(17)
-    conn = Connection(MatrixForm.zero(POINT, 3))
+    conn = Connection(ExactForm.zero(POINT, 3))
     beta = random_algebra_element(POINT, 3, rng)
     x = Derivation.inner(conn, beta)
     a = random_algebra_element(POINT, 3, rng)

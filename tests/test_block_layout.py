@@ -3,7 +3,7 @@
 
 The oracles are the per-index loops those operations replaced: entry
 (b n + i, b' n + j) is entry (i, j) of block (b, b').  Results must agree in
-every entry (coefficients in ``coeffs`` key order on the exact backend,
+every entry (coefficients in ``coeffs`` key order on exact forms,
 sample and gradient bytes and the presence of gradients on jets), in the
 order of the components and in which entries are one object, so a shared
 zero stays shared.
@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from ncgkit import linalg
-from ncgkit.forms import MatrixForm, trace_of_product
+from ncgkit.forms import ExactForm, JetForm, MatrixForm, trace_of_product
 from ncgkit.geom import kron_identity_right
 from ncgkit.randgen import random_poly, random_qqi
 from ncgkit.scalars import Chart, JetScalar, PolyScalar
@@ -25,6 +25,19 @@ CHART = Chart.affine(2)
 NODES = 3
 
 # -- the per-index loops ---------------------------------------------------
+
+
+def nodes_of(form):
+    """The node count of a jet form's grid; None for an exact form."""
+    return len(form._zero_scalar().values) if isinstance(form, JetForm) else None
+
+
+def checked_like(a, m, comps):
+    """The form of a's kind with the components comps, built through the
+    input checks."""
+    if isinstance(a, JetForm):
+        return JetForm(a.chart, m, comps, nodes_of(a))
+    return ExactForm(a.chart, m, comps)
 
 
 def blocks_by_index(grid, zero):
@@ -65,12 +78,12 @@ def amplify_by_index(a, s):
                 for j in range(a.m):
                     big[b * a.m + i][b * a.m + j] = mat[i][j]
         out[idx] = tuple(tuple(row) for row in big)
-    return MatrixForm(a.chart, s * a.m, out, a.backend, a.nodes)
+    return checked_like(a, s * a.m, out)
 
 
 def block_form_by_index(a, i, j, mb):
     out = {idx: block_by_index(mat, i, j, mb) for idx, mat in a.comps.items()}
-    return MatrixForm(a.chart, mb, out, a.backend, a.nodes)
+    return checked_like(a, mb, out)
 
 
 def from_blocks_by_index(blocks):
@@ -91,14 +104,14 @@ def from_blocks_by_index(blocks):
                     for b in range(mb):
                         big[bi * mb + a][bj * mb + b] = mat[a][b]
         out[idx] = tuple(tuple(r) for r in big)
-    return MatrixForm(probe.chart, s * mb, out, probe.backend, probe.nodes)
+    return checked_like(probe, s * mb, out)
 
 
 def kron_by_index(a, k):
     z = a._zero_scalar()
-    if a.backend == "jet" and all(x.grads is None for mat in a.comps.values()
-                                  for row in mat for x in row):
-        z = JetScalar.zero(a.chart, a.nodes, grads=False)
+    if isinstance(a, JetForm) and all(x.grads is None for mat in a.comps.values()
+                                      for row in mat for x in row):
+        z = JetScalar.zero(a.chart, nodes_of(a), grads=False)
     out = {}
     m = a.m
     for idx, mat in a.comps.items():
@@ -108,24 +121,24 @@ def kron_by_index(a, k):
                 for t in range(k):
                     big[i * k + t][j * k + t] = mat[i][j]
         out[idx] = tuple(tuple(row) for row in big)
-    return MatrixForm(a.chart, m * k, out, a.backend, a.nodes)
+    return checked_like(a, m * k, out)
 
 
 # -- random forms with zeros, flat zeros and missing gradients ---------------
 
 
-def random_form(rng, backend, m, grads=True):
+def random_form(rng, kind, m, grads=True):
     """A form with a random set of components of mixed degree, each entry
     zero (the shared zero or, on jets, one without gradients) or random."""
     idxs = [idx for k in range(CHART.dim + 1)
             for idx in itertools.combinations(range(CHART.dim), k)]
     comps = {}
-    if backend == "exact":
+    if kind is ExactForm:
         zero = PolyScalar.const(CHART, 0)
         for idx in rng.sample(idxs, rng.randint(0, len(idxs))):
             comps[idx] = tuple(tuple(zero if rng.random() < 0.3 else random_poly(CHART, rng)
                                      for _ in range(m)) for _ in range(m))
-        return MatrixForm(CHART, m, comps)
+        return ExactForm(CHART, m, comps)
     zero = JetScalar.zero(CHART, NODES)
     flat = JetScalar.zero(CHART, NODES, grads=False)
 
@@ -143,7 +156,7 @@ def random_form(rng, backend, m, grads=True):
 
     for idx in rng.sample(idxs, rng.randint(0, len(idxs))):
         comps[idx] = tuple(tuple(entry() for _ in range(m)) for _ in range(m))
-    return MatrixForm(CHART, m, comps, "jet", NODES)
+    return JetForm(CHART, m, comps, NODES)
 
 
 def entry_key(x):
@@ -160,18 +173,18 @@ def sharing(form):
 
 
 def assert_same_form(got, want):
-    assert (got.chart, got.m, got.backend, got.nodes) == (
-        want.chart, want.m, want.backend, want.nodes)
+    assert (got.chart, got.m, type(got), nodes_of(got)) == (
+        want.chart, want.m, type(want), nodes_of(want))
     assert list(got.comps) == list(want.comps)
     for idx, mat in want.comps.items():
         assert ([[entry_key(x) for x in row] for row in got.comps[idx]]
                 == [[entry_key(x) for x in row] for row in mat])
     assert sharing(got) == sharing(want)
-    if got.backend == "exact":
+    if isinstance(got, ExactForm):
         assert got == want
 
 
-backends = st.sampled_from(["exact", "jet"])
+kinds = st.sampled_from([ExactForm, JetForm])
 seeds = st.integers(0, 2 ** 32 - 1)
 
 # -- the two linalg routines ------------------------------------------------
@@ -205,17 +218,17 @@ def test_mat_kron_matches_the_index_loop(seed, r, n):
 
 
 @settings(max_examples=60)
-@given(seeds, backends, st.integers(1, 3), st.integers(1, 3))
-def test_amplify_matches_the_index_loop(seed, backend, m, s):
-    a = random_form(random.Random(seed), backend, m)
+@given(seeds, kinds, st.integers(1, 3), st.integers(1, 3))
+def test_amplify_matches_the_index_loop(seed, kind, m, s):
+    a = random_form(random.Random(seed), kind, m)
     assert_same_form(a.amplify(s), amplify_by_index(a, s))
 
 
 @settings(max_examples=60)
-@given(seeds, backends, st.integers(1, 2), st.integers(1, 3))
-def test_block_and_from_blocks_match_the_index_loops(seed, backend, mb, s):
+@given(seeds, kinds, st.integers(1, 2), st.integers(1, 3))
+def test_block_and_from_blocks_match_the_index_loops(seed, kind, mb, s):
     rng = random.Random(seed)
-    grid = [[random_form(rng, backend, mb) for _ in range(s)] for _ in range(s)]
+    grid = [[random_form(rng, kind, mb) for _ in range(s)] for _ in range(s)]
     big = MatrixForm.from_blocks(grid)
     assert_same_form(big, from_blocks_by_index(grid))
     for i in range(s):
@@ -224,9 +237,9 @@ def test_block_and_from_blocks_match_the_index_loops(seed, backend, mb, s):
 
 
 @settings(max_examples=60)
-@given(seeds, backends, st.integers(1, 3), st.integers(1, 4), st.booleans())
-def test_kron_identity_right_matches_the_index_loop(seed, backend, m, k, grads):
-    a = random_form(random.Random(seed), backend, m, grads)
+@given(seeds, kinds, st.integers(1, 3), st.integers(1, 4), st.booleans())
+def test_kron_identity_right_matches_the_index_loop(seed, kind, m, k, grads):
+    a = random_form(random.Random(seed), kind, m, grads)
     assert_same_form(kron_identity_right(a, k), kron_by_index(a, k))
 
 
@@ -234,14 +247,15 @@ def test_kron_identity_right_matches_the_index_loop(seed, backend, m, k, grads):
 
 
 @settings(max_examples=60)
-@given(seeds, backends, st.integers(1, 3), st.integers(1, 2))
-def test_built_results_pass_the_input_checks(seed, backend, m, s):
+@given(seeds, kinds, st.integers(1, 3), st.integers(1, 2))
+def test_built_results_pass_the_input_checks(seed, kind, m, s):
     """Every operation builds its result without the constructor's index and
-    shape checks; rebuilt through ``MatrixForm(...)`` it is the same form."""
+    shape checks; rebuilt through ``ExactForm(...)`` or ``JetForm(...)`` it is
+    the same form."""
     rng = random.Random(seed)
-    a = random_form(rng, backend, m)
-    b = random_form(rng, backend, m)
-    if backend == "exact":  # the exact trace of a product takes degree 0
+    a = random_form(rng, kind, m)
+    b = random_form(rng, kind, m)
+    if kind is ExactForm:  # the exact trace of a product takes degree 0
         a0, b0 = a.degree_part(0), b.degree_part(0)
     else:
         a0, b0 = a, b
@@ -250,4 +264,4 @@ def test_built_results_pass_the_input_checks(seed, backend, m, s):
                big.block(s - 1, 0, m), MatrixForm.from_blocks([[a, b], [b, a]]),
                kron_identity_right(a, s + 1)]
     for r in results:
-        assert_same_form(MatrixForm(r.chart, r.m, r.comps, r.backend, r.nodes), r)
+        assert_same_form(checked_like(r, r.m, r.comps), r)

@@ -22,7 +22,7 @@ from ncgkit.characters import (
 from ncgkit.checks import _block_compositions as block_compositions
 from ncgkit.checks import _FormalConnection, _FreeElement, _psi_by_enumeration
 from ncgkit.cyclic import Chain, Projection, chern_cyclic, hochschild_b
-from ncgkit.forms import Connection, MatrixForm, exterior_d
+from ncgkit.forms import Connection, ExactForm, MatrixForm, exterior_d
 from ncgkit.randgen import (
     random_algebra_element,
     random_connection,
@@ -65,7 +65,7 @@ def test_fibonacci_counts():
 def test_psi_base_cases():
     rng = random.Random(0)
     conn = random_connection(AFF3, 2, rng)
-    assert (psi(conn, []).total - MatrixForm.identity(AFF3, 2)).is_zero()
+    assert (psi(conn, []).total - ExactForm.identity(AFF3, 2)).is_zero()
     a = random_algebra_element(AFF3, 2, rng)
     assert (psi(conn, [a]).total - conn.nabla(a)).is_zero()
 
@@ -107,7 +107,7 @@ def test_suffix_recursion_matches_both_oracles(chart):
         assert expansion.term_count == len(block_compositions(k))
         assert (expansion.total - _psi_by_enumeration(conn, als)).is_zero()
         assert (expansion.total - psi_recursive(conn, als)).is_zero()
-    assert psi(conn, []).total == MatrixForm.identity(chart, 2)
+    assert psi(conn, []).total == ExactForm.identity(chart, 2)
 
 
 @pytest.mark.parametrize("chart", [Chart.affine(3), Chart.torus(2)])
@@ -278,7 +278,7 @@ class TestChainCharacter:
         # rotations must cross the block boundary of q or their
         # generators commute with it and drop out of dp
         u = rot(0, 2, 0) * rot(1, 3, 1) * rot(0, 3, 2)
-        q = MatrixForm.const_matrix(
+        q = ExactForm.const_matrix(
             t3, [[QQi(1 if i == j and i < 2 else 0) for j in range(4)]
                  for i in range(4)]
         )
@@ -324,7 +324,7 @@ class TestSimplexCharacter:
         a = random_algebra_element(AFF3, 2, rng)
         out = simplex_character(conn, chain_of(a))
         sig = conn.sigma
-        want = (a * (MatrixForm.identity(AFF3, 2) - sig
+        want = (a * (ExactForm.identity(AFF3, 2) - sig
                      + (sig * sig).scale(Fraction(1, 2)))).trace()
         # sigma^2 has degree 4 > 3 and dies; keep the general expression
         assert (out - want).is_zero()
@@ -369,8 +369,8 @@ class TestComparison:
         theta = MatrixForm.from_scalar(random_poly(T2, rng), 1, (0,))
         conn = Connection(theta)
         p = Projection(random_exact_projection(T2, 2, rng), 2, 1)
-        jlo = MatrixForm.zero(T2, 1)
-        chain_side = MatrixForm.zero(T2, 1)
+        jlo = ExactForm.zero(T2, 1)
+        chain_side = ExactForm.zero(T2, 1)
         for m in (0, 1):
             ch = chern_cyclic(p, m)
             jlo = jlo + simplex_character(conn, ch)

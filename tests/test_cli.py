@@ -362,7 +362,7 @@ def test_planted_defects_of_the_linear_checks(m, dim):
 
     from ncgkit.checks import (_PlantedDefect, _control_elements, _shift_defect,
                                _trace_exchange_defect)
-    from ncgkit.forms import MatrixForm, exterior_d
+    from ncgkit.forms import ExactForm, MatrixForm, exterior_d
     from ncgkit.randgen import random_connection, random_matrix_form
     from ncgkit.scalars import Chart, PolyScalar
 
@@ -376,7 +376,7 @@ def test_planted_defects_of_the_linear_checks(m, dim):
     if dim >= 3:
         c = exterior_d(random_matrix_form(chart, 1, rng, 2, poly_deg=1))
         beta = MatrixForm.from_scalar(PolyScalar.coordinate(chart, 0), 1, (1, 2))
-        one = MatrixForm.identity(chart, 1)
+        one = ExactForm.identity(chart, 1)
         assert _shift_defect(c, c - exterior_d(beta), beta, one).is_zero()
         assert _shift_defect(c, c, beta, one) == exterior_d(beta)
 
@@ -649,6 +649,36 @@ class TestRejectsBadInput:
             assert "k_top must be an integer from 1 to 20" in captured.err
         else:
             assert ran and all(params["k_top"] == 20 for params in ran)
+
+    @pytest.mark.parametrize("times,code", [
+        ([], 2), ([-50.0], 2), ([1.0, -50.0], 2), ([float("nan")], 2),
+        ([float("inf")], 2), ([1.0, True], 2), ([1.0] * 65, 2),
+        ([0.0], 0), ([0.5] * 64, 0),
+    ])
+    def test_times_rule(self, tmp_path, capsys, monkeypatch, times, code):
+        """times is a nonempty list of at most 64 finite numbers >= 0: an
+        empty list, a negative, NaN or infinite time, a bool and a 65th
+        entry exit 2, and t = 0 runs.  The checks are stubbed and run in
+        this process, so only the rule is under test."""
+        import os
+
+        import ncgkit.cli
+
+        ran = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(ncgkit.cli, "run_check", lambda check_id, **params: (
+            ran.append(params) or CheckResult(check_id, True, {})))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"kind": "spectral", "seed": 1,
+                                    "params": {"times": times}}))
+        got = main(["spectral", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert got == code
+        if code:
+            assert captured.out == "" and not ran
+            assert "times must be a list of 1 to 64 finite numbers >= 0" in captured.err
+        else:
+            assert ran and all(params["times"] == times for params in ran)
 
     def test_unresolved_dilation_fails_with_its_residual(self, tmp_path, capsys):
         """A valid dilation that the grid cannot resolve is a failing

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 
 from ncgkit import linalg
 from ncgkit.algebroid import Derivation
-from ncgkit.forms import Connection, MatrixForm, add_partials, exterior_d
+from ncgkit.forms import Connection, ExactForm, MatrixForm, add_partials, exterior_d
 from ncgkit.scalars import (AFFINE, PERIODIC, Chart, PolyScalar, QQi,
                             packed_matrices)
 
@@ -49,19 +49,19 @@ def reference_add(a: MatrixForm, b: MatrixForm) -> MatrixForm:
     out = dict(a.comps)
     for idx, mat in b.comps.items():
         out[idx] = linalg.mat_add(out[idx], mat) if idx in out else mat
-    return MatrixForm(a.chart, a.m, out)
+    return ExactForm(a.chart, a.m, out)
 
 
 def reference_neg(a: MatrixForm) -> MatrixForm:
-    return MatrixForm(a.chart, a.m, {i: linalg.mat_neg(m) for i, m in a.comps.items()})
+    return ExactForm(a.chart, a.m, {i: linalg.mat_neg(m) for i, m in a.comps.items()})
 
 
 def reference_scale(a: MatrixForm, c) -> MatrixForm:
-    return MatrixForm(a.chart, a.m, {i: linalg.mat_scale(c, m) for i, m in a.comps.items()})
+    return ExactForm(a.chart, a.m, {i: linalg.mat_scale(c, m) for i, m in a.comps.items()})
 
 
 def reference_trace(a: MatrixForm) -> MatrixForm:
-    return MatrixForm(a.chart, 1, {i: ((linalg.mat_trace(m),),) for i, m in a.comps.items()})
+    return ExactForm(a.chart, 1, {i: ((linalg.mat_trace(m),),) for i, m in a.comps.items()})
 
 
 def reference_d(a: MatrixForm) -> MatrixForm:
@@ -75,7 +75,7 @@ def reference_d(a: MatrixForm) -> MatrixForm:
                 d_mat = linalg.mat_neg(d_mat)
             k = tuple(sorted(idx + (j,)))
             out[k] = linalg.mat_add(out[k], d_mat) if k in out else d_mat
-    return MatrixForm(a.chart, a.m, out)
+    return ExactForm(a.chart, a.m, out)
 
 
 def reference_add_partials(base: MatrixForm, a: MatrixForm, vector) -> MatrixForm:
@@ -84,7 +84,7 @@ def reference_add_partials(base: MatrixForm, a: MatrixForm, vector) -> MatrixFor
     for j, c in enumerate(vector):
         if not c.is_zero():
             d_mat = tuple(tuple(reference_diff(x, j) for x in row) for row in mat)
-            out = reference_add(out, reference_scale(MatrixForm(a.chart, a.m, {(): d_mat}), c))
+            out = reference_add(out, reference_scale(ExactForm(a.chart, a.m, {(): d_mat}), c))
     return out
 
 
@@ -131,7 +131,7 @@ def cancelling_pairs(draw):
     comps = dict(other.comps)
     for i in negated:
         comps[i] = linalg.mat_neg(a.comps[i])
-    return a, MatrixForm(a.chart, a.m, comps)
+    return a, ExactForm(a.chart, a.m, comps)
 
 
 @st.composite
@@ -229,9 +229,9 @@ def test_cancelled_entry_in_a_sum():
     chart = Chart.torus(1)
     z = PolyScalar.coordinate(chart, 0, 3)
     w = PolyScalar.coordinate(chart, 0, 1)
-    a = MatrixForm(chart, 2, {(): ((z, z), (z, z))})
-    b = MatrixForm(chart, 2, {(): ((z, z), (-z, z))})
-    c = MatrixForm(chart, 2, {(): ((w, w), (w, w))})
+    a = ExactForm(chart, 2, {(): ((z, z), (z, z))})
+    b = ExactForm(chart, 2, {(): ((z, z), (-z, z))})
+    c = ExactForm(chart, 2, {(): ((w, w), (w, w))})
     product = a * b
     total = product + c
     assert entry_facts(total.comps[()][0][0]) == [((1,), QQi(1))]
@@ -253,12 +253,12 @@ def test_a_cancelled_power_squares_in_the_window():
     assert entry_facts(y) == [((1,), QQi(1))]
     assert entry_facts(y * y) == entry_facts(x * x)
     # entry (0, 0) cancels while (0, 1) stays, so the component is kept
-    a = MatrixForm(chart, 2, {(): ((big, one), (zero, zero))})
-    b = MatrixForm(chart, 2, {(): ((big, zero), (zero, zero))})
-    f = a - b + MatrixForm(chart, 2, {(): ((x, zero), (zero, zero))})
+    a = ExactForm(chart, 2, {(): ((big, one), (zero, zero))})
+    b = ExactForm(chart, 2, {(): ((big, zero), (zero, zero))})
+    f = a - b + ExactForm(chart, 2, {(): ((x, zero), (zero, zero))})
     assert entry_facts(f.comps[()][0][0]) == [((1,), QQi(1))]
     assert form_facts(f * f) == form_facts(
-        MatrixForm(chart, 2, {(): ((x * x, x), (zero, zero))}))
+        ExactForm(chart, 2, {(): ((x * x, x), (zero, zero))}))
     # the whole component cancels
     g = MatrixForm.from_scalar(big, 2)
     h = g - g + MatrixForm.from_scalar(x, 2)
@@ -304,8 +304,8 @@ def test_derivation_apply_keeps_the_fold():
     chart = Chart((AFFINE, PERIODIC))
     x, z = PolyScalar.coordinate(chart, 0), PolyScalar.coordinate(chart, 1)
     one = PolyScalar.const(chart, 1)
-    theta = MatrixForm(chart, 2, {(0,): ((x, one), (z, x)), (1,): ((one, z), (x, one))})
-    a = MatrixForm(chart, 2, {(): ((x * z, one), (x * x, z))})
+    theta = ExactForm(chart, 2, {(0,): ((x, one), (z, x)), (1,): ((one, z), (x, one))})
+    a = ExactForm(chart, 2, {(): ((x * z, one), (x * x, z))})
     vec = [QQi(2, 1), QQi(Fraction(-1, 3))]
     X = Derivation(Connection(theta), vec)
     gamma = X._gamma

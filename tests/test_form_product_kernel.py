@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from ncgkit import linalg
 from ncgkit.algebroid import form_scalar
 from ncgkit.cli import main
-from ncgkit.forms import MatrixForm, merge_sign, trace_of_product
+from ncgkit.forms import ExactForm, MatrixForm, merge_sign, trace_of_product
 from ncgkit.scalars import AFFINE, PERIODIC, Chart, PolyScalar, QQi
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -36,7 +36,7 @@ def reference_product(a: MatrixForm, b: MatrixForm) -> MatrixForm:
                 mat = linalg.mat_neg(mat)
             k = tuple(sorted(i_idx + j_idx))
             out[k] = linalg.mat_add(out[k], mat) if k in out else mat
-    return MatrixForm(a.chart, a.m, out)
+    return ExactForm(a.chart, a.m, out)
 
 
 def reference_trace_of_product(a: MatrixForm, b: MatrixForm) -> PolyScalar:
@@ -105,7 +105,7 @@ def form(draw, chart, m, pool):
         comps[idx] = tuple(
             tuple(entry() if draw(st.integers(0, 3)) else PolyScalar(chart)
                   for _ in range(m)) for _ in range(m))
-    return MatrixForm(chart, m, comps)
+    return ExactForm(chart, m, comps)
 
 
 @st.composite
@@ -133,13 +133,13 @@ def commuting_connections(draw):
         base = tuple(tuple(draw(poly(chart)) for _ in range(m)) for _ in range(m))
         comps = {(j,): linalg.mat_scale(draw(poly(chart, 2)), base)
                  for j in range(chart.dim)}
-    return MatrixForm(chart, m, comps)
+    return ExactForm(chart, m, comps)
 
 
 def sparse_form(chart, m, comps):
     """The form with entries {idx: {(r, c): entry}}, every other entry zero."""
     zero = PolyScalar(chart)
-    return MatrixForm(chart, m, {idx: tuple(tuple(entries.get((r, c), zero)
+    return ExactForm(chart, m, {idx: tuple(tuple(entries.get((r, c), zero)
                                                   for c in range(m)) for r in range(m))
                                  for idx, entries in comps.items()})
 
@@ -199,8 +199,8 @@ def test_cancelled_monomial_comes_back_in_place():
     chart = Chart.affine(1)
     x = PolyScalar.coordinate(chart, 0)
     one, zero = PolyScalar.const(chart, 1), PolyScalar(chart)
-    a = MatrixForm(chart, 2, {(): ((x, one + x), (zero, zero))})
-    b = MatrixForm(chart, 2, {(): ((one, zero), (one - x, zero))})
+    a = ExactForm(chart, 2, {(): ((x, one + x), (zero, zero))})
+    b = ExactForm(chart, 2, {(): ((one, zero), (one - x, zero))})
     entry = (a * b).comps[()][0][0]
     assert list(entry.coeffs) == [(1,), (0,), (2,)]
     assert_same_product(a, b)
@@ -221,7 +221,7 @@ def test_new_monomial_cancels_and_comes_back_at_the_end():
 def test_entries_that_cancel_to_zero_keep_the_component_out():
     chart = Chart.affine(2)
     x = PolyScalar.coordinate(chart, 0)
-    theta = MatrixForm(chart, 1, {(0,): ((x,),), (1,): ((x * x,),)})
+    theta = ExactForm(chart, 1, {(0,): ((x,),), (1,): ((x * x,),)})
     assert (theta * theta).is_zero()
     assert_same_product(theta, theta)
 
@@ -255,8 +255,8 @@ def test_form_product_that_cancels_past_the_field():
     chart = Chart.affine(1)
     big = PolyScalar.coordinate(chart, 0, 1 << 14)
     one, zero = PolyScalar.const(chart, 1), PolyScalar(chart)
-    a = MatrixForm(chart, 2, {(): ((big, big), (zero, zero))})
-    b = MatrixForm(chart, 2, {(): ((big, one), (-big, zero))})
+    a = ExactForm(chart, 2, {(): ((big, big), (zero, zero))})
+    b = ExactForm(chart, 2, {(): ((big, one), (-big, zero))})
     product = (a * b).comps[()]
     assert product[0][0].is_zero()
     assert product[0][1].coeffs == {(1 << 14,): QQi(1)}
@@ -267,8 +267,8 @@ def test_cancelled_entry_is_zero():
     """An entry that cancels to zero has no terms, as the fold gives it."""
     chart = Chart.torus(1)
     z = PolyScalar.coordinate(chart, 0, 3)
-    a = MatrixForm(chart, 2, {(): ((z, z), (z, z))})
-    b = MatrixForm(chart, 2, {(): ((z, z), (-z, z))})
+    a = ExactForm(chart, 2, {(): ((z, z), (z, z))})
+    b = ExactForm(chart, 2, {(): ((z, z), (-z, z))})
     product = a * b
     assert product.comps[()][0][0].is_zero()
     assert entry_facts(product.comps[()][0][0]) == []

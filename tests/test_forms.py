@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 
 from ncgkit.forms import (
     Connection,
+    ExactForm,
+    JetForm,
     MatrixForm,
     ShapeMismatch,
     dd_representative,
@@ -40,8 +42,8 @@ def test_wedge_antisymmetry_of_coordinates():
 
 def test_wedge_sign_rule_constant_matrices():
     rng = random.Random(0)
-    a_mat = MatrixForm.const_matrix(AFF3, [[QQi(1), QQi(2)], [QQi(0), QQi(1)]])
-    b_mat = MatrixForm.const_matrix(AFF3, [[QQi(0), QQi(1)], [QQi(3), QQi(-1)]])
+    a_mat = ExactForm.const_matrix(AFF3, [[QQi(1), QQi(2)], [QQi(0), QQi(1)]])
+    b_mat = ExactForm.const_matrix(AFF3, [[QQi(0), QQi(1)], [QQi(3), QQi(-1)]])
     a_form = a_mat * MatrixForm.from_scalar(PolyScalar.const(AFF3, 1), 2, (0,))
     b_form = b_mat * MatrixForm.from_scalar(PolyScalar.const(AFF3, 1), 2, (1,))
     lhs = a_form * b_form + b_form * a_form
@@ -60,8 +62,8 @@ def test_degree_zero_product_is_matrix_product():
 
 
 def test_wedge_shape_mismatch():
-    a = MatrixForm.identity(AFF3, 2)
-    b = MatrixForm.identity(AFF3, 3)
+    a = ExactForm.identity(AFF3, 2)
+    b = ExactForm.identity(AFF3, 3)
     with pytest.raises(ShapeMismatch):
         a * b
 
@@ -97,11 +99,30 @@ def test_flat_jet_entry_is_kept():
     zero: the form keeps it and its differential is the gradient."""
     chart = Chart.affine(1)
     flat = JetScalar(chart, np.zeros(3), [[1, 2, 3]])
-    f = MatrixForm(chart, 1, {(): ((flat,),)}, "jet", 3)
+    f = JetForm(chart, 1, {(): ((flat,),)}, 3)
     assert not f.is_zero()
     df = exterior_d(f)
     assert list(df.comps) == [(0,)]
     assert np.array_equal(df.comps[(0,)][0][0].values, [1, 2, 3])
+
+
+@pytest.mark.parametrize("where", [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 2)])
+def test_nan_sample_is_not_zero(where):
+    """A NaN sample in the first or a later entry, at the first or a later
+    node, makes the largest magnitude NaN: the form does not vanish at any
+    tolerance and differs from zero and from itself."""
+    chart = Chart.affine(1)
+    r, c, node = where
+    rows = [[np.full(3, 1e-20, dtype=complex) for _ in range(2)] for _ in range(2)]
+    rows[r][c][node] = np.nan
+    form = JetForm(chart, 2, {(): tuple(tuple(JetScalar(chart, v) for v in row)
+                                        for row in rows)}, 3)
+    assert np.isnan(form.max_abs())
+    assert not form.vanishes(1e-10)
+    assert form != form.zero_like(2)
+    assert form != form
+    one = JetForm(chart, 1, {(): ((JetScalar(chart, [np.nan, 1.0, 0.0]),),)}, 3)
+    assert np.isnan(one.max_abs()) and not one.vanishes(1.0)
 
 
 def test_d_squared_zero_random():
@@ -124,7 +145,7 @@ def test_d_graded_leibniz():
 class TestConnection:
     def test_flat_reduces_to_d(self):
         rng = random.Random(5)
-        conn = Connection(MatrixForm.zero(AFF3, 2))
+        conn = Connection(ExactForm.zero(AFF3, 2))
         a = random_matrix_form(AFF3, 2, rng, 1)
         assert (conn.nabla(a) - exterior_d(a)).is_zero()
 
@@ -146,7 +167,7 @@ class TestConnection:
             assert (lhs - rhs).is_zero()
 
     def test_curvature_zero_gauge(self):
-        conn = Connection(MatrixForm.zero(AFF3, 2))
+        conn = Connection(ExactForm.zero(AFF3, 2))
         assert conn.omega.is_zero() and conn.sigma.is_zero()
 
     def test_rank_one_is_fully_scalar(self):
@@ -160,11 +181,11 @@ class TestConnection:
     def test_constant_matrices_curvature_is_commutator(self):
         a = [[QQi(0), QQi(1)], [QQi(0), QQi(0)]]
         b = [[QQi(0), QQi(0)], [QQi(1), QQi(0)]]
-        fa = MatrixForm.const_matrix(AFF3, a) * dx(AFF3, 0)
-        fb = MatrixForm.const_matrix(AFF3, b) * dx(AFF3, 1)
+        fa = ExactForm.const_matrix(AFF3, a) * dx(AFF3, 0)
+        fb = ExactForm.const_matrix(AFF3, b) * dx(AFF3, 1)
         conn = Connection(fa + fb)
-        comm = MatrixForm.const_matrix(AFF3, a) * MatrixForm.const_matrix(AFF3, b) \
-            - MatrixForm.const_matrix(AFF3, b) * MatrixForm.const_matrix(AFF3, a)
+        comm = ExactForm.const_matrix(AFF3, a) * ExactForm.const_matrix(AFF3, b) \
+            - ExactForm.const_matrix(AFF3, b) * ExactForm.const_matrix(AFF3, a)
         want = comm * dx(AFF3, 0) * dx(AFF3, 1)
         assert (conn.omega - want).is_zero()
 
@@ -183,7 +204,7 @@ class TestConnection:
             conn = Connection(theta)
             assert "omega" not in vars(conn) and "sigma" not in vars(conn)
             omega = exterior_d(theta) + theta * theta
-            sigma = omega - omega.trace().scale(Fraction(1, m)) * MatrixForm.identity(AFF3, m)
+            sigma = omega - omega.trace().scale(Fraction(1, m)) * ExactForm.identity(AFF3, m)
             assert conn.sigma == sigma and conn.omega == omega
             assert conn.sigma is conn.sigma and conn.omega is conn.omega
             # a sigma given, assigned or amplified wins over the formula
@@ -213,19 +234,29 @@ class TestLiftRepresentative:
             assert (rep - exterior_d(beta)).is_zero()
             assert exterior_d(rep).is_zero()
 
+    def test_exact_flatness_defect_is_judged_at_zero_tolerance(self):
+        """An exact lift whose flatness defect is 10^-12 dx_0 dx_1 dx_2 fails:
+        no tolerance applies to exact forms, however small the defect."""
+        tiny = PolyScalar.coordinate(AFF3, 0) * Fraction(1, 10 ** 12)
+        sigma = MatrixForm.from_scalar(tiny, 1, (1, 2))
+        assert not exterior_d(sigma).is_zero()
+        with pytest.raises(ValueError, match="flatness"):
+            dd_representative(Connection.with_sigma(sigma))
+        assert dd_representative(Connection.with_sigma(sigma.zero_like(1))).is_zero()
+
 
 class TestTwistedComplex:
     def test_zero_twist_is_d(self):
         rng = random.Random(11)
         w = random_matrix_form(AFF3, 2, rng, 1)
-        c = MatrixForm.zero(AFF3, 1)
+        c = ExactForm.zero(AFF3, 1)
         assert (twisted_d(c, w) - exterior_d(w)).is_zero()
 
     def test_twist_of_unit(self):
         rng = random.Random(12)
         alpha = random_matrix_form(AFF3, 1, rng, 2)
         c = exterior_d(alpha)
-        one = MatrixForm.identity(AFF3, 1)
+        one = ExactForm.identity(AFF3, 1)
         assert (twisted_d(c, one) - c).is_zero()
 
     def test_square_zero(self):
@@ -246,10 +277,10 @@ class TestTwistedComplex:
             PolyScalar.coordinate(chart4, 3), 1, (0, 1, 2)
         )
         with pytest.raises(ValueError):
-            twisted_d(bad, MatrixForm.identity(chart4, 1))
+            twisted_d(bad, ExactForm.identity(chart4, 1))
 
     def test_rejects_wrong_degree(self):
-        w = MatrixForm.identity(AFF3, 1)
+        w = ExactForm.identity(AFF3, 1)
         c2 = MatrixForm.from_scalar(PolyScalar.const(AFF3, 1), 1, (0, 1))
         with pytest.raises(ValueError):
             twisted_d(c2, w)
@@ -259,7 +290,7 @@ class TestExpShift:
     def test_zero_shift_identity(self):
         rng = random.Random(14)
         w = random_matrix_form(AFF3, 2, rng, 1)
-        beta = MatrixForm.zero(AFF3, 1)
+        beta = ExactForm.zero(AFF3, 1)
         assert (exp_beta_intertwiner(beta, w) - w).is_zero()
 
     def test_truncation_by_degree(self):
@@ -267,7 +298,7 @@ class TestExpShift:
         beta = random_matrix_form(AFF3, 1, rng, 2)
         # on a 3-chart beta^beta has degree 4 and dies
         e = exp_form(beta)
-        assert (e - MatrixForm.identity(AFF3, 1) - beta).is_zero()
+        assert (e - ExactForm.identity(AFF3, 1) - beta).is_zero()
 
     def test_intertwining_identity(self):
         rng = random.Random(16)
@@ -301,11 +332,11 @@ def test_d_squared_under_random_data(seed, m, deg):
 
 def _random_matrix_form_by_folding(chart, m, rng, degree, poly_deg, terms):
     """The form of ``random_matrix_form`` as a sum of one form per component."""
-    out = MatrixForm.zero(chart, m)
+    out = ExactForm.zero(chart, m)
     for idx in itertools.combinations(range(chart.dim), degree):
         mat = tuple(tuple(random_poly(chart, rng, poly_deg, terms) for _ in range(m))
                     for _ in range(m))
-        out = out + MatrixForm(chart, m, {idx: mat})
+        out = out + ExactForm(chart, m, {idx: mat})
     return out
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from ncgkit.cyclic import Chain
-from ncgkit.forms import MatrixForm, exp_form, exterior_d, trace_of_product
+from ncgkit.forms import ExactForm, JetForm, MatrixForm, exp_form, exterior_d, trace_of_product
 from ncgkit.geom import (
     CHERN_UNIT,
     Geometry,
@@ -44,14 +44,14 @@ class TestQuadrature:
         f = PolyScalar.cos(g.chart, 0) * PolyScalar.cos(g.chart, 0)
         assert f.coeffs[(0, 0)] == QQi(Fraction(1, 2))
         jet = JetScalar(g.chart, np.cos(g.theta) ** 2, None)
-        form = MatrixForm(g.chart, 1, {(): ((jet,),)}, "jet", g.n_nodes)
+        form = JetForm(g.chart, 1, {(): ((jet,),)}, g.n_nodes)
         assert abs(g.integrate_form(form, 0) - (2 * pi) ** 2 / 2) < 1e-10
 
     def test_sphere_low_moments(self):
         # integral of cos^2(theta) over the sphere = 4 pi / 3
         g = Geometry.sphere2(12, 24)
         f = JetScalar(g.chart, np.cos(g.theta) ** 2, None)
-        form = MatrixForm(g.chart, 1, {(): ((f,),)}, "jet", g.n_nodes)
+        form = JetForm(g.chart, 1, {(): ((f,),)}, g.n_nodes)
         assert abs(g.integrate_form(form, 0) - 4 * pi / 3) < 1e-10
 
     def test_nodes_avoid_poles(self):
@@ -62,9 +62,9 @@ class TestQuadrature:
 class TestAHat:
     def test_zero_curvature(self):
         chart = Chart.affine(4)
-        r = MatrixForm.zero(chart, 2)
+        r = ExactForm.zero(chart, 2)
         out = a_hat_from_curvature(r)
-        assert (out - MatrixForm.identity(chart, 1)).is_zero()
+        assert (out - ExactForm.identity(chart, 1)).is_zero()
 
     def test_surface_is_one(self):
         # no nonzero degree-4 component exists on a 2-chart
@@ -72,14 +72,14 @@ class TestAHat:
         x = PolyScalar.const(chart, 1)
         entry = MatrixForm.from_scalar(x, 1, (0, 1))
         r = MatrixForm.from_blocks([
-            [MatrixForm.zero(chart, 1), entry],
-            [-entry, MatrixForm.zero(chart, 1)],
+            [ExactForm.zero(chart, 1), entry],
+            [-entry, ExactForm.zero(chart, 1)],
         ])
         out = a_hat_from_curvature(r)
-        assert (out - MatrixForm.identity(chart, 1)).is_zero()
+        assert (out - ExactForm.identity(chart, 1)).is_zero()
 
     def _block(self, chart, two_form):
-        zero = MatrixForm.zero(chart, 1)
+        zero = ExactForm.zero(chart, 1)
         return MatrixForm.from_blocks([[zero, two_form], [-two_form, zero]])
 
     def test_degree_four_coefficient_is_first_pontryagin_over_24(self):
@@ -89,7 +89,7 @@ class TestAHat:
              + MatrixForm.from_scalar(PolyScalar.const(chart, 1), 1, (2, 3)))
         out = a_hat_from_curvature(self._block(chart, x))
         # p1 = x^2 (one Chern root), degree-4 coefficient must be -x^2/24
-        want = MatrixForm.identity(chart, 1) - (x * x).scale(Fraction(1, 24))
+        want = ExactForm.identity(chart, 1) - (x * x).scale(Fraction(1, 24))
         assert (out - want).is_zero()
 
     def test_eigenvalue_series_oracle_degree_eight(self):
@@ -97,7 +97,7 @@ class TestAHat:
         x = (MatrixForm.from_scalar(PolyScalar.const(chart, 1), 1, (0, 1))
              + MatrixForm.from_scalar(PolyScalar.const(chart, 1), 1, (2, 3)))
         out = a_hat_from_curvature(self._block(chart, x))
-        want = (MatrixForm.identity(chart, 1)
+        want = (ExactForm.identity(chart, 1)
                 - (x * x).scale(Fraction(1, 24))
                 + (x * x * x * x).scale(Fraction(7, 5760)))
         assert (out - want).is_zero()
@@ -109,12 +109,12 @@ class TestAHat:
         y = (MatrixForm.from_scalar(PolyScalar.const(chart, 1), 1, (4, 5))
              + MatrixForm.from_scalar(PolyScalar.const(chart, -1), 1, (6, 7)))
         bx, by = self._block(chart, x), self._block(chart, y)
-        zero2 = MatrixForm.zero(chart, 2)
+        zero2 = ExactForm.zero(chart, 2)
         direct_sum = MatrixForm.from_blocks([
-            [bx.block(0, 0, 1), bx.block(0, 1, 1), MatrixForm.zero(chart, 1), MatrixForm.zero(chart, 1)],
-            [bx.block(1, 0, 1), bx.block(1, 1, 1), MatrixForm.zero(chart, 1), MatrixForm.zero(chart, 1)],
-            [MatrixForm.zero(chart, 1), MatrixForm.zero(chart, 1), by.block(0, 0, 1), by.block(0, 1, 1)],
-            [MatrixForm.zero(chart, 1), MatrixForm.zero(chart, 1), by.block(1, 0, 1), by.block(1, 1, 1)],
+            [bx.block(0, 0, 1), bx.block(0, 1, 1), ExactForm.zero(chart, 1), ExactForm.zero(chart, 1)],
+            [bx.block(1, 0, 1), bx.block(1, 1, 1), ExactForm.zero(chart, 1), ExactForm.zero(chart, 1)],
+            [ExactForm.zero(chart, 1), ExactForm.zero(chart, 1), by.block(0, 0, 1), by.block(0, 1, 1)],
+            [ExactForm.zero(chart, 1), ExactForm.zero(chart, 1), by.block(1, 0, 1), by.block(1, 1, 1)],
         ])
         lhs = a_hat_from_curvature(direct_sum)
         rhs = a_hat_from_curvature(bx) * a_hat_from_curvature(by)
@@ -124,8 +124,8 @@ class TestAHat:
         chart = Chart.affine(4)
         x = MatrixForm.from_scalar(PolyScalar.const(chart, 1), 1, (0, 1))
         bad = MatrixForm.from_blocks([
-            [MatrixForm.zero(chart, 1), x],
-            [x, MatrixForm.zero(chart, 1)],
+            [ExactForm.zero(chart, 1), x],
+            [x, ExactForm.zero(chart, 1)],
         ])
         with pytest.raises(ValueError, match="antisymmetric"):
             a_hat_from_curvature(bad)
@@ -201,7 +201,7 @@ def _conj_form(p: MatrixForm) -> MatrixForm:
     out = {}
     for idx, mat in p.comps.items():
         out[idx] = tuple(tuple(x.conj() for x in row) for row in mat)
-    return MatrixForm(p.chart, p.m, out, p.backend, p.nodes)
+    return p._like(p.m, out)
 
 
 def curvature_8x8(geom: Geometry, p: MatrixForm) -> MatrixForm:
@@ -218,7 +218,7 @@ def relative_chern_8x8(geom: Geometry, p: MatrixForm) -> MatrixForm:
     ``relative_chern``, which reads only the part of T this trace sees."""
     n = geom.half_dim
     traced = trace_of_product(kron_identity_right(p, 4), exp_form(-curvature_8x8(geom, p)))
-    out = MatrixForm.zero(traced.chart, 1, traced.backend, traced.nodes)
+    out = traced.zero_like(1)
     for k in traced.degrees():
         scale = (2 ** (-2 * n)) * (1.0 / CHERN_UNIT) ** (k // 2)
         out = out + traced.degree_part(k).scale(scale)
@@ -252,8 +252,8 @@ class TestTwistingCurvature:
         p1 = bott_projection(g)
         p2 = constant_projection(g, 1, 2)
         both = MatrixForm.from_blocks([
-            [p1, MatrixForm.zero(g.chart, 2, "jet", g.n_nodes)],
-            [MatrixForm.zero(g.chart, 2, "jet", g.n_nodes), p2],
+            [p1, JetForm.zero(g.chart, 2, g.n_nodes)],
+            [JetForm.zero(g.chart, 2, g.n_nodes), p2],
         ])
         lhs = relative_chern(both)
         rhs = relative_chern(p1) + relative_chern(p2)
@@ -298,7 +298,7 @@ def curvature_inputs(draw):
     if source == "constant":
         return geom, constant_projection(geom, draw(st.integers(0, s)), s)
     if source == "zero":
-        return geom, MatrixForm.zero(geom.chart, s, "jet", geom.n_nodes)
+        return geom, JetForm.zero(geom.chart, s, geom.n_nodes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zeros = {"zero": JetScalar.zero(geom.chart, geom.n_nodes),
              "zero-no-grads": JetScalar.zero(geom.chart, geom.n_nodes, grads=False)}
@@ -308,7 +308,7 @@ def curvature_inputs(draw):
         kinds[draw(st.integers(0, s * s - 1))] = draw(st.sampled_from(GRADLESS_KINDS))
     rows = tuple(tuple(_random_jet(geom, kinds[i * s + j], rng, zeros) for j in range(s))
                  for i in range(s))
-    return geom, MatrixForm(geom.chart, s, {(): rows}, "jet", geom.n_nodes)
+    return geom, JetForm(geom.chart, s, {(): rows}, geom.n_nodes)
 
 
 def _fresh_is_zero(x):
@@ -360,7 +360,7 @@ def test_the_amplified_formula_sees_a_fiber_diagonal(monkeypatch):
 class TestLocalIndex:
     def test_zero_projection(self):
         g = Geometry.sphere2(8, 16)
-        out = local_index(g, MatrixForm.zero(g.chart, 2, "jet", g.n_nodes))
+        out = local_index(g, JetForm.zero(g.chart, 2, g.n_nodes))
         assert out["integer"] == 0 and out["residual"] == 0.0
 
     def test_trivial_class_on_sphere(self):
@@ -409,7 +409,7 @@ class TestCocyclePairing:
         g = Geometry.torus2(12)
         conn = g.clifford_connection()
         const = kron_identity_right(constant_projection(g, 1, 1), 4)
-        a = MatrixForm.const_matrix(g.chart, [[QQi(2)]], "jet", g.n_nodes)
+        a = JetForm.zero(g.chart, 1, g.n_nodes).const_like([[QQi(2)]])
         a4 = kron_identity_right(a, 4)
         chain = Chain(2, [(QQi(1), (a4, const * 2, a4))])
         assert abs(character_pairing(g, chain, conn)) < 1e-12
@@ -435,7 +435,7 @@ class TestCocyclePairing:
                     grads[1] += 1j * mono[1] * wave
                 jet = JetScalar(g.chart, vals, grads)
                 entries.append(kron_identity_right(
-                    MatrixForm(g.chart, 1, {(): ((jet,),)}, "jet", g.n_nodes), 4
+                    JetForm(g.chart, 1, {(): ((jet,),)}, g.n_nodes), 4
                 ))
             chain = Chain(2, [(QQi(1), tuple(entries))])
             worst = max(worst, cocycle_cyclicity_residual(g, chain, conn))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 
 from ncgkit import forms, linalg
-from ncgkit.forms import MatrixForm, _jet_mat_mul
+from ncgkit.forms import ExactForm, JetForm, MatrixForm, _jet_mat_mul
 from ncgkit.geom import (
     Geometry,
     bott_projection,
@@ -167,8 +167,8 @@ def test_matches_full_product(pair):
 @given(jet_matrix_pairs())
 def test_form_product_matches_full_product(pair):
     chart, a, b = pair
-    fa = MatrixForm(chart, len(a), {(): a}, "jet", NODES)
-    fb = MatrixForm(chart, len(b), {(0,): b}, "jet", NODES)
+    fa = JetForm(chart, len(a), {(): a}, NODES)
+    fb = JetForm(chart, len(b), {(0,): b}, NODES)
     got = (fa * fb).comps.get((0,))
     want = _fold_mat_mul(_pairs_of(a), _pairs_of(b))
     if got is None:
@@ -252,8 +252,8 @@ def form_pairs(draw):
 
     def forms_of(shared):
         a0, a1, b0, b1 = (_build(chart, n, kinds, seed, shared) for kinds, seed in specs)
-        return (MatrixForm(chart, n, {(): a0, (0,): a1}, "jet", NODES),
-                MatrixForm(chart, n, {(): b0, (chart.dim - 1,): b1}, "jet", NODES))
+        return (JetForm(chart, n, {(): a0, (0,): a1}, NODES),
+                JetForm(chart, n, {(): b0, (chart.dim - 1,): b1}, NODES))
 
     return forms_of(True), forms_of(False)
 
@@ -369,7 +369,7 @@ def test_jet_arrays_are_read_only():
 def test_non_finite_scale_of_a_zero_reaches_the_samples(c):
     chart = Chart.affine(2)
     zero = JetScalar.zero(chart, 3)
-    form = MatrixForm.identity(chart, 2, "jet", 3)
+    form = JetForm.zero(chart, 2, 3).identity_like(2)
     with np.errstate(invalid="ignore"):
         assert np.isnan((zero * c).values).all()
         assert np.isnan((c * zero).grads).all()
@@ -379,7 +379,7 @@ def test_non_finite_scale_of_a_zero_reaches_the_samples(c):
 
 def test_builders_share_one_zero_per_matrix():
     geom = Geometry.sphere2(4, 8)
-    for form in (MatrixForm.identity(geom.chart, 3, "jet", geom.n_nodes),
+    for form in (JetForm.zero(geom.chart, 3, geom.n_nodes).identity_like(3),
                  geom.clifford_curvature_form(2),
                  MatrixForm.from_scalar(geom.jet_const(2.0), 3),
                  forms.exp_form(bott_projection(geom)).amplify(2)):
@@ -580,7 +580,7 @@ def one_form_pairs(draw):
                                                      min_size=n * n, max_size=n * n)),
                              draw(st.integers(0, 2**32 - 1)), True)
                  for idx in ((0,), (1,))}
-        return MatrixForm(chart, n, comps, "jet", NODES)
+        return JetForm(chart, n, comps, NODES)
 
     return form(), form()
 
@@ -646,7 +646,7 @@ def mixed_degree_pairs(draw):
             kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n * n, max_size=n * n))
             comps[idx] = tuple(tuple(_entry(kinds[i * n + j], chart, rng, shared)
                                      for j in range(n)) for i in range(n))
-        return MatrixForm(chart, n, comps, "jet", NODES)
+        return JetForm(chart, n, comps, NODES)
 
     return form(), form()
 
@@ -687,7 +687,7 @@ def scalar_id_cases(draw):
                                     PolyScalar.const(chart, QQi(2, -1)),
                                     PolyScalar.coordinate(chart, 0))))
         lam = MatrixForm.from_scalar(lam, n)
-        one = MatrixForm.identity(chart, n)
+        one = ExactForm.identity(chart, n)
         top = forms.exterior_d(a) + MatrixForm.from_scalar(PolyScalar.const(chart, 1), n, (0,))
     else:
         rng = np.random.default_rng(seed)
@@ -695,11 +695,11 @@ def scalar_id_cases(draw):
         kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n * n, max_size=n * n))
         mat = tuple(tuple(_entry(kinds[i * n + j], chart, rng, shared) for j in range(n))
                     for i in range(n))
-        a = MatrixForm(chart, n, {(): mat}, "jet", NODES)
+        a = JetForm(chart, n, {(): mat}, NODES)
         lam = MatrixForm.from_scalar(_entry(draw(st.sampled_from(KINDS)), chart, rng, shared), n)
-        one = MatrixForm.identity(chart, n, "jet", NODES)
-        top = MatrixForm(chart, n, {(0,): linalg.mat_eye(n, shared, JetScalar.const(chart, 1, NODES))},
-                         "jet", NODES)
+        one = JetForm.zero(chart, n, NODES).identity_like(n)
+        top = JetForm(chart, n, {(0,): linalg.mat_eye(n, shared, JetScalar.const(chart, 1, NODES))},
+                      NODES)
     built = [a * lam, lam * lam, a + lam, lam - lam, -lam, lam.scale(2), (a * lam).degree_part(0)]
     return [a, lam, *built, one, top]
 

@@ -206,6 +206,22 @@ def test_product_past_the_field_raises(kind, sign, j):
         edge * power(chart, j, LAST[sign] - half + sign)
 
 
+@pytest.mark.parametrize("e", [-(1 << 15) - 1, -(1 << 15), (1 << 15) - 1, 1 << 15])
+def test_exponent_is_checked_where_it_enters(e):
+    """The constructor, and so ``coordinate``, takes an exponent in the
+    packed window and raises OverflowError on one outside it, before any
+    arithmetic."""
+    chart = Chart.torus(2)
+    builders = (lambda: PolyScalar.coordinate(chart, 1, e),
+                lambda: PolyScalar(chart, {(0, e): QQi(2), (1, 0): QQi(1)}))
+    for build in builders:
+        if -(1 << 15) <= e < 1 << 15:
+            assert (build() * PolyScalar.coordinate(chart, 0)).coeffs[(1, e)] != 0
+        else:
+            with pytest.raises(OverflowError):
+                build()
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_exponent_past_the_field_raises(sign):
     """An exponent packs when -2^15 <= e < 2^15, and the conjugate of a
@@ -214,11 +230,8 @@ def test_exponent_past_the_field_raises(sign):
     last = PolyScalar.coordinate(chart, 1, LAST[sign])
     assert (last * PolyScalar.coordinate(chart, 0)).coeffs == {(1, LAST[sign]): QQi(1)}
     assert (last + 1).coeffs == {(0, LAST[sign]): QQi(1), (0, 0): QQi(1)}
-    huge = PolyScalar.coordinate(chart, 1, LAST[sign] + sign)
     with pytest.raises(OverflowError):
-        huge * PolyScalar.coordinate(chart, 0)
-    with pytest.raises(OverflowError):
-        huge + 1
+        PolyScalar.coordinate(chart, 1, LAST[sign] + sign)
     if sign > 0:
         assert last.conj().coeffs == {(0, -LAST[sign]): QQi(1)}
     else:

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/`` as a user would start them,
-and a guard against library code that only tests reach."""
+a guard against library code that only tests reach, and one that keeps a
+form's kind inside ``forms``."""
 
 import ast
 import importlib.util
@@ -263,3 +264,37 @@ def test_no_library_code_that_only_tests_reach():
     assert not stray, "only tests reach these; delete them or move them into the tests: " + ", ".join(stray)
     # a listed paper object that a command now reaches leaves the list
     assert unreached == PAPER_OBJECTS_CHECKED_BY_TESTS
+
+
+def _kind_leaks(path):
+    """(line, what) of each read of an attribute named ``backend`` or
+    ``nodes`` outside ``forms.py``, and of each comparison with the string
+    "exact" or "jet" anywhere."""
+    leaks = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr in ("backend", "nodes")
+                and path.name != "forms.py"):
+            leaks.append((node.lineno, f".{node.attr}"))
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                if isinstance(operand, ast.Constant) and operand.value in ("exact", "jet"):
+                    leaks.append((node.lineno, f"compares with {operand.value!r}"))
+    return sorted(leaks)
+
+
+def test_kind_of_a_form_stays_in_forms():
+    """A form's kind is its type, ``ExactForm`` or ``JetForm``: no module
+    outside ``forms`` reads a kind or node-count attribute, and no module
+    tests a kind string."""
+    leaks = [f"{path.name}:{line}: {what}"
+             for path in sorted((ROOT / "src" / "ncgkit").glob("*.py"))
+             for line, what in _kind_leaks(path)]
+    assert not leaks, "\n".join(leaks)
+
+
+def test_kind_leaks_are_found(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def f(a):\n    if a.backend == 'jet':\n        return a.nodes\n"
+                   "    return 'exact' != a\n")
+    assert _kind_leaks(lib) == [(2, ".backend"), (2, "compares with 'jet'"),
+                                (3, ".nodes"), (4, "compares with 'exact'")]

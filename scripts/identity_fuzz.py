@@ -51,7 +51,7 @@ def main() -> int:
         ]
         ch = Chain(k, [(random_qqi(rng), tuple(als))])
         mixed = hochschild_b(connes_B(ch)) + connes_B(hochschild_b(ch))
-        checks.append(mixed.is_zero() or tensor_is_zero(mixed))
+        checks.append(tensor_is_zero(mixed))
         if not all(checks):
             bad += 1
             print(f"DEFECT at trial {trial}: dim={dim} m={m} k={k} {checks}")

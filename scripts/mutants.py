@@ -184,6 +184,16 @@ MUTANTS = {
           "max([0.0, *values])")],
         ["tests/test_forms.py::test_nan_sample_is_not_zero"],
     ),
+    "scalar-id-passes-nan": (
+        "the scalar-identity test of a jet form compares with >, which a NaN "
+        "sample passes, so a chain drops the form as an interior scalar slot",
+        [("src/ncgkit/forms.py",
+          "not (float(np.max(np.abs(v - v.flat[0]))) <= 1e-12)",
+          "float(np.max(np.abs(v - v.flat[0]))) > 1e-12"),
+         ("src/ncgkit/forms.py", "if not (off.max_abs() <= 1e-12):",
+          "if off.max_abs() > 1e-12:")],
+        ["tests/test_forms.py::test_nan_sample_is_no_scalar_identity"],
+    ),
     "unused-param-accepted": (
         "the dispatcher runs a request with a parameter that none of its "
         "checks takes",

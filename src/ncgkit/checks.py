@@ -274,13 +274,15 @@ class _FormalConnection:
         return _FreeElement({(): 1})
 
 
-def check_partition_counts(seed: int = 7, k_top: int = 10) -> CheckResult:
-    """Fibonacci term counts and recursion vs enumeration agreement.
+def check_partition_counts(seed: int = 7) -> CheckResult:
+    """Fibonacci term counts and recursion vs enumeration agreement, for
+    k = 0..10.
 
     Up to k = 5 on a 5-dim chart; above it degree truncation would empty
     both sides, so k >= 6 runs on the free algebra, where psi_k must be
     F(k+1) distinct words with coefficient 1.
     """
+    k_top = 10
     expected = [1, 1]
     while len(expected) < k_top + 1:
         expected.append(expected[-1] + expected[-2])
@@ -346,11 +348,6 @@ def check_chain_character(seed: int = 7, trials: int = 50) -> CheckResult:
     })
 
 
-def _reduced_zero(ch: Chain) -> bool:
-    """Zero in the reduced complex: free-module zero, else tensor-level."""
-    return ch.is_zero() or tensor_is_zero(ch)
-
-
 def check_complex_operators(seed: int = 7, trials: int = 100) -> CheckResult:
     """b^2 = 0, B^2 = 0 and bB + Bb = 0 on random reduced chains."""
     rng = random.Random(seed)
@@ -365,10 +362,10 @@ def check_complex_operators(seed: int = 7, trials: int = 100) -> CheckResult:
             for _ in range(2)
         ]
         ch = Chain(k, terms)
-        ok = ok and _reduced_zero(hochschild_b(hochschild_b(ch)))
-        ok = ok and _reduced_zero(connes_B(connes_B(ch)))
+        ok = ok and tensor_is_zero(hochschild_b(hochschild_b(ch)))
+        ok = ok and tensor_is_zero(connes_B(connes_B(ch)))
         mixed = hochschild_b(connes_B(ch)) + connes_B(hochschild_b(ch))
-        ok = ok and _reduced_zero(mixed)
+        ok = ok and tensor_is_zero(mixed)
         if not ok:
             break
     return CheckResult("complex-operators", ok, {"trials": trials, "all_zero": ok})
@@ -649,12 +646,16 @@ def check_derivation_suite(seed: int = 7, trials: int = 100) -> CheckResult:
 # spectral suite
 
 
-def check_sobolev_suite(seed: int = 7, vectors: int = 1000,
-                        n_max: int = 200) -> CheckResult:
+# the truncation of the circle triple of sobolev-suite: modes -200..200
+SOBOLEV_CIRCLE_N = 200
+
+
+def check_sobolev_suite(seed: int = 7) -> CheckResult:
     rng = np.random.default_rng(seed)
-    triple = circle_dirac(n_max)
+    triple = circle_dirac(SOBOLEV_CIRCLE_N)
     mu, counts = triple.resolvent_weights()
     worst = 0.0
+    vectors = 1000
     for _ in range(vectors):
         raw = rng.standard_normal(len(mu)) ** 2
         decay = mu ** rng.uniform(0.5, 2.0)
@@ -773,11 +774,11 @@ def check_morita_suite(seed: int = 7, trials: int = 50) -> CheckResult:
     })
 
 
-def check_torus_heat_trace(n_max: int = 32,
-                           times=(0.5, 1.0, 2.0)) -> CheckResult:
+def check_torus_heat_trace() -> CheckResult:
+    n_max = 32
     triple = FourierTorusTriple(n_max)
     grading = triple.grading_report()
-    values = [triple.mckean_singer(t) for t in times]
+    values = [triple.mckean_singer(t) for t in (0.5, 1.0, 2.0)]
     drift = max(abs(v - values[0]) for v in values)
     snapped = round(values[0])
     passed = grading["ok"] and drift <= 1e-8 and snapped == 0
@@ -948,12 +949,12 @@ def _eval_poly_on_grid(f: PolyScalar, geom: Geometry) -> np.ndarray:
     return out
 
 
-def check_character_comparison(seed: int = 7, resolution: int = 64) -> CheckResult:
+def check_character_comparison(seed: int = 7) -> CheckResult:
     """Class-level agreement of the two character maps on the flat torus.
 
     Flat lift (sigma = 0): forms agree exactly after the factorial
-    renormalization.  Non-flat trig lift: matching-degree integrals at
-    the given quadrature resolution agree to 1e-8.
+    renormalization.  Non-flat trig lift: matching-degree integrals on a
+    64 x 64 quadrature grid agree to 1e-8.
     """
     rng = random.Random(seed)
     chart = Chart.torus(2)
@@ -978,7 +979,8 @@ def check_character_comparison(seed: int = 7, resolution: int = 64) -> CheckResu
         exact_ok = exact_ok and (lhs - rho_total.degree_part(k)).is_zero()
 
     # non-flat connection over a rank-2 base (rank-1 lifts are always
-    # traceless-flat); numeric integrals at the requested resolution
+    # traceless-flat); numeric integrals on the 64 x 64 grid
+    resolution = 64
     geom = Geometry.torus2(resolution)
 
     def integrate(form: MatrixForm, k: int) -> complex:
@@ -1046,7 +1048,7 @@ def check_pushforward(seed: int = 7, trials: int = 50) -> CheckResult:
         ))])
         lhs = hochschild_b(pushforward_chain(alpha, ch))
         rhs = pushforward_chain(alpha, hochschild_b(ch))
-        commute_ok = commute_ok and _reduced_zero(lhs - rhs)
+        commute_ok = commute_ok and tensor_is_zero(lhs - rhs)
     # image of a projection character is the character of the image
     for _ in range(6):
         alpha = BlockMap.corner_embedding(2, 0, unit).conjugate(
@@ -1162,10 +1164,6 @@ class Rule(NamedTuple):
     choices: Tuple[str, ...] = ()
 
 
-def _at_least(low: int) -> Rule:
-    return Rule(f"an integer >= {low}", lambda v: _is_int(v) and v >= low)
-
-
 def _between(low: int, high: int) -> Rule:
     return Rule(f"an integer from {low} to {high}",
                 lambda v: _is_int(v) and low <= v <= high)
@@ -1178,26 +1176,22 @@ def _one_of(*values: str) -> Rule:
 # What each parameter of a check must be, by name, whether it comes from a
 # scenario or from the command line.  A count below its lower bound would
 # run no trials and report a vacuous pass, or fail inside a check as an
-# internal error.
+# internal error; the upper bounds keep a run within about a minute on a
+# 2-vCPU x86-64 host.
 PARAM_RULES = {
-    "trials": _at_least(1),
-    "k_max": _at_least(1),
-    # partition-counts enumerates F(k_top + 1) compositions: about 1.8 s at
-    # 20 and 11 s at 22 on a 2-vCPU x86-64 host
-    "k_top": _between(1, 20),
+    # a trial of verify-identities costs about 42 ms over its checks at
+    # k_max 5, linear in trials (2 ms for algebroid, 3 ms for spectral), so
+    # about 42 s at 1000
+    "trials": _between(1, 1000),
+    # a 3-dim induction-identity trial costs about 59 ms at k = 4 and 112 ms
+    # at 16, growing like k^2; 100 trials take about 1.9 s at k_max 5 and
+    # 3.1 s at 20, so about 31 s at 1000 trials
+    "k_max": _between(1, 20),
     # each level multiplies the grid side by 1.5 and the peak memory by
     # about 2: an index run peaks at about 265 MiB at refine 7
     "refine": _between(0, 7),
-    "resolution": _at_least(1),
-    "rephasings": _at_least(1),
-    "vectors": _at_least(1),
-    "n_max": _at_least(1),
-    # each time is one pass over the torus spectrum, about 0.23 ms at n_max
-    # 32 and 0.7 ms at n_max 64 on a 2-vCPU x86-64 host, and one value in
-    # the report; a negative or non-finite time makes a NaN supertrace
-    "times": Rule("a list of 1 to 64 finite numbers >= 0",
-                  lambda v: isinstance(v, list) and 1 <= len(v) <= 64 and all(
-                      _is_real(t) and isfinite(t) and t >= 0 for t in v)),
+    # one rephasing costs about 0.5 ms, so about 5 s at 10000
+    "rephasings": _between(1, 10000),
     "geometry": _one_of("sphere2", "torus2"),
     "projection": _one_of("bott", "constant", "zero", "bott-dilated"),
     # |dilation| >= 1 degenerates the conformal flow: p is no projection

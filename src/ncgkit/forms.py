@@ -735,16 +735,16 @@ class JetForm(MatrixForm):
 
     def _constant_diagonal(self) -> bool:
         """Whether the degree-0 part is a constant times the identity, to
-        1e-12 in every sample."""
+        1e-12 in every sample; a NaN sample fails both comparisons."""
         mat = self.comps[()]
         diag = mat[0][0]
         v = diag.values
-        if v.size and float(np.max(np.abs(v - v.flat[0]))) > 1e-12:
+        if v.size and not (float(np.max(np.abs(v - v.flat[0]))) <= 1e-12):
             return False
         for i in range(self.m):
             for j in range(self.m):
                 off = mat[i][j] - diag if i == j else mat[i][j]
-                if off.max_abs() > 1e-12:
+                if not (off.max_abs() <= 1e-12):
                     return False
         return True
 

@@ -227,13 +227,6 @@ def spectral_dimension_probe(triple: SpectralTriple, d: float) -> dict:
 # -- Morita lifts and index pairings -------------------------------------
 
 
-def _block_diag_exact(mat, m: int):
-    """Id_m (x) mat for an exact square matrix."""
-    zero = linalg.mat_zero(len(mat), len(mat), QQi(0))
-    return linalg.mat_from_blocks([[mat if i == j else zero for j in range(m)]
-                                   for i in range(m)])
-
-
 def morita_lift(triple: SpectralTriple, p, m: int) -> SpectralTriple:
     """Compress the m-fold amplification of an exact triple by a projection.
 
@@ -249,11 +242,12 @@ def morita_lift(triple: SpectralTriple, p, m: int) -> SpectralTriple:
         raise ValueError("input is not idempotent")
     if not linalg.mat_eq(p, linalg.mat_conj_transpose(p)):
         raise ValueError("input is not Hermitian")
-    d_m = _block_diag_exact(triple.d, m)
+    id_m = linalg.mat_eye(m, QQi(0), QQi(1))
+    d_m = linalg.mat_kron(id_m, triple.d)
     d_e = linalg.mat_mul(p, linalg.mat_mul(d_m, p))
     g_e = None
     if triple.grading is not None:
-        g_m = _block_diag_exact(triple.grading, m)
+        g_m = linalg.mat_kron(id_m, triple.grading)
         # p is idempotent and commutes with g_m, so p g_m p = g_m p
         g_e = linalg.mat_mul(g_m, p)
         if not linalg.mat_eq(g_e, linalg.mat_mul(p, g_m)):

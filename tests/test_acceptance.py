@@ -5,6 +5,7 @@ written out literally next to the assertions they guard."""
 import time
 
 from ncgkit.checks import (
+    SOBOLEV_CIRCLE_N,
     check_bianchi_trace,
     check_cech_suite,
     check_chain_character,
@@ -46,7 +47,7 @@ def test_criterion_01_induction_identity():
 
 
 def test_criterion_02_partition_counts():
-    res = check_partition_counts(seed=SEED, k_top=10)
+    res = check_partition_counts(seed=SEED)
     ok = (
         res.passed
         and res.details["counts"] == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
@@ -86,11 +87,12 @@ def test_criterion_04_complex_operators():
 
 
 def test_criterion_05_character_comparison():
-    res = check_character_comparison(seed=SEED, resolution=64)
+    res = check_character_comparison(seed=SEED)
     diffs = [v for k, v in res.details.items() if k.endswith("_diff")]
     values = [v for k, v in res.details.items() if k.endswith("_value")]
     ok = (
         res.passed
+        and res.details["resolution"] == 64
         and res.details["flat_exact_agreement"]
         and res.details["nonflat_lift_nonzero"]
         and res.details["nonflat_agree"]
@@ -149,9 +151,11 @@ def test_criterion_08_derivation_suite():
 
 
 def test_criterion_09_sobolev_suite():
-    res = check_sobolev_suite(seed=SEED, vectors=1000, n_max=200)
+    res = check_sobolev_suite(seed=SEED)
     ok = (
         res.passed
+        and res.details["vectors"] == 1000
+        and SOBOLEV_CIRCLE_N == 200
         and res.details["worst_slack"] >= -1e-12
         and res.details["verdict_d1"] == "summable"
         and res.details["verdict_d04"] == "divergent-trend"
@@ -185,7 +189,7 @@ def test_criterion_10_morita_suite():
 def test_criterion_11_index_suite():
     t0 = time.time()
     res = check_index_suite(seed=SEED, refine=2)
-    heat = check_torus_heat_trace(n_max=32, times=(0.5, 1.0, 2.0))
+    heat = check_torus_heat_trace()
     elapsed = time.time() - t0
     ok = (
         res.passed
@@ -199,6 +203,8 @@ def test_criterion_11_index_suite():
         and res.details["residual_bott"] < 1e-4
         and res.details["refinement_trend"]
         and heat.passed
+        and heat.details["n_max"] == 32
+        and len(heat.details["supertrace_values"]) == 3
         and heat.details["drift"] <= 1e-8
         and heat.details["index"] == 0
         and elapsed < 600.0

@@ -362,7 +362,7 @@ class TestComparison:
 
         monkeypatch.setattr(checks, "require_torsion_twist", broken_gate)
         with pytest.raises(TypeError, match="broken gate"):
-            check_character_comparison(seed=7, resolution=8)
+            check_character_comparison(seed=7)
 
     def test_flat_exact_agreement_on_torus(self):
         rng = random.Random(15)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from ncgkit.checks import CheckResult
+from ncgkit.checks import PARAM_RULES, CheckResult
 from ncgkit.cli import (
+    SCENARIO_KINDS,
     SchemaViolation,
     build_parser,
     load_scenario,
@@ -493,6 +494,23 @@ def test_help_returns_0_in_process(capsys):
     assert capsys.readouterr().out.startswith("usage: ncgkit ")
 
 
+# Each integer parameter: a scenario kind whose command takes it, its flag
+# on that command (None when only a scenario sets it) and its bounds.
+INTEGER_PARAMS = {
+    "trials": ("identities", "--trials", 1, 1000),
+    "k_max": ("identities", "--k-max", 1, 20),
+    "refine": ("index", "--refine", 0, 7),
+    "rephasings": ("cech", None, 1, 10000),
+}
+
+
+def test_every_integer_rule_has_an_upper_bound():
+    """Every integer rule is in the table of ``TestRejectsBadInput``, whose
+    rows run each one just inside and just outside its bounds."""
+    assert {name for name, rule in PARAM_RULES.items()
+            if rule.what.startswith("an integer")} == set(INTEGER_PARAMS)
+
+
 class TestRejectsBadInput:
     """Out-of-range counts, mistyped values and parameters that no check of
     the command takes exit 2 before any check runs."""
@@ -561,6 +579,12 @@ class TestRejectsBadInput:
         {"kind": "cech", "seed": 7, "params": {"trials": 3}},
         {"kind": "identities", "seed": 7, "params": {"refine": 1}},
         {"kind": "chkr-compare", "seed": 7, "params": {"vectors": 5}},
+        # sizes that their checks fix
+        {"kind": "identities", "seed": 7, "params": {"k_top": 10}},
+        {"kind": "chkr-compare", "seed": 7, "params": {"resolution": 64}},
+        {"kind": "spectral", "seed": 7, "params": {"vectors": 1000}},
+        {"kind": "spectral", "seed": 7, "params": {"n_max": 32}},
+        {"kind": "spectral", "seed": 7, "params": {"times": [0.5, 1.0, 2.0]}},
         # a dilation that the run ignores: only the reference projections
         # on the sphere take one
         {"kind": "index", "seed": 7, "params": {
@@ -625,60 +649,42 @@ class TestRejectsBadInput:
         assert captured.out == ""
         assert "refine must be an integer from 0 to 7" in captured.err
 
-    @pytest.mark.parametrize("k_top,code", [(21, 2), (20, 0)])
-    def test_k_top_bound(self, tmp_path, capsys, monkeypatch, k_top, code):
-        """partition-counts enumerates F(k_top + 1) compositions; a k_top
-        above 20 exits 2.  The checks are stubbed and run in this process,
-        so only the rule is under test."""
-        import os
-
-        import ncgkit.cli
-
-        ran = []
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(ncgkit.cli, "run_check", lambda check_id, **params: (
-            ran.append(params) or CheckResult(check_id, True, {})))
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"kind": "identities", "seed": 7,
-                                    "params": {"k_top": k_top}}))
-        got = main(["verify-identities", "--scenario", str(path)])
-        captured = capsys.readouterr()
-        assert got == code
-        if code:
-            assert captured.out == "" and not ran
-            assert "k_top must be an integer from 1 to 20" in captured.err
-        else:
-            assert ran and all(params["k_top"] == 20 for params in ran)
-
-    @pytest.mark.parametrize("times,code", [
-        ([], 2), ([-50.0], 2), ([1.0, -50.0], 2), ([float("nan")], 2),
-        ([float("inf")], 2), ([1.0, True], 2), ([1.0] * 65, 2),
-        ([0.0], 0), ([0.5] * 64, 0),
+    @pytest.mark.parametrize("name,route,value,code", [
+        (name, route, value, code)
+        for name, (_, flag, low, high) in INTEGER_PARAMS.items()
+        for route in ("scenario", "flag") if route == "scenario" or flag
+        for value, code in ((low - 1, 2), (low, 0), (high, 0), (high + 1, 2))
     ])
-    def test_times_rule(self, tmp_path, capsys, monkeypatch, times, code):
-        """times is a nonempty list of at most 64 finite numbers >= 0: an
-        empty list, a negative, NaN or infinite time, a bool and a 65th
-        entry exit 2, and t = 0 runs.  The checks are stubbed and run in
-        this process, so only the rule is under test."""
+    def test_integer_bounds(self, tmp_path, capsys, monkeypatch, name, route,
+                            value, code):
+        """Each integer parameter runs at both ends of its range and exits 2
+        just outside it, from a scenario and from its flag.  The checks are
+        stubbed and run in this process, so only the rule is under test."""
         import os
 
         import ncgkit.cli
 
+        kind, flag, low, high = INTEGER_PARAMS[name]
+        command = SCENARIO_KINDS[kind]
         ran = []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(ncgkit.cli, "run_check", lambda check_id, **params: (
             ran.append(params) or CheckResult(check_id, True, {})))
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"kind": "spectral", "seed": 1,
-                                    "params": {"times": times}}))
-        got = main(["spectral", "--scenario", str(path)])
+        if route == "flag":
+            argv = [command, flag, str(value)]
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({"kind": kind, "seed": 7,
+                                        "params": {name: value}}))
+            argv = [command, "--scenario", str(path)]
+        got = main(argv)
         captured = capsys.readouterr()
         assert got == code
         if code:
             assert captured.out == "" and not ran
-            assert "times must be a list of 1 to 64 finite numbers >= 0" in captured.err
+            assert f"{name} must be an integer from {low} to {high}" in captured.err
         else:
-            assert ran and all(params["times"] == times for params in ran)
+            assert ran and all(params[name] == value for params in ran)
 
     def test_unresolved_dilation_fails_with_its_residual(self, tmp_path, capsys):
         """A valid dilation that the grid cannot resolve is a failing

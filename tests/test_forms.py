@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from ncgkit.cyclic import Chain
 from ncgkit.forms import (
     Connection,
     ExactForm,
@@ -123,6 +124,26 @@ def test_nan_sample_is_not_zero(where):
     assert form != form
     one = JetForm(chart, 1, {(): ((JetScalar(chart, [np.nan, 1.0, 0.0]),),)}, 3)
     assert np.isnan(one.max_abs()) and not one.vanishes(1.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("rows", [
+    # a diagonal entry that is not even constant: NaN against the first sample
+    [[[np.nan, 1, 2]]],
+    # an infinite sample, whose differences make a NaN
+    [[[np.inf, 1, 2]]],
+    # a constant identity diagonal with a NaN off the diagonal
+    [[[1, 1, 1], [np.nan, 0, 0]], [[0, 0, 0], [1, 1, 1]]],
+])
+def test_nan_sample_is_no_scalar_identity(rows):
+    """A NaN sample fails both comparisons of the scalar-identity test, so
+    a chain keeps the form in an interior slot instead of dropping it."""
+    chart = Chart.affine(2)
+    form = JetForm(chart, len(rows), {(): tuple(
+        tuple(JetScalar(chart, np.array(v, dtype=complex)) for v in row)
+        for row in rows)}, 3)
+    assert not form.is_scalar_multiple_of_identity()
+    assert Chain(1, [(QQi(1), (form.identity_like(form.m), form))]).terms
 
 
 def test_d_squared_zero_random():

@@ -23,7 +23,6 @@ def run_script(*argv):
 
 @pytest.mark.parametrize("argv", [
     ("scripts/identity_fuzz.py", "--trials", "3"),
-    ("scripts/index_refinement_study.py", "--levels", "2"),
 ])
 def test_script_runs(argv):
     proc = run_script(*argv)
@@ -38,59 +37,11 @@ def test_identity_fuzz_rejects_counts_below_one(flag, value):
     assert "must be at least 1" in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [("--base", "0"), ("--levels", "-1")])
-def test_index_refinement_study_rejects_counts_below_one(argv):
-    proc = run_script("scripts/index_refinement_study.py", *argv)
-    assert proc.returncode == 2
-    assert "must be at least 1" in proc.stderr
-
-
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-GRID_BOUND = "nodes of index --refine 7"
-DILATION_RULE = "must be a finite number with |dilation| < 1"
-
-
-@pytest.mark.parametrize("argv,error", [
-    # from the default base 3, level 12 is 315 x 548 and level 13 473 x 822,
-    # past the 406 x 819 grid of index --refine 7
-    (("--levels", "12"), None),
-    (("--levels", "13"), GRID_BOUND),
-    (("--levels", "1000000000"), GRID_BOUND),
-    # one level: base 407 is a 407 x 814 grid, base 408 has 332,928 nodes
-    (("--levels", "1", "--base", "407"), None),
-    (("--levels", "1", "--base", "408"), GRID_BOUND),
-    (("--base", "10000000"), GRID_BOUND),
-    # the dilation rule of the command line
-    (("--dilation", "0.75"), None),
-    (("--dilation", "1"), DILATION_RULE),
-    (("--dilation", "-1.5"), DILATION_RULE),
-    (("--dilation", "nan"), DILATION_RULE),
-    (("--dilation", "inf"), DILATION_RULE),
-])
-def test_index_refinement_study_bounds(monkeypatch, capsys, argv, error):
-    """A rejected request exits 2 before any grid is built; building one
-    raises here, so a missed bound fails at once and allocates nothing."""
-    from ncgkit.geom import Geometry
-
-    class GridBuilt(Exception):
-        pass
-
-    def no_grid(*args, **kwargs):
-        raise GridBuilt
-
-    study = load_script("index_refinement_study")
-    monkeypatch.setattr(Geometry, "sphere2", staticmethod(no_grid))
-    with pytest.raises(GridBuilt if error is None else SystemExit) as exc:
-        study.main(list(argv))
-    if error is not None:
-        assert exc.value.code == 2
-        assert error in capsys.readouterr().err
 
 
 def test_mutants_rejects_an_unknown_name():
